@@ -263,7 +263,7 @@ def cmd_compute(cfg: RunConfig) -> int:
         _emit(evaluations_to_csv([ev]), cfg.out)
     else:
         _emit(_dump_json(payload), cfg.out)
-    return 2 if (ev.flags or not ev.diagnostics.get("converged", True)) else 0
+    return 2 if ev.flags else 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -303,8 +303,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError("suite",
                           f"unknown suite {cfg.suite!r}; pick from "
                           f"{', '.join(SUITES + ('all',))}")
-    threads = _resolve_threads(cfg.threads)
-    ctx = VerifyContext(seed=cfg.seed, threads=threads)
+    ctx = VerifyContext(seed=cfg.seed)
     results = run_suite(cfg.suite, ctx, budget=cfg.budget)
     print(format_table(results))
     text = _dump_json(results_to_json_dict(results, cfg.suite, cfg.seed))
@@ -327,8 +326,6 @@ def _add_common(sub: argparse.ArgumentParser, with_points: bool) -> None:
     sub.add_argument("--config", help="JSON file of flag defaults")
     sub.add_argument("--seed", type=int, default=42,
                      help="seed for any randomized solver component")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: XIBERGMAN_THREADS or 1)")
     sub.add_argument("--out", help="output file (default: stdout)")
     if with_points:
         sub.add_argument("--domain", default="disk",
@@ -360,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp = subs.add_parser("sweep", help="Green-function sublevel sweep")
     _add_common(swp, with_points=True)
     swp.add_argument("--pole", help="Green pole (nonzero selects the disk model)")
+    swp.add_argument("--threads", type=int, default=None,
+                     help="worker threads (default: XIBERGMAN_THREADS or 1)")
     swp.add_argument("--a-grid", default=None,
                      help='sublevel heights: "lo:hi:count" or comma list, all <= 0')
     swp.add_argument("--format", choices=("json", "csv"), default="csv")

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebra import _as_point
+
 __all__ = [
     "Domain",
     "Quadrature",
@@ -253,7 +255,7 @@ def load_cloud_csv(path) -> Domain:
 
 def contains(domain: Domain, z) -> bool:
     """Strict interior membership test."""
-    pt = _point(z, domain.dimension)
+    pt = _as_point(z, domain.dimension)
     if domain.shape == "disk":
         return abs(pt[0] - domain.center[0]) < domain.radius
     if domain.shape == "polydisc":
@@ -276,7 +278,7 @@ def contains(domain: Domain, z) -> bool:
 
 def boundary_distance(domain: Domain, z) -> float:
     """Euclidean distance from an interior point to the boundary."""
-    pt = _point(z, domain.dimension)
+    pt = _as_point(z, domain.dimension)
     if not contains(domain, pt):
         raise ValueError(f"point {pt} is not inside the domain")
     if domain.shape == "disk":
@@ -326,17 +328,6 @@ def product_domain(a: Domain, b: Domain) -> Domain:
     ra, ca = parts(a)
     rb, cb = parts(b)
     return Domain.polydisc(ra + rb, ca + cb)
-
-
-def _point(z, dimension: int) -> tuple[complex, ...]:
-    if isinstance(z, (int, float, complex, np.complexfloating, np.floating, np.integer)):
-        if dimension != 1:
-            raise ValueError(f"scalar point for dimension {dimension}")
-        return (complex(z),)
-    pt = tuple(complex(c) for c in z)
-    if len(pt) != dimension:
-        raise ValueError(f"point has {len(pt)} coordinates, expected {dimension}")
-    return pt
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +511,3 @@ def _validate(quad: Quadrature) -> None:
         return
     if not bool(inside.all()):
         raise QuadratureError("quadrature nodes escaped the domain")
-
-
-def tensor_quadrature(qa: Quadrature, qb: Quadrature, domain: Domain) -> Quadrature:
-    """Tensor product of two rules on a product domain."""
-    total = qa.node_count * qb.node_count
-    if total > MAX_NODES:
-        raise QuadratureError(f"product rule would need {total} nodes (cap {MAX_NODES})")
-    na, nb = qa.node_count, qb.node_count
-    left = np.repeat(qa.nodes, nb, axis=0)
-    right = np.tile(qb.nodes, (na, 1))
-    nodes = np.concatenate([left, right], axis=1)
-    weights = (qa.weights[:, None] * qb.weights[None, :]).ravel()
-    return Quadrature(domain, nodes, weights, qa.radial_order, qa.angular_order)

@@ -221,10 +221,7 @@ def sweep(
     n = model.dimension
     if degree is None:
         degree = default_degree(n)
-    if isinstance(target, HomogeneousPolynomial):
-        k = target.degree
-    else:
-        k = target.degree
+    k = target.degree
     exponent = 2 * n + p * k
 
     def run_row(a: float) -> SweepRow:

@@ -38,12 +38,13 @@ from .algebra import (
 from .kernels import (
     KernelError,
     KernelEvaluation,
-    ZeroPairingError,
-    _check_inputs,
+    _constrained_kernel,
     diagonal,
     kernel2_diagonal,
 )
-from .lpsolve import LpOptions, solve_affine_lp
+# solve_affine_lp is not called here since the jet-constrained solve moved
+# to kernels; it stays importable because bench/spans.py wraps this lookup
+from .lpsolve import LpOptions, solve_affine_lp  # noqa: F401
 from .pspace import OrthonormalBasis, PolySpace, orthonormal_basis
 
 __all__ = [
@@ -256,70 +257,14 @@ def jet_constrained_kernel(
 
     The vanishing orders remove columns of the z-shifted basis; the
     functional acts on the surviving coefficients as a single affine row.
-    This is the general-partition engine; the higher-order kernel is the
-    special case vanishing = all orders below deg H.
+    Exact at p = 2, IRLS otherwise; the higher-order kernel is the special
+    case vanishing = all orders below deg H.
     """
     _require_polynomial_space(space)
     if p < 1:
         raise ValueError("jet-constrained kernels require p >= 1")
-    zt = _check_inputs(space, xi, z)
-
-    pos = space.index_position()
-    drop = set()
-    for beta in vanishing:
-        if beta not in pos:
-            raise KernelError(
-                f"vanishing order {beta} lies outside the truncated space")
-        drop.add(pos[beta])
-    keep = [j for j in range(space.size) if j not in drop]
-    if not keep:
-        raise KernelError("vanishing constraints exhaust the truncated space")
-
-    phi = space.shifted_node_matrix(zt)[:, keep]
-    L = np.array([xi[space.indices[j]] for j in keep], dtype=complex)
-    if not np.any(L):
-        raise ZeroPairingError(
-            "functional vanishes on the constrained subspace at this truncation")
-
-    w = space.quadrature.weights
-    if p == 2:
-        Brev = np.sqrt(w)[:, None] * phi[:, ::-1]
-        colnorm = np.linalg.norm(Brev, axis=0)
-        if np.any(colnorm == 0):
-            raise KernelError("degenerate basis column in the constrained space")
-        R = np.linalg.qr(Brev / colnorm, mode="r") * colnorm[None, :]
-        T = np.linalg.inv(R)[::-1, ::-1]
-        c = T.T @ L
-        K = float(np.sum(np.abs(c) ** 2))
-        if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
-            raise ZeroPairingError("kernel is zero at this truncation")
-        sub = (T @ np.conj(c)) / K
-        m = K ** -0.5
-        diag = {"method": "exact-2", "iterations": 0, "final_rel_step": 0.0,
-                "flags": space.flags}
-    else:
-        jbest = int(np.argmax(np.abs(L)))
-        witness = np.zeros(len(keep), dtype=complex)
-        witness[jbest] = 1.0 / L[jbest]
-        sol = solve_affine_lp(phi, w, L[None, :], np.array([1.0 + 0j]), p,
-                              start=witness, options=options)
-        K = 1.0 / sol.objective
-        m = sol.m
-        sub = sol.coeffs
-        diag = {"method": sol.method, "iterations": sol.iterations,
-                "final_rel_step": sol.final_rel_step,
-                "grad_residual": sol.grad_residual,
-                "flags": space.flags + sol.flags}
-
-    full = np.zeros(space.size, dtype=complex)
-    full[keep] = sub
-    minimizer = space.element(full, center=zt)
-    constraint_residual = abs(
-        sum(xi[space.indices[j]] * full[j] for j in keep) - 1.0)
-    diag["constraint_residual"] = constraint_residual
-    return KernelEvaluation(
-        p=float(p), z=zt, m=m, K=K, minimizer=minimizer, xi=xi,
-        degree=space.degree, diagnostics=diag)
+    return _constrained_kernel(space, xi, z, p, vanishing, exact=p == 2,
+                               options=options)
 
 
 def higher_kernel_direct(

@@ -8,6 +8,8 @@ space subject to the normalization (xi . f)(z) = 1, together with
 
 For p = 2 the value comes from an orthonormal-basis pairing in closed form;
 for general p the constrained solver in lpsolve runs on the node matrix.
+Both engines sit behind one constrained set-up, which also takes the
+vanishing jets of the higher-order kernels.
 The module also evaluates the reproducing-formula residual, the symmetrized
 difference quantity H with its two convexity-type integral inequalities,
 and a priori lower/upper bounds for K.
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .algebra import Functional, MultiIndex, PolyCoeffs, functional_apply
+from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import Domain, boundary_distance, contains
-from .lpsolve import LpOptions, SolverError, solve_affine_lp
-from .pspace import OrthonormalBasis, PolySpace, lp_norm, orthonormal_basis
+from .lpsolve import LpOptions, solve_affine_lp
+from .pspace import OrthonormalBasis, PolySpace, _orthonormal_transform, orthonormal_basis
 
 __all__ = [
     "KernelEvaluation",
@@ -46,6 +48,10 @@ __all__ = [
     "evaluations_to_csv",
     "evaluation_to_dict",
 ]
+
+
+_ZERO_PAIRING = ("functional annihilates the truncated space at this point; "
+                 "kernel is zero at this truncation")
 
 
 class KernelError(RuntimeError):
@@ -125,56 +131,101 @@ class BoundsResult:
     p: float
 
 
-def _as_tuple_point(space: PolySpace, z) -> tuple[complex, ...]:
-    n = space.domain.dimension
-    if np.isscalar(z) or isinstance(z, complex):
-        if n != 1:
-            raise ValueError("scalar point for a higher-dimensional domain")
-        return (complex(z),)
-    zt = tuple(complex(c) for c in z)
-    if len(zt) != n:
-        raise ValueError(f"point has {len(zt)} coordinates, domain needs {n}")
-    return zt
-
-
 def _check_inputs(space: PolySpace, xi: Functional, z) -> tuple[complex, ...]:
     if xi.is_zero:
         raise ValueError("functional is identically zero")
     if xi.dimension != space.domain.dimension:
         raise ValueError("functional dimension does not match the domain")
-    zt = _as_tuple_point(space, z)
+    zt = _as_point(z, space.domain.dimension)
     if not contains(space.domain, zt):
         raise ValueError(f"evaluation point {zt} lies outside the domain")
     return zt
 
 
-def _constraint_data(space: PolySpace, xi: Functional, zt):
-    """Node matrix, constraint row, and an exactly feasible witness vector."""
-    if space.laurent:
-        phi = space.node_matrix
-        L = space.constraint_row(xi, zt)
-        if not np.any(L):
-            raise ZeroPairingError(
-                "functional annihilates every basis element at this point; "
-                "kernel is zero at this truncation")
-        j = int(np.argmax(np.abs(L)))
-        witness = np.zeros(space.size, dtype=complex)
-        witness[j] = 1.0 / L[j]
-        return phi, L, witness
+def _constrained_kernel(
+    space: PolySpace,
+    xi: Functional,
+    z,
+    p: float,
+    vanishing=(),
+    exact: bool = False,
+    basis: OrthonormalBasis | None = None,
+    options: LpOptions | None = None,
+) -> KernelEvaluation:
+    """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at ``vanishing``.
 
-    phi = space.shifted_node_matrix(zt)
+    The one constrained solve behind every kernel in the package.  Each
+    vanishing order removes its column of the solve basis (the z-shifted
+    monomials, or the Laurent monomials), and the functional acts on the
+    kept columns as a single affine row.  ``exact`` (p = 2 only) pairs the
+    row with the point-adapted orthonormal basis, taken from ``basis`` when
+    given; otherwise the constrained IRLS solver runs on the node matrix.
+    """
+    zt = _check_inputs(space, xi, z)
+    keep = None
+    if vanishing:
+        pos = space.index_position()
+        drop = set()
+        for beta in vanishing:
+            if beta not in pos:
+                raise KernelError(
+                    f"vanishing order {beta} lies outside the truncated space")
+            drop.add(pos[beta])
+        keep = [j for j in range(space.size) if j not in drop]
+        if not keep:
+            raise KernelError("vanishing constraints exhaust the truncated space")
     L = space.constraint_row(xi, zt)
+    if keep is not None:
+        L = L[keep]
     if not np.any(L):
-        raise ZeroPairingError(
-            "functional has no support within the truncation degree; "
-            "kernel is zero at this truncation")
-    # witness (z - z0)^alpha / xi_alpha, exactly feasible since the shifted
-    # basis is monomial in z - z0; anchor at the largest coefficient so the
-    # affine offset never blows up on a nearly vanishing term
-    j = int(np.argmax(np.abs(L)))
-    witness = np.zeros(space.size, dtype=complex)
-    witness[j] = 1.0 / L[j]
-    return phi, L, witness
+        raise ZeroPairingError(_ZERO_PAIRING)
+
+    def node_matrix():
+        phi = space.solve_node_matrix(zt)
+        return phi if keep is None else phi[:, keep]
+
+    w = space.quadrature.weights
+    if exact:
+        if keep is None:
+            T = (basis if basis is not None else orthonormal_basis(space, zt)).transform
+        else:
+            T = _orthonormal_transform(node_matrix(), w)
+        c = T.T @ L
+        K = float(np.sum(np.abs(c) ** 2))
+        if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
+            raise ZeroPairingError(_ZERO_PAIRING)
+        sub = (T @ np.conj(c)) / K
+        m = K ** -0.5
+        diagnostics = {"method": "exact-2", "iterations": 0,
+                       "final_rel_step": 0.0, "flags": space.flags}
+    else:
+        # witness vector: exactly feasible, anchored at the largest entry of
+        # the row so the affine offset never blows up on a nearly vanishing term
+        j = int(np.argmax(np.abs(L)))
+        witness = np.zeros(L.size, dtype=complex)
+        witness[j] = 1.0 / L[j]
+        sol = solve_affine_lp(node_matrix(), w, L[None, :],
+                              np.array([1.0 + 0j]), p, start=witness,
+                              options=options)
+        K = 1.0 / sol.objective
+        m = sol.m
+        sub = sol.coeffs
+        diagnostics = {"method": sol.method, "iterations": sol.iterations,
+                       "final_rel_step": sol.final_rel_step,
+                       "grad_residual": sol.grad_residual,
+                       "flags": space.flags + sol.flags}
+
+    if keep is None:
+        full = sub
+    else:
+        full = np.zeros(space.size, dtype=complex)
+        full[keep] = sub
+    minimizer = space.element(full, center=None if space.laurent else zt)
+    diagnostics["constraint_residual"] = abs(
+        functional_apply(xi, minimizer, zt) - 1.0)
+    return KernelEvaluation(
+        p=float(p), z=zt, m=m, K=K, minimizer=minimizer, xi=xi,
+        degree=space.degree, diagnostics=diagnostics)
 
 
 def kernel2_diagonal(
@@ -189,31 +240,7 @@ def kernel2_diagonal(
     the basis orthonormalized at z; the minimizer is the coefficient-conjugate
     combination rescaled by 1/K.  Pure linear algebra, no iteration.
     """
-    zt = _check_inputs(space, xi, z)
-    ob = basis if basis is not None else orthonormal_basis(space, zt)
-    c = ob.pairing_coeffs(xi)
-    K = float(np.sum(np.abs(c) ** 2))
-    scale = max(1.0, xi.max_abs_coeff())
-    if K <= (1e-14 * scale) ** 2:
-        raise ZeroPairingError(
-            "functional annihilates the truncated space at this point; "
-            "kernel is zero at this truncation")
-    coeffs = (ob.transform @ np.conj(c)) / K
-    minimizer = space.element(coeffs,
-                              center=None if space.laurent else zt)
-    m = K ** -0.5
-    residual = abs(functional_apply(xi, minimizer, zt) - 1.0)
-    return KernelEvaluation(
-        p=2.0, z=zt, m=m, K=K, minimizer=minimizer, xi=xi,
-        degree=space.degree,
-        diagnostics={
-            "method": "exact-2",
-            "iterations": 0,
-            "final_rel_step": 0.0,
-            "constraint_residual": residual,
-            "flags": space.flags,
-        },
-    )
+    return _constrained_kernel(space, xi, z, 2.0, exact=True, basis=basis)
 
 
 def kernelp_diagonal(
@@ -231,27 +258,7 @@ def kernelp_diagonal(
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    zt = _check_inputs(space, xi, z)
-    phi, L, witness = _constraint_data(space, xi, zt)
-    sol = solve_affine_lp(
-        phi, space.quadrature.weights, L[None, :], np.array([1.0 + 0j]),
-        p, start=witness, options=options)
-    K = 1.0 / sol.objective
-    minimizer = space.element(sol.coeffs,
-                              center=None if space.laurent else zt)
-    residual = abs(functional_apply(xi, minimizer, zt) - 1.0)
-    return KernelEvaluation(
-        p=float(p), z=zt, m=sol.m, K=K, minimizer=minimizer, xi=xi,
-        degree=space.degree,
-        diagnostics={
-            "method": sol.method,
-            "iterations": sol.iterations,
-            "final_rel_step": sol.final_rel_step,
-            "grad_residual": sol.grad_residual,
-            "constraint_residual": residual,
-            "flags": space.flags + sol.flags,
-        },
-    )
+    return _constrained_kernel(space, xi, z, p, options=options)
 
 
 def diagonal(space, xi, z, p, options=None) -> KernelEvaluation:

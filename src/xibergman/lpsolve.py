@@ -11,7 +11,9 @@ the free coordinates:
               (full reweighted steps are majorize-minimize updates there),
               lam = 0.7 with step halving above p = 2
     stop      relative objective change < 1e-11 and stationarity residual
-              below grad_tol; capped at 300 iterations.
+              below grad_tol; capped at 300 iterations; a p > 2 step that
+              no halving turns into descent stops early, flagged
+              line-search-stall.
 
 For p = 2 the first least-squares solve is already exact and the iteration
 lands on it immediately.  For p <= 1 the smoothing scale is looser (1e-6)
@@ -138,25 +140,25 @@ def solve_affine_lp(
             sol = _irls(A, b, weights, p, eps_factor, t0, opts)
             if best is None or sol[1] < best[1]:
                 best = sol
-        t, obj, iters, converged, grad_res, last_step = best
-        flags = ("nonconvex-best-found",) + (() if converged else ("non-convergence",))
+        t, obj, iters, stop, grad_res, last_step = best
+        flags = ("nonconvex-best-found",) + ((stop,) if stop else ())
         return LpSolution(
             coeffs=c_part + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
-            iterations=iters, converged=converged, grad_residual=grad_res,
+            iterations=iters, converged=stop is None, grad_residual=grad_res,
             final_rel_step=last_step, method="multistart", flags=flags,
         )
 
     t0 = np.zeros(Z.shape[1], dtype=complex)
-    t, obj, iters, converged, grad_res, last_step = _irls(A, b, weights, p, eps_factor, t0, opts)
-    flags = () if converged else ("non-convergence",)
+    t, obj, iters, stop, grad_res, last_step = _irls(A, b, weights, p, eps_factor, t0, opts)
     return LpSolution(
         coeffs=c_part + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
-        iterations=iters, converged=converged, grad_residual=grad_res,
-        final_rel_step=last_step, method="irls", flags=flags,
+        iterations=iters, converged=stop is None, grad_residual=grad_res,
+        final_rel_step=last_step, method="irls", flags=(stop,) if stop else (),
     )
 
 
 def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
+    """IRLS from t0; returns (t, obj, accepted steps, stop flag or None, ...)."""
     t = t0.astype(complex)
     g = b + A @ t
     obj = float(np.sum(w * np.abs(g) ** p))
@@ -193,7 +195,7 @@ def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
             lam *= 0.5
         if not accepted:
             # p > 2 overshoot that no step length cures: keep the iterate
-            break
+            return t, obj, it - 1, "line-search-stall", grad_res, rel_step
 
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
         t, g, obj = t_trial, g_trial, obj_trial
@@ -205,7 +207,7 @@ def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
         grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
 
         if rel_step < opts.obj_tol and grad_res < opts.grad_tol:
-            return t, obj, it, True, grad_res, rel_step
+            return t, obj, it, None, grad_res, rel_step
         # at p <= 1 the objective is smoothed at scale eps, below which the
         # residual carries no information about the unsmoothed problem; when
         # the minimizer vanishes inside the domain the contraction toward
@@ -214,8 +216,8 @@ def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
         if p <= 1.0 and rel_step < opts.obj_tol and grad_res < eps_factor:
             settled += 1
             if settled >= 5:
-                return t, obj, it, True, grad_res, rel_step
+                return t, obj, it, None, grad_res, rel_step
         else:
             settled = 0
 
-    return t, obj, opts.max_iter, False, grad_res, rel_step
+    return t, obj, opts.max_iter, "non-convergence", grad_res, rel_step

@@ -110,26 +110,31 @@ class PolySpace:
         if domain.shape == "cloud":
             flags = ("unverified-density",)
 
-        if domain.shape == "annulus":
+        laurent = domain.shape == "annulus"
+        if laurent:
             ks = sorted(range(-degree, degree + 1), key=lambda k: (abs(k), k))
             indices = [MultiIndex((k,)) for k in ks]
-            if quad.node_count * len(indices) > MAX_CACHE_ENTRIES:
-                raise MemoryError("node cache too large; reduce orders or degree")
-            return cls(domain, quad, indices, (0j,), laurent=True, mode="laurent", flags=flags)
-
-        ctr = tuple(complex(c) for c in center) if center is not None else domain.center
-        if mode == "total":
-            indices = enumerate_upto_degree(domain.dimension, degree)
-        elif mode == "tensor":
-            indices = _tensor_indices(domain.dimension, degree)
+            ctr, mode = (0j,), "laurent"
         else:
-            raise ValueError(f"unknown basis mode {mode!r}")
+            ctr = tuple(complex(c) for c in center) if center is not None else domain.center
+            if mode == "total":
+                indices = enumerate_upto_degree(domain.dimension, degree)
+            elif mode == "tensor":
+                indices = _tensor_indices(domain.dimension, degree)
+            else:
+                raise ValueError(f"unknown basis mode {mode!r}")
         entries = quad.node_count * len(indices)
         if entries > MAX_CACHE_ENTRIES:
             raise MemoryError(
                 f"node cache would hold {entries} complex entries; reduce orders or degree"
             )
-        return cls(domain, quad, indices, ctr, laurent=False, mode=mode, flags=flags)
+        if quad.node_count < len(indices):
+            # fewer nodes than basis functions: the quadrature product is
+            # singular on the space, whatever the node placement
+            raise RankLossError(
+                f"quadrature has {quad.node_count} nodes for {len(indices)} "
+                "basis functions; raise the orders or lower the degree")
+        return cls(domain, quad, indices, ctr, laurent=laurent, mode=mode, flags=flags)
 
     # -- basic data -----------------------------------------------------
 
@@ -179,6 +184,10 @@ class PolySpace:
         if self.laurent:
             raise AlgebraError("Laurent bases cannot be re-centered")
         return self._evaluate_basis(self.quadrature.nodes, center=_as_point(z, self.dimension))
+
+    def solve_node_matrix(self, z) -> np.ndarray:
+        """Node values of the solve basis at z: shifted monomials, or Laurent."""
+        return self.node_matrix if self.laurent else self.shifted_node_matrix(z)
 
     def constraint_row(self, xi: Functional, z) -> np.ndarray:
         """Row vector L with L_j = (xi . basis_j)(z) in the solve basis.
@@ -331,9 +340,7 @@ class OrthonormalBasis:
         return self.space.element(self.transform[:, position], center=self.point)
 
     def node_values(self) -> np.ndarray:
-        if self.space.laurent:
-            return self.space.node_matrix @ self.transform
-        return self.space.shifted_node_matrix(self.point) @ self.transform
+        return self.space.solve_node_matrix(self.point) @ self.transform
 
 
 def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
@@ -351,20 +358,26 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     valid there.
     """
     point = _as_point(z, space.dimension)
-    if space.laurent:
-        phi = space.node_matrix
-    else:
-        phi = space.shifted_node_matrix(point)
-    sqw = np.sqrt(space.quadrature.weights)
-    B = sqw[:, None] * phi
-    # process columns from the top of the graded order down; equilibrate
-    # columns first so monomial scale spread (radius^|alpha| on small
-    # domains) does not masquerade as rank loss
-    Brev = B[:, ::-1]
+    T = _orthonormal_transform(space.solve_node_matrix(point), space.quadrature.weights)
+    return OrthonormalBasis(space, point, T, jet_adapted=not space.laurent)
+
+
+def _orthonormal_transform(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Triangular T whose columns phi @ T are orthonormal, built from the top.
+
+    Columns are processed from the last to the first, so column a of T only
+    involves columns b >= a of phi; the leading coefficient T[a, a] is real
+    and positive.  Raises RankLossError when the columns are numerically
+    dependent.
+    """
+    # equilibrate columns first so monomial scale spread (radius^|alpha| on
+    # small domains) does not masquerade as rank loss
+    Brev = np.sqrt(weights)[:, None] * phi[:, ::-1]
     colnorm = np.linalg.norm(Brev, axis=0)
     if np.any(colnorm == 0):
         raise RankLossError("basis numerically rank deficient at this point")
-    R = np.linalg.qr(Brev / colnorm, mode="r")
+    Brev /= colnorm
+    R = np.linalg.qr(Brev, mode="r")
     diag = np.diagonal(R)
     if np.min(np.abs(diag)) == 0 or np.max(np.abs(diag)) / np.min(np.abs(diag)) > math.sqrt(CONDITION_LIMIT):
         raise RankLossError("basis numerically rank deficient at this point")
@@ -372,8 +385,7 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     phase = diag / np.abs(diag)
     R = phase.conj()[:, None] * R * colnorm[None, :]
     Rinv = np.linalg.inv(R)  # triangular, modest size
-    T = Rinv[::-1, ::-1]
-    return OrthonormalBasis(space, point, T, jet_adapted=not space.laurent)
+    return Rinv[::-1, ::-1]
 
 
 # ---------------------------------------------------------------------------

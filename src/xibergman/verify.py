@@ -1,6 +1,6 @@
 """Named verification checks over every module, grouped into suites.
 
-Each check是 a pure function of a context (seed, threads, shared caches)
+Each check is a pure function of a context (seed, shared caches)
 returning pass/fail, a human-readable detail line, and a headline number.
 Suites: algebra, quadrature, kernels, higher, green; "all" runs everything
 in registry order.  All randomness is drawn from generators seeded by the
@@ -83,10 +83,9 @@ class CheckResult:
 
 @dataclass
 class VerifyContext:
-    """Shared state for a verification run: seed, threads, space caches."""
+    """Shared state for a verification run: seed and space caches."""
 
     seed: int = 42
-    threads: int = 1
     cache: dict = field(default_factory=dict)
 
     def rng(self, name: str) -> np.random.Generator:

@@ -19,7 +19,7 @@ from xibergman import verify
 @pytest.fixture(scope="module")
 def ctx():
     # shared context so quadrature spaces are built once across the gate
-    return verify.VerifyContext(seed=42, threads=1)
+    return verify.VerifyContext(seed=42)
 
 
 def _passes(ctx, *names):

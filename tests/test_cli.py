@@ -83,6 +83,14 @@ class TestValidation:
         assert code == 1
         assert "outside" in err
 
+    def test_rule_smaller_than_basis(self, capsys):
+        # 4 x 4 rule (16 nodes) for the 17 monomials of degree 16
+        code, _, err = run(capsys, "compute", "--domain", "disk",
+                           "--xi", "1: 1", "--p", "1.5", "--z", "0.3",
+                           "--radial-order", "4", "--angular-order", "4")
+        assert code == 1
+        assert "16 nodes" in err and "17 basis functions" in err
+
     def test_unknown_domain(self, capsys):
         code, _, err = run(capsys, "compute", "--domain", "blob",
                            "--xi", "0: 1", "--p", "2", "--z", "0")

@@ -14,6 +14,7 @@ from xibergman import (
     MultiIndex,
     PolyCoeffs,
     PolySpace,
+    RankLossError,
     apply_homogeneous,
     diagonal,
     higher_kernel_direct,
@@ -103,6 +104,17 @@ class TestDirect:
         ev = jet_constrained_kernel(disk16, [MultiIndex((1,))],
                                     Functional.delta((0,)), 0j, 2.0)
         assert ev.K == pytest.approx(1 / math.pi, rel=1e-10)
+
+    def test_p2_routes_share_the_rank_guard(self):
+        # four coincident nodes: every non-constant monomial vanishes on the
+        # rule, so both exact p = 2 routes must refuse the same way
+        dom = Domain.cloud(np.zeros((4, 1), dtype=complex), np.full(4, 0.25))
+        space = PolySpace.build(dom, degree=3)
+        with pytest.raises(RankLossError):
+            kernel2_diagonal(space, Functional.delta((1,)), 0j)
+        with pytest.raises(RankLossError):
+            higher_kernel_direct(space, HomogeneousPolynomial.from_string("z: 1"),
+                                 0j, 2.0)
 
     def test_sandwich_against_family(self, disk16):
         H = HomogeneousPolynomial.from_string("z^2: 1")

@@ -216,3 +216,13 @@ class TestSolverContract:
             if prev is not None:
                 assert K < prev
             prev = K
+
+    def test_line_search_stall_reports_accepted_steps(self):
+        # an absurd damping overshoots at p > 2 and no halving recovers, so
+        # the loop stops before its first accepted step
+        space = PolySpace.build(Domain.disk(), degree=8, radial_order=12,
+                                angular_order=24)
+        ev = kernelp_diagonal(space, Functional.from_string("0: 1; 1: 0.5", 1),
+                              0.3 + 0.1j, 3.0, LpOptions(damping=1e6))
+        assert ev.diagnostics["iterations"] == 0
+        assert ev.flags == ("line-search-stall",)

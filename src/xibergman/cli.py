@@ -1,9 +1,9 @@
 """Command-line surface: compute kernels, run sweeps, run verification.
 
 Three subcommands share one configuration vocabulary (RunConfig).  A JSON
-config file may supply any flag as a default; explicit flags win.  Exit
-codes: 0 success, 1 configuration error (message names the field),
-2 flagged or failed numerical result.
+config file may supply any flag of the chosen subcommand as a default;
+explicit flags win.  Exit codes: 0 success, 1 configuration error
+(message names the field), 2 flagged or failed numerical result.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         pole == 0 if n == 1 else all(c == 0 for c in pole))
     try:
         if not at_origin:
-            if domain.to_spec() != Domain.disk().to_spec():
+            if domain != Domain.disk():
                 raise ConfigError("pole",
                                   "off-center poles are only supported on the unit disk")
             model = GreenModel.moebius_disk(pole)
@@ -371,29 +371,27 @@ def build_parser() -> argparse.ArgumentParser:
                      help="soft wall-clock budget in seconds")
     ver.add_argument("--format", choices=("json",), default="json")
     # subcommands parse into a fresh namespace, so config-file defaults have
-    # to be installed per subparser, not just on the root parser
-    parser.subcommand_parsers = (comp, swp, ver)
+    # to be installed on the chosen subparser, not just on the root parser
+    parser.subcommand_parsers = {"compute": comp, "sweep": swp, "verify": ver}
     return parser
 
 
-def _load_config_defaults(argv: list[str]) -> dict:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return {}
+def _load_config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """Flag defaults from a JSON config file; keys must be flags of ``sub``."""
     try:
-        with open(known.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("config", f"cannot read {known.config!r}: {exc}") from exc
+        raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "expected a JSON object of flag defaults")
+    # an empty parse lists every dest of the subcommand
+    dests = set(vars(sub.parse_args([]))) - {"config"}
     out = {}
     for key, val in raw.items():
         dest = key.replace("-", "_")
-        if dest not in _CONFIG_KEYS:
-            raise ConfigError("config", f"unknown field {key!r}")
+        if dest not in dests:
+            raise ConfigError("config", f"unknown field {key!r} for {sub.prog}")
         out[dest] = val
     return out
 
@@ -422,12 +420,12 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = _glue_negative_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        defaults = _load_config_defaults(argv)
         parser = build_parser()
-        if defaults:
-            for sub in parser.subcommand_parsers:
-                sub.set_defaults(**defaults)
         ns = parser.parse_args(argv)
+        if ns.config:
+            sub = parser.subcommand_parsers[ns.command]
+            sub.set_defaults(**_load_config_defaults(ns.config, sub))
+            ns = parser.parse_args(argv)
         cfg = RunConfig(command=ns.command,
                         **{name: getattr(ns, name) for name in _CONFIG_KEYS
                            if hasattr(ns, name)})

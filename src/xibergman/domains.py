@@ -1,18 +1,18 @@
 """Model domains in C^n and their quadrature rules.
 
-Supported shapes: disk, polydisc, ball (n >= 2), annulus (n = 1), and a
-point-cloud passthrough for externally supplied nodes.  Quadrature rules are
-tensor products of Gauss-Legendre radial rules with uniform (trapezoidal)
-angular grids; on circles the trapezoid rule is exact for trigonometric
-polynomials, so monomial Gram matrices are integrated exactly once the
-radial order is high enough.
+Supported shapes: disk, polydisc, ball (n >= 2) and annulus (n = 1).
+Domains are immutable values: equal parameters give equal, hashable
+domains.  Quadrature rules are tensor products of Gauss-Legendre radial
+rules with uniform (trapezoidal) angular grids; on circles the trapezoid
+rule is exact for trigonometric polynomials, so monomial Gram matrices are
+integrated exactly once the radial order is high enough.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "product_domain",
     "contains",
     "domain_from_spec",
-    "load_cloud_csv",
     "UnsupportedShapeError",
 ]
 
@@ -47,13 +46,13 @@ class QuadratureError(ValueError):
     """Quadrature construction failed validation."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class Domain:
-    """A model domain in C^n.
+    """A model domain in C^n: a disk, polydisc, ball or annulus.
 
     Use the constructors (:meth:`disk`, :meth:`polydisc`, :meth:`ball`,
-    :meth:`annulus`, :meth:`cloud`) rather than the raw initializer.
-    Instances are treated as immutable.
+    :meth:`annulus`) rather than the raw initializer.  Instances are
+    immutable values, so equal parameters compare and hash equal.
     """
 
     shape: str
@@ -63,8 +62,6 @@ class Domain:
     radii: tuple[float, ...] | None = None
     r_inner: float | None = None
     r_outer: float | None = None
-    cloud_nodes: np.ndarray | None = field(default=None, repr=False)
-    cloud_weights: np.ndarray | None = field(default=None, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -107,20 +104,6 @@ class Domain:
             raise ValueError("annulus needs 0 < r_inner < r_outer")
         return cls("annulus", 1, (0j,), r_inner=float(r_inner), r_outer=float(r_outer))
 
-    @classmethod
-    def cloud(cls, nodes: np.ndarray, weights: np.ndarray) -> "Domain":
-        nodes = np.atleast_2d(np.asarray(nodes, dtype=complex))
-        weights = np.asarray(weights, dtype=float)
-        if nodes.shape[0] != weights.shape[0]:
-            raise ValueError("node and weight counts differ")
-        if np.any(weights <= 0):
-            raise ValueError("cloud weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        n = nodes.shape[1]
-        ctr = tuple(np.average(nodes, axis=0, weights=weights))
-        return cls("cloud", n, ctr, cloud_nodes=nodes, cloud_weights=weights)
-
     # -- geometry --------------------------------------------------------
 
     @property
@@ -146,13 +129,10 @@ class Domain:
             return math.pi**n * self.radius ** (2 * n) / math.factorial(n)
         if self.shape == "annulus":
             return math.pi * (self.r_outer**2 - self.r_inner**2)
-        if self.shape == "cloud":
-            return float(self.cloud_weights.sum())
         raise UnsupportedShapeError(self.shape)
 
     def diameter(self) -> float:
-        """An exact diameter for the analytic shapes, a bounding-box
-        diagonal for clouds (any upper bound is a valid diameter here)."""
+        """Exact diameter of the domain."""
         if self.shape == "disk":
             return 2.0 * self.radius
         if self.shape == "polydisc":
@@ -161,13 +141,6 @@ class Domain:
             return 2.0 * self.radius
         if self.shape == "annulus":
             return 2.0 * self.r_outer
-        if self.shape == "cloud":
-            spread = 0.0
-            for j in range(self.dimension):
-                col = self.cloud_nodes[:, j]
-                spread += (col.real.max() - col.real.min()) ** 2
-                spread += (col.imag.max() - col.imag.min()) ** 2
-            return math.sqrt(spread)
         raise UnsupportedShapeError(self.shape)
 
     def inradius(self) -> float:
@@ -195,22 +168,7 @@ class Domain:
         elif self.shape == "annulus":
             spec["r_inner"] = self.r_inner
             spec["r_outer"] = self.r_outer
-        elif self.shape == "cloud":
-            raise UnsupportedShapeError("cloud domains serialize via CSV, not JSON spec")
         return spec
-
-    def cache_key(self) -> tuple:
-        if self.shape == "cloud":
-            return ("cloud", id(self.cloud_nodes))
-        return (
-            self.shape,
-            self.dimension,
-            self.center,
-            self.radius,
-            self.radii,
-            self.r_inner,
-            self.r_outer,
-        )
 
 
 def domain_from_spec(spec: dict) -> Domain:
@@ -237,17 +195,6 @@ def domain_from_spec(spec: dict) -> Domain:
     raise UnsupportedShapeError(f"unknown shape {shape!r}")
 
 
-def load_cloud_csv(path) -> Domain:
-    """Load a cloud domain from CSV rows ``re,im,...,weight`` (n coordinate
-    pairs followed by one positive weight)."""
-    rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    if rows.shape[1] % 2 != 1 or rows.shape[1] < 3:
-        raise ValueError("cloud CSV needs 2n coordinate columns plus a weight column")
-    n = (rows.shape[1] - 1) // 2
-    nodes = rows[:, 0 : 2 * n : 2] + 1j * rows[:, 1 : 2 * n : 2]
-    return Domain.cloud(nodes, rows[:, -1])
-
-
 # ---------------------------------------------------------------------------
 # membership and metric helpers
 # ---------------------------------------------------------------------------
@@ -264,15 +211,6 @@ def contains(domain: Domain, z) -> bool:
         return math.sqrt(sum(abs(pt[j] - domain.center[j]) ** 2 for j in range(domain.dimension))) < domain.radius
     if domain.shape == "annulus":
         return domain.r_inner < abs(pt[0]) < domain.r_outer
-    if domain.shape == "cloud":
-        # advisory bounding-box test only
-        for j in range(domain.dimension):
-            col = domain.cloud_nodes[:, j]
-            if not (col.real.min() <= pt[j].real <= col.real.max()):
-                return False
-            if not (col.imag.min() <= pt[j].imag <= col.imag.max()):
-                return False
-        return True
     raise UnsupportedShapeError(domain.shape)
 
 
@@ -297,8 +235,6 @@ def scale_domain(domain: Domain, t: float) -> Domain:
     """Scale a shape domain about the origin by a factor t > 0."""
     if t <= 0:
         raise ValueError("scale factor must be positive")
-    if domain.shape == "cloud":
-        raise UnsupportedShapeError("cannot scale a cloud domain")
     if domain.shape == "annulus":
         return Domain.annulus(t * domain.r_inner, t * domain.r_outer)
     if any(c != 0 for c in domain.center):
@@ -315,8 +251,6 @@ def scale_domain(domain: Domain, t: float) -> Domain:
 def product_domain(a: Domain, b: Domain) -> Domain:
     """Cartesian product of disk/polydisc factors, itself a polydisc."""
     for d in (a, b):
-        if d.shape == "cloud":
-            raise UnsupportedShapeError("cannot form products with cloud factors")
         if d.shape not in ("disk", "polydisc"):
             raise UnsupportedShapeError(f"product with {d.shape} factor is not tensor-compatible")
 
@@ -449,8 +383,6 @@ def build_quadrature(domain: Domain, radial_order: int = 32, angular_order: int 
     The rule is validated: total weight must match the analytic volume to
     0.1 percent, and every node must lie strictly inside the domain.
     """
-    if domain.shape == "cloud":
-        return Quadrature(domain, domain.cloud_nodes, domain.cloud_weights, 0, 0)
     if radial_order < MIN_ORDER or angular_order < MIN_ORDER:
         raise QuadratureError(f"orders must be at least {MIN_ORDER}")
 
@@ -504,10 +436,8 @@ def _validate(quad: Quadrature) -> None:
     elif d.shape == "ball":
         ctr = np.asarray(d.center)
         inside = np.linalg.norm(pts - ctr, axis=1) < d.radius
-    elif d.shape == "annulus":
+    else:  # annulus
         r = np.abs(pts[:, 0])
         inside = (r > d.r_inner) & (r < d.r_outer)
-    else:
-        return
     if not bool(inside.all()):
         raise QuadratureError("quadrature nodes escaped the domain")

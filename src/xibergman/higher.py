@@ -33,6 +33,7 @@ from .algebra import (
     Functional,
     MultiIndex,
     PolyCoeffs,
+    _as_point,
     enumerate_upto_degree,
 )
 from .kernels import (
@@ -299,6 +300,8 @@ def minimizing_xi_p2(
     holds the nonvanishing leading jets), solved directly.
     """
     _require_polynomial_space(space)
+    if basis is not None:
+        basis.check(space, _as_point(z, space.dimension))
     family = FunctionalFamily(H)
     free = family.free_indices
     if not free:

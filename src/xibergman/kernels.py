@@ -27,7 +27,13 @@ from scipy.special import gammaln
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import Domain, boundary_distance, contains
 from .lpsolve import LpOptions, solve_affine_lp
-from .pspace import OrthonormalBasis, PolySpace, _orthonormal_transform, orthonormal_basis
+from .pspace import (
+    OrthonormalBasis,
+    PolySpace,
+    _orthonormal_transform,
+    orthonormal_basis,
+    sup_bound_constant,
+)
 
 __all__ = [
     "KernelEvaluation",
@@ -162,6 +168,8 @@ def _constrained_kernel(
     given; otherwise the constrained IRLS solver runs on the node matrix.
     """
     zt = _check_inputs(space, xi, z)
+    if basis is not None:
+        basis.check(space, zt)
     keep = None
     if vanishing:
         pos = space.index_position()
@@ -197,7 +205,7 @@ def _constrained_kernel(
         sub = (T @ np.conj(c)) / K
         m = K ** -0.5
         diagnostics = {"method": "exact-2", "iterations": 0,
-                       "final_rel_step": 0.0, "flags": space.flags}
+                       "final_rel_step": 0.0, "flags": ()}
     else:
         # witness vector: exactly feasible, anchored at the largest entry of
         # the row so the affine offset never blows up on a nearly vanishing term
@@ -213,7 +221,7 @@ def _constrained_kernel(
         diagnostics = {"method": sol.method, "iterations": sol.iterations,
                        "final_rel_step": sol.final_rel_step,
                        "grad_residual": sol.grad_residual,
-                       "flags": space.flags + sol.flags}
+                       "flags": sol.flags}
 
     if keep is None:
         full = sub
@@ -389,9 +397,10 @@ def bounds_check(space: PolySpace, xi: Functional, p: float, z) -> BoundsResult:
 
     lower: from the monomial witness at the lowest supported order, with the
     whole domain replaced by the ball of diameter radius around the origin.
-    upper: C1 / delta^(2n + p k0) with delta the boundary distance, k0 the
-    top degree of the functional, and C1 assembled from the Cauchy-estimate
-    constants of the sup pairing bound.
+    upper: the p-th power of :func:`sup_bound_constant` at the boundary
+    distance delta of z, the Cauchy-estimate bound for |(xi . f)(z)| over
+    unit-norm f; it grows like delta^-(2n + p k0) with k0 the top degree
+    of the functional.
     """
     zt = _check_inputs(space, xi, z)
     n = space.domain.dimension
@@ -401,14 +410,8 @@ def bounds_check(space: PolySpace, xi: Functional, p: float, z) -> BoundsResult:
     R = space.domain.diameter()
     lower = abs(xi[alpha0]) ** p / ball_monomial_lp_integral(R, n, alpha0, p)
 
-    k0 = xi.degree
     delta = boundary_distance(space.domain, zt)
-    d0 = max(1.0, space.domain.inradius())
-    s = sum(abs(coeff) * (2.0 * math.sqrt(n)) ** idx.degree
-            * d0 ** (k0 - idx.degree)
-            for idx, coeff in xi.terms.items())
-    c1 = s**p * math.factorial(n) * (4.0 / math.pi) ** n
-    upper = c1 / delta ** (2 * n + p * k0)
+    upper = sup_bound_constant(space.domain, xi, p, delta) ** p
 
     if not (lower <= ev.K * (1 + 1e-9)):
         raise KernelError(

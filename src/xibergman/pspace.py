@@ -72,7 +72,6 @@ class PolySpace:
     center: tuple[complex, ...]
     laurent: bool = False
     mode: str = "total"
-    flags: tuple[str, ...] = ()
     node_matrix: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -91,7 +90,6 @@ class PolySpace:
         angular_order: int = 64,
         mode: str = "total",
         center: Sequence[complex] | None = None,
-        quadrature: Quadrature | None = None,
     ) -> "PolySpace":
         """Build the default truncated space on a domain.
 
@@ -104,11 +102,7 @@ class PolySpace:
             degree = default_degree(domain.dimension)
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        quad = quadrature if quadrature is not None else build_quadrature(domain, radial_order, angular_order)
-
-        flags: tuple[str, ...] = ()
-        if domain.shape == "cloud":
-            flags = ("unverified-density",)
+        quad = build_quadrature(domain, radial_order, angular_order)
 
         laurent = domain.shape == "annulus"
         if laurent:
@@ -134,7 +128,7 @@ class PolySpace:
             raise RankLossError(
                 f"quadrature has {quad.node_count} nodes for {len(indices)} "
                 "basis functions; raise the orders or lower the degree")
-        return cls(domain, quad, indices, ctr, laurent=laurent, mode=mode, flags=flags)
+        return cls(domain, quad, indices, ctr, laurent=laurent, mode=mode)
 
     # -- basic data -----------------------------------------------------
 
@@ -254,15 +248,6 @@ class PolySpace:
     def values(self, coeffs: np.ndarray) -> np.ndarray:
         return self.node_matrix @ coeffs
 
-    def cache_key(self) -> tuple:
-        return (
-            self.domain.cache_key(),
-            tuple(idx.entries for idx in self.indices),
-            self.center,
-            self.quadrature.radial_order,
-            self.quadrature.angular_order,
-        )
-
 
 def _tensor_indices(dimension: int, degree: int) -> list[MultiIndex]:
     out = [MultiIndex(t) for t in itertools.product(range(degree + 1), repeat=dimension)]
@@ -341,6 +326,13 @@ class OrthonormalBasis:
 
     def node_values(self) -> np.ndarray:
         return self.space.solve_node_matrix(self.point) @ self.transform
+
+    def check(self, space: PolySpace, point: tuple[complex, ...]) -> None:
+        """Raise ValueError unless this basis was built on ``space`` at ``point``."""
+        if self.space is not space or self.point != point:
+            raise ValueError(
+                f"orthonormal basis was built for another space or point "
+                f"({self.point}), not for {point} on this space")
 
 
 def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:

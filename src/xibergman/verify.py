@@ -94,7 +94,7 @@ class VerifyContext:
     def space(self, domain: Domain, degree: int | None = None,
               radial_order: int = 32, angular_order: int = 64,
               mode: str = "total") -> PolySpace:
-        key = (domain.cache_key(), degree, radial_order, angular_order, mode)
+        key = (domain, degree, radial_order, angular_order, mode)
         if key not in self.cache:
             self.cache[key] = PolySpace.build(
                 domain, degree=degree, radial_order=radial_order,

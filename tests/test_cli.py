@@ -123,6 +123,19 @@ class TestConfigFile:
         assert code == 1
         assert "bogus" in err
 
+    def test_keys_must_be_flags_of_the_subcommand(self, capsys, tmp_path):
+        # --threads is a sweep flag only, so compute and verify refuse it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        for argv in (("compute", "--xi", "0: 1", "--p", "2", "--z", "0"),
+                     ("verify", "--suite", "algebra")):
+            code, _, err = run(capsys, *argv, "--config", str(cfg))
+            assert code == 1
+            assert "threads" in err
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--xi", "0: 1",
+                         "--p", "2", "--a-grid", "-1:0:3")
+        assert code == 0
+
 
 class TestSweep:
     def test_csv_default_format(self, capsys):

@@ -113,8 +113,10 @@ class TestSerialization:
     def test_spec_roundtrip(self, dom):
         assert domain_from_spec(dom.to_spec()).to_spec() == dom.to_spec()
 
-    def test_cache_key_distinguishes(self):
-        assert Domain.disk(1.0).cache_key() != Domain.disk(0.9).cache_key()
+    def test_equal_parameters_give_equal_domains(self):
+        assert Domain.disk(1) == Domain.disk(1.0)
+        assert hash(Domain.disk(1)) == hash(Domain.disk(1.0))
+        assert Domain.disk(1.0) != Domain.disk(0.9)
 
 
 class TestValidation:
@@ -133,17 +135,3 @@ class TestValidation:
     def test_bad_spec(self):
         with pytest.raises((ValueError, UnsupportedShapeError, KeyError)):
             domain_from_spec({"shape": "torus"})
-
-
-class TestCloud:
-    def test_cloud_carries_unverified_flag(self):
-        from xibergman import PolySpace
-        quad = build_quadrature(Domain.disk(), 8, 16)
-        dom = Domain.cloud(quad.nodes, quad.weights)
-        space = PolySpace.build(dom, degree=4)
-        assert "unverified-density" in space.flags
-
-    def test_cloud_volume_is_weight_sum(self):
-        quad = build_quadrature(Domain.disk(), 8, 16)
-        dom = Domain.cloud(quad.nodes, quad.weights)
-        assert dom.volume() == pytest.approx(float(np.sum(quad.weights)))

@@ -14,14 +14,17 @@ from xibergman import (
     MultiIndex,
     PolyCoeffs,
     PolySpace,
+    Quadrature,
     RankLossError,
     apply_homogeneous,
     diagonal,
+    enumerate_upto_degree,
     higher_kernel_direct,
     higher_kernel_via_inf,
     jet_constrained_kernel,
     kernel2_diagonal,
     minimizing_xi_p2,
+    orthonormal_basis,
     taylor_shift,
 )
 
@@ -108,8 +111,9 @@ class TestDirect:
     def test_p2_routes_share_the_rank_guard(self):
         # four coincident nodes: every non-constant monomial vanishes on the
         # rule, so both exact p = 2 routes must refuse the same way
-        dom = Domain.cloud(np.zeros((4, 1), dtype=complex), np.full(4, 0.25))
-        space = PolySpace.build(dom, degree=3)
+        dom = Domain.disk()
+        quad = Quadrature(dom, np.zeros((4, 1), dtype=complex), np.full(4, 0.25), 0, 0)
+        space = PolySpace(dom, quad, enumerate_upto_degree(1, 3), (0j,))
         with pytest.raises(RankLossError):
             kernel2_diagonal(space, Functional.delta((1,)), 0j)
         with pytest.raises(RankLossError):
@@ -142,6 +146,12 @@ class TestMinimizingFunctional:
         xi = minimizing_xi_p2(disk16, H, z)
         direct = higher_kernel_direct(disk16, H, z, 2.0).K
         assert kernel2_diagonal(disk16, xi, z).K == pytest.approx(direct, rel=1e-8)
+
+    def test_basis_from_another_point_rejected(self, disk16):
+        H = HomogeneousPolynomial.from_string("z: 1")
+        with pytest.raises(ValueError):
+            minimizing_xi_p2(disk16, H, 0.3 + 0j,
+                             basis=orthonormal_basis(disk16, 0j))
 
 
 class TestViaInf:

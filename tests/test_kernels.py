@@ -22,8 +22,10 @@ from xibergman import (
     kernel2_diagonal,
     kernelp_diagonal,
     off_diagonal,
+    orthonormal_basis,
     reproducing_residual,
     solve_affine_lp,
+    sup_bound_constant,
 )
 
 
@@ -51,6 +53,18 @@ class TestClosedForms:
         exact = kernel2_diagonal(disk16, xi, z)
         iterated = kernelp_diagonal(disk16, xi, z, 2.0)
         assert iterated.K == pytest.approx(exact.K, rel=1e-9)
+
+    def test_basis_from_another_point_or_space_rejected(self, disk16):
+        xi = Functional.delta((0,))
+        ob = orthonormal_basis(disk16, 0j)
+        assert kernel2_diagonal(disk16, xi, 0j, basis=ob).K == pytest.approx(
+            1 / math.pi, rel=1e-12)
+        with pytest.raises(ValueError):
+            kernel2_diagonal(disk16, xi, 0.3 + 0j, basis=ob)
+        other = PolySpace.build(Domain.disk(), degree=4, radial_order=8,
+                                angular_order=16)
+        with pytest.raises(ValueError):
+            kernel2_diagonal(other, xi, 0j, basis=ob)
 
     def test_scaled_functional_covariance(self, disk16):
         # K is |c|^p homogeneous in the functional scale
@@ -162,6 +176,15 @@ class TestBounds:
     def test_interior_point(self, disk16):
         res = bounds_check(disk16, Functional.delta((1,)), 1.5, 0.4 + 0j)
         assert res.lower <= res.kernel <= res.upper
+
+    def test_upper_is_the_sup_bound(self, disk16):
+        # mixed degrees: the bound is the Cauchy-estimate constant at the
+        # boundary distance, with no inradius factor on the low-order terms
+        xi = Functional.from_string("0: 1; 2: 2")
+        res = bounds_check(disk16, xi, 1.5, 0.4 + 0j)
+        c = sup_bound_constant(disk16.domain, xi, 1.5, 1.0 - 0.4)
+        assert res.upper == pytest.approx(c**1.5, rel=1e-12)
+        assert res.kernel <= res.upper
 
 
 class TestBatchAndFlags:

@@ -10,6 +10,8 @@ from xibergman import (
     Functional,
     MultiIndex,
     PolySpace,
+    Quadrature,
+    enumerate_upto_degree,
     gram_matrix,
     kernel2_diagonal,
     lp_norm,
@@ -135,9 +137,9 @@ class TestSpaceStructure:
         assert c > 0 and math.isfinite(c)
 
     def test_degenerate_nodes_raise(self):
+        dom = Domain.disk()
         nodes = np.zeros((4, 1), dtype=complex)  # all nodes coincide
-        weights = np.full(4, 0.25)
-        dom = Domain.cloud(nodes, weights)
+        quad = Quadrature(dom, nodes, np.full(4, 0.25), 0, 0)
         with pytest.raises(RankLossError):
-            space = PolySpace.build(dom, degree=3)
+            space = PolySpace(dom, quad, enumerate_upto_degree(1, 3), (0j,))
             orthonormal_basis(space, 0j)

@@ -59,10 +59,6 @@ class MultiIndex:
             raise AlgebraError("negative entries only allowed in dimension 1")
 
     @classmethod
-    def of(cls, *entries: int) -> "MultiIndex":
-        return cls(tuple(int(e) for e in entries))
-
-    @classmethod
     def zero(cls, dimension: int) -> "MultiIndex":
         return cls((0,) * dimension)
 

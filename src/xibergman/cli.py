@@ -1,8 +1,8 @@
 """Command-line surface: compute kernels, run sweeps, run verification.
 
-Three subcommands share one configuration vocabulary (RunConfig).  A JSON
-config file may supply any flag of the chosen subcommand as a default;
-explicit flags win.  Exit codes: 0 success, 1 configuration error
+Three subcommands share one flag vocabulary and read the parsed flags
+directly.  A JSON config file may supply any flag of the chosen subcommand
+as a default; explicit flags win.  Exit codes: 0 success, 1 configuration error
 (message names the field), 2 flagged or failed numerical result.
 """
 
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from .algebra import AlgebraError, Functional
 from .domains import Domain, UnsupportedShapeError, domain_from_spec
@@ -26,11 +25,11 @@ from .kernels import (
     evaluations_to_csv,
     off_diagonal,
 )
-from .lpsolve import LpOptions, SolverError
+from .lpsolve import SolverError
 from .pspace import PolySpace
 from .verify import SUITES, VerifyContext, format_table, results_to_json_dict, run_suite
 
-__all__ = ["RunConfig", "ConfigError", "main", "cmd_compute", "cmd_sweep", "cmd_verify"]
+__all__ = ["ConfigError", "main", "cmd_compute", "cmd_sweep", "cmd_verify"]
 
 
 class ConfigError(Exception):
@@ -39,32 +38,6 @@ class ConfigError(Exception):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
-
-
-@dataclass
-class RunConfig:
-    """Validated mirror of the command-line flags."""
-
-    command: str
-    domain: str = "disk"
-    xi: str | None = None
-    H: str | None = None
-    p: float | None = None
-    z: str | None = None
-    pole: str | None = None
-    degree: int | None = None
-    radial_order: int | None = None
-    angular_order: int | None = None
-    a_grid: object = None
-    out: str | None = None
-    format: str = "json"
-    seed: int = 42
-    threads: int | None = None
-    budget: float | None = None
-    suite: str = "all"
-
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
 
 def _parse_domain(text: str) -> Domain:
@@ -162,39 +135,37 @@ def _resolve_threads(value) -> int:
     return 1
 
 
-def _require_p(cfg: RunConfig) -> float:
-    if cfg.p is None:
+def _require_p(args: argparse.Namespace) -> float:
+    if args.p is None:
         raise ConfigError("p", "required")
-    p = float(cfg.p)
+    p = float(args.p)
     if not (p > 0) or not math.isfinite(p):
-        raise ConfigError("p", f"must be a finite positive real, got {cfg.p}")
+        raise ConfigError("p", f"must be a finite positive real, got {args.p}")
     return p
 
 
-def _target(cfg: RunConfig, dimension: int):
+def _target(args: argparse.Namespace, dimension: int):
     """Exactly one of --xi / --H, parsed for the given dimension."""
-    if cfg.xi is not None and cfg.H is not None:
+    if args.xi is not None and args.H is not None:
         raise ConfigError("xi", "give either --xi or --H, not both")
-    if cfg.xi is not None:
+    if args.xi is not None:
         try:
-            return Functional.from_string(cfg.xi, dimension=dimension), None
+            return Functional.from_string(args.xi, dimension=dimension), None
         except AlgebraError as exc:
             raise ConfigError("xi", str(exc)) from exc
-    if cfg.H is not None:
+    if args.H is not None:
         try:
-            return None, HomogeneousPolynomial.from_string(cfg.H, dimension=dimension)
+            return None, HomogeneousPolynomial.from_string(args.H, dimension=dimension)
         except ValueError as exc:
             raise ConfigError("H", str(exc)) from exc
     raise ConfigError("xi", "required (or --H)")
 
 
-def _orders(cfg: RunConfig, dimension: int) -> tuple[int, int]:
-    # node counts grow like (radial*angular)^n, so defaults shrink with n
-    radial = cfg.radial_order if cfg.radial_order is not None else (32 if dimension == 1 else 12)
-    angular = cfg.angular_order if cfg.angular_order is not None else (64 if dimension == 1 else 24)
-    if radial < 1 or angular < 1:
+def _check_orders(args: argparse.Namespace) -> None:
+    """Reject nonpositive order flags; None keeps the per-dimension default."""
+    if any(order is not None and order < 1
+           for order in (args.radial_order, args.angular_order)):
         raise ConfigError("radial-order", "orders must be >= 1")
-    return int(radial), int(angular)
 
 
 def _round12(obj):
@@ -223,30 +194,30 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    domain = _parse_domain(cfg.domain)
+def cmd_compute(args: argparse.Namespace) -> int:
+    domain = _parse_domain(args.domain)
     n = domain.dimension
-    p = _require_p(cfg)
-    xi, H = _target(cfg, n)
-    radial, angular = _orders(cfg, n)
-    z = _parse_point(cfg.z, n, "z")
-    options = LpOptions(seed=cfg.seed)
-    space = PolySpace.build(domain, degree=cfg.degree,
-                            radial_order=radial, angular_order=angular)
+    p = _require_p(args)
+    xi, H = _target(args, n)
+    _check_orders(args)
+    z = _parse_point(args.z, n, "z")
+    space = PolySpace.build(domain, degree=args.degree,
+                            radial_order=args.radial_order,
+                            angular_order=args.angular_order)
     payload: dict = {
         "command": "compute",
         "domain": domain.to_spec(),
         "p": p,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "degree": space.degree,
-        "radial_order": radial,
-        "angular_order": angular,
+        "radial_order": space.quadrature.radial_order,
+        "angular_order": space.quadrature.angular_order,
     }
-    if cfg.pole is not None:
+    if args.pole is not None:
         if H is not None:
             raise ConfigError("pole", "off-diagonal sections need --xi, not --H")
-        w = _parse_point(cfg.pole, n, "pole")
-        section = off_diagonal(space, xi, w, p, options)
+        w = _parse_point(args.pole, n, "pole")
+        section = off_diagonal(space, xi, w, p)
         ev = section.base
         wt = (w,) if n == 1 else w
         payload["pole"] = [[c.real, c.imag] for c in wt]
@@ -254,27 +225,27 @@ def cmd_compute(cfg: RunConfig) -> int:
         payload["section_value_at_z"] = [value.real, value.imag]
         payload["pole_identity_residual"] = section.pole_identity_residual()
     elif H is not None:
-        ev = higher_kernel_direct(space, H, z, p, options)
+        ev = higher_kernel_direct(space, H, z, p)
         payload["H"] = str(H)
     else:
-        ev = diagonal(space, xi, z, p, options)
+        ev = diagonal(space, xi, z, p, args.seed)
     payload["evaluation"] = evaluation_to_dict(ev, include_minimizer=True)
-    if cfg.format == "csv":
-        _emit(evaluations_to_csv([ev]), cfg.out)
+    if args.format == "csv":
+        _emit(evaluations_to_csv([ev]), args.out)
     else:
-        _emit(_dump_json(payload), cfg.out)
+        _emit(_dump_json(payload), args.out)
     return 2 if ev.flags else 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    domain = _parse_domain(cfg.domain)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    domain = _parse_domain(args.domain)
     n = domain.dimension
-    p = _require_p(cfg)
-    xi, H = _target(cfg, n)
+    p = _require_p(args)
+    xi, H = _target(args, n)
     target = xi if xi is not None else H
-    radial, angular = _orders(cfg, n)
-    grid = _parse_a_grid(cfg.a_grid)
-    pole = _parse_point(cfg.pole, n, "pole") if cfg.pole is not None else None
+    _check_orders(args)
+    grid = _parse_a_grid(args.a_grid)
+    pole = _parse_point(args.pole, n, "pole") if args.pole is not None else None
     at_origin = pole is None or (
         pole == 0 if n == 1 else all(c == 0 for c in pole))
     try:
@@ -287,28 +258,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
             model = GreenModel.balanced(domain)
     except ValueError as exc:
         raise ConfigError("pole" if pole else "domain", str(exc)) from exc
-    threads = _resolve_threads(cfg.threads)
-    table = sweep(model, target, p, grid, degree=cfg.degree,
-                  radial_order=radial, angular_order=angular,
-                  options=LpOptions(seed=cfg.seed), threads=threads)
-    if cfg.format == "json":
-        _emit(_dump_json(table.to_json_dict()), cfg.out)
+    threads = _resolve_threads(args.threads)
+    table = sweep(model, target, p, grid, degree=args.degree,
+                  radial_order=args.radial_order,
+                  angular_order=args.angular_order,
+                  seed=args.seed, threads=threads)
+    if args.format == "json":
+        _emit(_dump_json(table.to_json_dict()), args.out)
     else:
-        _emit(table.to_csv(), cfg.out)
+        _emit(table.to_csv(), args.out)
     return 2 if table.flagged else 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite not in SUITES + ("all",):
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite not in SUITES + ("all",):
         raise ConfigError("suite",
-                          f"unknown suite {cfg.suite!r}; pick from "
+                          f"unknown suite {args.suite!r}; pick from "
                           f"{', '.join(SUITES + ('all',))}")
-    ctx = VerifyContext(seed=cfg.seed)
-    results = run_suite(cfg.suite, ctx, budget=cfg.budget)
+    ctx = VerifyContext(seed=args.seed)
+    results = run_suite(args.suite, ctx, budget=args.budget)
     print(format_table(results))
-    text = _dump_json(results_to_json_dict(results, cfg.suite, cfg.seed))
-    if cfg.out:
-        _emit(text, cfg.out)
+    text = _dump_json(results_to_json_dict(results, args.suite, args.seed))
+    if args.out:
+        _emit(text, args.out)
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed for r in results) else 2
@@ -369,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"one of {', '.join(SUITES + ('all',))}")
     ver.add_argument("--budget", type=float, default=None,
                      help="soft wall-clock budget in seconds")
-    ver.add_argument("--format", choices=("json",), default="json")
     # subcommands parse into a fresh namespace, so config-file defaults have
     # to be installed on the chosen subparser, not just on the root parser
     parser.subcommand_parsers = {"compute": comp, "sweep": swp, "verify": ver}
@@ -385,13 +356,20 @@ def _load_config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "expected a JSON object of flag defaults")
-    # an empty parse lists every dest of the subcommand
-    dests = set(vars(sub.parse_args([]))) - {"config"}
+    # JSON values bypass argparse, so typed flags are converted here the way
+    # argparse converts the same text on the command line
+    types = {action.dest: action.type for action in sub._actions
+             if action.dest not in ("help", "config")}
     out = {}
     for key, val in raw.items():
         dest = key.replace("-", "_")
-        if dest not in dests:
+        if dest not in types:
             raise ConfigError("config", f"unknown field {key!r} for {sub.prog}")
+        if types[dest] is not None:
+            try:
+                val = types[dest](str(val))
+            except ValueError as exc:
+                raise ConfigError(key, f"bad value {val!r}") from exc
         out[dest] = val
     return out
 
@@ -421,19 +399,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = _glue_negative_values(list(sys.argv[1:] if argv is None else argv))
     try:
         parser = build_parser()
-        ns = parser.parse_args(argv)
-        if ns.config:
-            sub = parser.subcommand_parsers[ns.command]
-            sub.set_defaults(**_load_config_defaults(ns.config, sub))
-            ns = parser.parse_args(argv)
-        cfg = RunConfig(command=ns.command,
-                        **{name: getattr(ns, name) for name in _CONFIG_KEYS
-                           if hasattr(ns, name)})
-        if cfg.command == "compute":
-            return cmd_compute(cfg)
-        if cfg.command == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_verify(cfg)
+        args = parser.parse_args(argv)
+        if args.config:
+            sub = parser.subcommand_parsers[args.command]
+            sub.set_defaults(**_load_config_defaults(args.config, sub))
+            args = parser.parse_args(argv)
+        if args.command == "compute":
+            return cmd_compute(args)
+        if args.command == "sweep":
+            return cmd_sweep(args)
+        return cmd_verify(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ __all__ = [
     "Domain",
     "Quadrature",
     "build_quadrature",
+    "node_count",
     "boundary_distance",
     "scale_domain",
     "product_domain",
@@ -142,16 +143,6 @@ class Domain:
         if self.shape == "annulus":
             return 2.0 * self.r_outer
         raise UnsupportedShapeError(self.shape)
-
-    def inradius(self) -> float:
-        """Largest boundary distance attained inside the domain."""
-        if self.shape == "disk" or self.shape == "ball":
-            return self.radius
-        if self.shape == "polydisc":
-            return min(self.radii)
-        if self.shape == "annulus":
-            return 0.5 * (self.r_outer - self.r_inner)
-        raise UnsupportedShapeError(f"inradius undefined for {self.shape}")
 
     def to_spec(self) -> dict:
         spec: dict = {"shape": self.shape}
@@ -353,12 +344,6 @@ def _ball_rule(radius: float, center, n: int, nr: int, na: int):
     ring = np.exp(1j * theta)
     ang_weight = 2.0 * math.pi / na
 
-    total = len(sigma) * len(v_list) * na**n
-    if total > MAX_NODES:
-        raise QuadratureError(
-            f"ball rule would need {total} nodes (cap {MAX_NODES}); lower the orders"
-        )
-
     radial = np.sqrt(sigma[:, None, None] * v_list[None, :, :])  # (nr, nv, n)
     base_w = 0.5**n * (w_sigma[:, None] * v_wgt[None, :]) * ang_weight**n
 
@@ -371,7 +356,17 @@ def _ball_rule(radius: float, center, n: int, nr: int, na: int):
     return nodes, weights
 
 
-def build_quadrature(domain: Domain, radial_order: int = 32, angular_order: int = 64) -> Quadrature:
+def node_count(domain: Domain, radial_order: int, angular_order: int) -> int:
+    """Number of nodes :func:`build_quadrature` makes for these orders.
+
+    Every rule takes radial_order radial (or simplex) nodes times
+    angular_order angles per complex coordinate, so the count is
+    (radial_order * angular_order) ** n.
+    """
+    return (radial_order * angular_order) ** domain.dimension
+
+
+def build_quadrature(domain: Domain, radial_order: int, angular_order: int) -> Quadrature:
     """Build a quadrature rule for a domain.
 
     Parameters
@@ -385,6 +380,11 @@ def build_quadrature(domain: Domain, radial_order: int = 32, angular_order: int 
     """
     if radial_order < MIN_ORDER or angular_order < MIN_ORDER:
         raise QuadratureError(f"orders must be at least {MIN_ORDER}")
+    total = node_count(domain, radial_order, angular_order)
+    if total > MAX_NODES:
+        raise QuadratureError(
+            f"{domain.shape} rule would need {total} nodes (cap {MAX_NODES}); lower the orders"
+        )
 
     if domain.shape == "disk":
         nodes1, weights = _disk_rule_1d(domain.radius, domain.center[0], radial_order, angular_order)
@@ -397,13 +397,6 @@ def build_quadrature(domain: Domain, radial_order: int = 32, angular_order: int 
             _disk_rule_1d(r, c, radial_order, angular_order)
             for r, c in zip(domain.radii, domain.center)
         ]
-        total = 1
-        for nd, _ in per_axis:
-            total *= nd.size
-        if total > MAX_NODES:
-            raise QuadratureError(
-                f"polydisc rule would need {total} nodes (cap {MAX_NODES}); lower the orders"
-            )
         node_grids = np.meshgrid(*[nd for nd, _ in per_axis], indexing="ij")
         weight_grids = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
         nodes = np.stack([g.ravel() for g in node_grids], axis=-1)

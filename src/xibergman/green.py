@@ -28,7 +28,6 @@ from .algebra import Functional
 from .domains import Domain, UnsupportedShapeError, contains, scale_domain
 from .higher import FunctionalFamily, HomogeneousPolynomial, higher_kernel_direct
 from .kernels import KernelError, diagonal
-from .lpsolve import LpOptions
 from .pspace import PolySpace, default_degree
 
 __all__ = [
@@ -199,16 +198,18 @@ def sweep(
     p: float,
     a_grid,
     degree: int | None = None,
-    radial_order: int = 32,
-    angular_order: int = 64,
-    options: LpOptions | None = None,
+    radial_order: int | None = None,
+    angular_order: int | None = None,
+    seed: int = 42,
     threads: int = 1,
 ) -> SweepTable:
     """Kernel at the pole across the sublevel family; rows are independent.
 
     ``target`` is either a jet functional (plain kernel) or a homogeneous
     polynomial (higher-order kernel).  The scaled column uses the exponent
-    2n + p k with k the degree of the target.
+    2n + p k with k the degree of the target.  Orders left as None take
+    the per-dimension defaults of :meth:`PolySpace.build`; ``seed`` feeds
+    the p < 1 restarts of the plain kernel.
     """
     grid = [float(a) for a in a_grid]
     if not grid:
@@ -233,9 +234,9 @@ def sweep(
                                 radial_order=radial_order,
                                 angular_order=angular_order)
         if isinstance(target, HomogeneousPolynomial):
-            ev = higher_kernel_direct(space, target, model.pole, p, options)
+            ev = higher_kernel_direct(space, target, model.pole, p)
         else:
-            ev = diagonal(space, target, model.pole, p, options)
+            ev = diagonal(space, target, model.pole, p, seed)
         return SweepRow(a=a, K=ev.K, scaled=math.exp(exponent * a) * ev.K,
                         logK=math.log(ev.K), flags=ev.flags)
 
@@ -277,9 +278,8 @@ def limit_chain_check(
     a_grid,
     xi: Functional | None = None,
     degree: int | None = None,
-    radial_order: int = 32,
-    angular_order: int = 64,
-    options: LpOptions | None = None,
+    radial_order: int | None = None,
+    angular_order: int | None = None,
     tol: float = 1e-6,
 ) -> LimitChainResult:
     """Check  K_xi(whole) >= sweep limit >= K_H(indicatrix)  at the pole.
@@ -301,11 +301,10 @@ def limit_chain_check(
     space_full = PolySpace.build(model.domain, degree=degree,
                                  radial_order=radial_order,
                                  angular_order=angular_order)
-    lhs = diagonal(space_full, xi, model.pole, p, options).K
+    lhs = diagonal(space_full, xi, model.pole, p).K
 
     table = sweep(model, xi, p, a_grid, degree=degree,
-                  radial_order=radial_order, angular_order=angular_order,
-                  options=options)
+                  radial_order=radial_order, angular_order=angular_order)
     limit = table.rows[0].scaled
     if len(table.rows) > 1:
         stabilization = abs(table.rows[1].scaled - limit) / abs(limit)
@@ -316,7 +315,7 @@ def limit_chain_check(
     space_ind = PolySpace.build(indicatrix, degree=degree,
                                 radial_order=radial_order,
                                 angular_order=angular_order)
-    rhs = higher_kernel_direct(space_ind, H, model.pole, p, options).K
+    rhs = higher_kernel_direct(space_ind, H, model.pole, p).K
 
     scale = max(abs(lhs), abs(limit), abs(rhs))
     passed = (lhs - limit >= -tol * scale) and (limit - rhs >= -tol * scale)

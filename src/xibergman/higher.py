@@ -45,7 +45,7 @@ from .kernels import (
 )
 # solve_affine_lp is not called here since the jet-constrained solve moved
 # to kernels; it stays importable because bench/spans.py wraps this lookup
-from .lpsolve import LpOptions, solve_affine_lp  # noqa: F401
+from .lpsolve import solve_affine_lp  # noqa: F401
 from .pspace import OrthonormalBasis, PolySpace, orthonormal_basis
 
 __all__ = [
@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 _FACTOR_RE = re.compile(r"^z(\d*)(?:\^(\d+))?$")
+
+# relative slack by which the infimum route may undercut the direct value
+ASSERT_TOL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +255,6 @@ def jet_constrained_kernel(
     xi: Functional,
     z,
     p: float,
-    options: LpOptions | None = None,
 ) -> KernelEvaluation:
     """Minimal-norm element with prescribed vanishing jets and (xi . f)(z) = 1.
 
@@ -264,8 +266,7 @@ def jet_constrained_kernel(
     _require_polynomial_space(space)
     if p < 1:
         raise ValueError("jet-constrained kernels require p >= 1")
-    return _constrained_kernel(space, xi, z, p, vanishing, exact=p == 2,
-                               options=options)
+    return _constrained_kernel(space, xi, z, p, vanishing, exact=p == 2)
 
 
 def higher_kernel_direct(
@@ -273,7 +274,6 @@ def higher_kernel_direct(
     H: HomogeneousPolynomial,
     z,
     p: float,
-    options: LpOptions | None = None,
 ) -> KernelEvaluation:
     """Higher-order kernel by direct constrained minimization."""
     _require_polynomial_space(space)
@@ -282,8 +282,7 @@ def higher_kernel_direct(
         raise KernelError(
             f"pairing degree {k} exceeds the truncation degree {space.degree}")
     vanishing = enumerate_upto_degree(space.dimension, k - 1) if k > 0 else []
-    return jet_constrained_kernel(space, vanishing, H.top_functional(), z, p,
-                                  options)
+    return jet_constrained_kernel(space, vanishing, H.top_functional(), z, p)
 
 
 def minimizing_xi_p2(
@@ -307,8 +306,6 @@ def minimizing_xi_p2(
     if not free:
         return family.fixed_member()
     ob = basis if basis is not None else orthonormal_basis(space, z)
-    if not ob.jet_adapted:
-        raise KernelError("jet-adapted basis unavailable for this space")
 
     pos = space.index_position()
     low = [pos[idx] for idx in free]
@@ -336,17 +333,15 @@ def higher_kernel_via_inf(
     H: HomogeneousPolynomial,
     z,
     p: float,
-    options: LpOptions | None = None,
-    maxfev: int | None = None,
-    assert_tol: float = 1e-3,
 ) -> HigherInfResult:
     """Higher-order kernel as the minimum of plain kernels over the family.
 
     Runs a downhill simplex over the real/imaginary parts of the free
     coefficients, once from zero and once from the exact p = 2 solution.
-    Deterministic: no random starts.  The sanity bound against the direct
-    route (which the minimum can never undercut beyond numerical error) is
-    enforced with ``assert_tol`` relative slack.
+    Each start gets max(200, 100 * nfree) inner calls for nfree free
+    coefficients.  Deterministic: no random starts.  The sanity bound
+    against the direct route (which the minimum can never undercut beyond
+    numerical error) is enforced with ASSERT_TOL relative slack.
     """
     _require_polynomial_space(space)
     if p < 1:
@@ -355,10 +350,10 @@ def higher_kernel_via_inf(
     free = family.free_indices
     ob = orthonormal_basis(space, z) if p == 2 or free else None
 
-    direct = higher_kernel_direct(space, H, z, p, options)
+    direct = higher_kernel_direct(space, H, z, p)
 
     if not free:
-        ev = diagonal(space, family.fixed_member(), z, p, options)
+        ev = diagonal(space, family.fixed_member(), z, p)
         return HigherInfResult(
             K=ev.K, m=ev.m, xi_star=ev.xi, free_part=(),
             inner_calls=1, starts=((ev.K, ()),), flags=ev.flags)
@@ -372,7 +367,7 @@ def higher_kernel_via_inf(
         xi = family.member(vec)
         if p == 2:
             return kernel2_diagonal(space, xi, z, basis=ob).K
-        return diagonal(space, xi, z, p, options).K
+        return diagonal(space, xi, z, p).K
 
     nfree = len(free)
     xi2 = minimizing_xi_p2(space, H, z, basis=ob)
@@ -381,7 +376,7 @@ def higher_kernel_via_inf(
         start_p2[2 * i] = xi2[idx].real
         start_p2[2 * i + 1] = xi2[idx].imag
 
-    budget = maxfev if maxfev is not None else max(200, 100 * nfree)
+    budget = max(200, 100 * nfree)
     runs = []
     converged_any = False
     for x0 in (np.zeros(2 * nfree), start_p2):
@@ -397,7 +392,7 @@ def higher_kernel_via_inf(
     K = float(best.fun)
     flags = () if converged_any else ("outer-non-convergence",)
 
-    if K < direct.K * (1 - assert_tol):
+    if K < direct.K * (1 - ASSERT_TOL):
         raise KernelError(
             f"outer minimum {K:.9g} undercuts the direct value {direct.K:.9g}")
     starts = tuple(

@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import Domain, boundary_distance, contains
-from .lpsolve import LpOptions, solve_affine_lp
+from .lpsolve import EPS_FACTOR, EPS_FACTOR_P1, solve_affine_lp
 from .pspace import (
     OrthonormalBasis,
     PolySpace,
@@ -156,7 +156,7 @@ def _constrained_kernel(
     vanishing=(),
     exact: bool = False,
     basis: OrthonormalBasis | None = None,
-    options: LpOptions | None = None,
+    seed: int = 42,
 ) -> KernelEvaluation:
     """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at ``vanishing``.
 
@@ -165,7 +165,8 @@ def _constrained_kernel(
     monomials, or the Laurent monomials), and the functional acts on the
     kept columns as a single affine row.  ``exact`` (p = 2 only) pairs the
     row with the point-adapted orthonormal basis, taken from ``basis`` when
-    given; otherwise the constrained IRLS solver runs on the node matrix.
+    given; otherwise the constrained IRLS solver runs on the node matrix,
+    drawing its p < 1 restarts from ``seed``.
     """
     zt = _check_inputs(space, xi, z)
     if basis is not None:
@@ -214,7 +215,7 @@ def _constrained_kernel(
         witness[j] = 1.0 / L[j]
         sol = solve_affine_lp(node_matrix(), w, L[None, :],
                               np.array([1.0 + 0j]), p, start=witness,
-                              options=options)
+                              seed=seed)
         K = 1.0 / sol.objective
         m = sol.m
         sub = sol.coeffs
@@ -256,24 +257,24 @@ def kernelp_diagonal(
     xi: Functional,
     z,
     p: float,
-    options: LpOptions | None = None,
+    seed: int = 42,
 ) -> KernelEvaluation:
     """Kernel value for general p > 0 through the constrained IRLS solver.
 
     Convex and reliable for p >= 1.  For p in (0, 1) the objective is
-    nonconvex; a multistart heuristic runs and the result carries the
-    "nonconvex-best-found" flag.
+    nonconvex; a multistart heuristic seeded by ``seed`` runs and the
+    result carries the "nonconvex-best-found" flag.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    return _constrained_kernel(space, xi, z, p, options=options)
+    return _constrained_kernel(space, xi, z, p, seed=seed)
 
 
-def diagonal(space, xi, z, p, options=None) -> KernelEvaluation:
+def diagonal(space, xi, z, p, seed: int = 42) -> KernelEvaluation:
     """Route to the exact path at p = 2, the solver otherwise."""
     if p == 2:
         return kernel2_diagonal(space, xi, z)
-    return kernelp_diagonal(space, xi, z, p, options)
+    return kernelp_diagonal(space, xi, z, p, seed)
 
 
 def off_diagonal(
@@ -281,12 +282,11 @@ def off_diagonal(
     xi: Functional,
     w,
     p: float,
-    options: LpOptions | None = None,
 ) -> OffDiagonalKernel:
     """Off-diagonal kernel K(., w); needs p >= 1 for a unique minimizer."""
     if p < 1:
         raise ValueError("off-diagonal kernel requires p >= 1")
-    base = diagonal(space, xi, w, p, options)
+    base = diagonal(space, xi, w, p)
     return OffDiagonalKernel(base=base, values=base.minimizer.scaled(base.K))
 
 
@@ -308,7 +308,7 @@ def extremal_pairing(
     p = evaluation.p
     absg = np.abs(g)
     if p < 2:
-        eps = (1e-6 if p == 1 else 1e-7) * max(float(absg.max()), 1e-300)
+        eps = (EPS_FACTOR_P1 if p == 1 else EPS_FACTOR) * max(float(absg.max()), 1e-300)
         rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
     else:
         rho = absg ** (p - 2.0)
@@ -338,7 +338,6 @@ def h_quantity(
     p: float,
     z,
     w,
-    options: LpOptions | None = None,
 ) -> HQuantity:
     """H(z, w) and the applicable integral inequality, both by quadrature.
 
@@ -349,8 +348,8 @@ def h_quantity(
     """
     if p <= 1:
         raise ValueError("the H inequalities require p > 1")
-    ev_z = diagonal(space, xi, z, p, options)
-    ev_w = diagonal(space, xi, w, p, options)
+    ev_z = diagonal(space, xi, z, p)
+    ev_w = diagonal(space, xi, w, p)
 
     cross_wz = functional_apply(xi, ev_w.minimizer, ev_z.z) * ev_w.K
     cross_zw = functional_apply(xi, ev_z.minimizer, ev_w.z) * ev_z.K
@@ -427,7 +426,6 @@ def evaluate_batch(
     xi: Functional,
     points,
     p: float,
-    options: LpOptions | None = None,
     threads: int = 1,
 ) -> list[KernelEvaluation]:
     """Diagonal kernel on a list of points, optionally thread-parallel.
@@ -436,7 +434,7 @@ def evaluate_batch(
     order regardless of thread count.
     """
     def run(pt):
-        return diagonal(space, xi, pt, p, options)
+        return diagonal(space, xi, pt, p)
 
     pts = list(points)
     if threads > 1:

@@ -6,22 +6,27 @@ eliminated through a particular solution plus an orthonormal null-space
 parametrization, after which iteratively reweighted least squares runs on
 the free coordinates:
 
-    weights   w_q (|f(x_q)|^2 + eps^2)^((p-2)/2),  eps = 1e-7 max_q |f(x_q)|
+    weights   w_q (|f(x_q)|^2 + eps^2)^((p-2)/2),
+              eps = EPS_FACTOR max_q |f(x_q)| (1e-7)
     update    t <- (1 - lam) t + lam t_new,        lam = 1 for p <= 2
               (full reweighted steps are majorize-minimize updates there),
-              lam = 0.7 with step halving above p = 2
-    stop      relative objective change < 1e-11 and stationarity residual
-              below grad_tol; capped at 300 iterations; a p > 2 step that
-              no halving turns into descent stops early, flagged
-              line-search-stall.
+              lam = DAMPING (0.7) with step halving above p = 2
+    stop      relative objective change < OBJ_TOL (1e-11) and stationarity
+              residual below GRAD_TOL (1e-10); capped at MAX_ITER (300)
+              iterations; a p > 2 step that no halving turns into descent
+              stops early, flagged line-search-stall.
 
 For p = 2 the first least-squares solve is already exact and the iteration
-lands on it immediately.  For p <= 1 the smoothing scale is looser (1e-6)
-and the residual is only meaningful down to that scale, so stationarity is
-accepted at eps_factor_p1 once the objective has settled; results carry a
-documented 1e-3 relative accuracy contract.  For p < 1 the problem is
-nonconvex; we restart from 8 random feasible points and keep the best,
-flagging the result as such.
+lands on it immediately.  At p = 1 the smoothing scale is looser
+(EPS_FACTOR_P1, 1e-6).  For p <= 1 the residual is only meaningful down to
+the smoothing scale, so stationarity is accepted there once the objective
+has settled; results carry a documented 1e-3 relative accuracy contract.
+For p < 1 the problem is nonconvex; we restart from RESTARTS (8) random
+feasible points drawn from ``seed`` and keep the best, flagging the result
+as such.
+
+These constants are the numerical policy behind the README accuracy
+contract; only the restart seed is an input.
 """
 
 from __future__ import annotations
@@ -31,23 +36,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-__all__ = ["LpOptions", "LpSolution", "SolverError", "solve_affine_lp"]
+__all__ = ["LpSolution", "SolverError", "solve_affine_lp"]
+
+MAX_ITER = 300
+DAMPING = 0.7
+OBJ_TOL = 1e-11
+GRAD_TOL = 1e-10
+EPS_FACTOR = 1e-7
+EPS_FACTOR_P1 = 1e-6
+RESTARTS = 8
 
 
 class SolverError(RuntimeError):
     """Constraint elimination or the IRLS loop failed outright."""
-
-
-@dataclass(frozen=True)
-class LpOptions:
-    max_iter: int = 300
-    damping: float = 0.7
-    obj_tol: float = 1e-11
-    grad_tol: float = 1e-10
-    eps_factor: float = 1e-7
-    eps_factor_p1: float = 1e-6
-    restarts: int = 8
-    seed: int = 42
 
 
 @dataclass
@@ -71,7 +72,7 @@ def solve_affine_lp(
     rhs: np.ndarray,
     p: float,
     start: np.ndarray | None = None,
-    options: LpOptions | None = None,
+    seed: int = 42,
 ) -> LpSolution:
     """Minimize the weighted node L^p norm subject to complex affine constraints.
 
@@ -82,10 +83,10 @@ def solve_affine_lp(
     constraints, rhs : B (m, N) and d (m,) with B c = d.
     p : exponent, p > 0.
     start : optional feasible coefficient vector used as the initial point.
+    seed : seed of the random restarts, drawn only for p < 1.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    opts = options or LpOptions()
     B = np.atleast_2d(np.asarray(constraints, dtype=complex))
     d = np.asarray(rhs, dtype=complex).ravel()
     Q, N = phi.shape
@@ -127,17 +128,17 @@ def solve_affine_lp(
     Z = (Z / colnorm) @ np.linalg.inv(R)
     A = phi @ Z
 
-    eps_factor = opts.eps_factor_p1 if p == 1 else opts.eps_factor
+    eps_factor = EPS_FACTOR_P1 if p == 1 else EPS_FACTOR
 
     if p < 1:
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(seed)
         best = None
         scale = max(1.0, float(np.linalg.norm(c_part)))
-        for trial in range(opts.restarts + 1):
+        for trial in range(RESTARTS + 1):
             t0 = np.zeros(Z.shape[1], dtype=complex)
             if trial > 0:
                 t0 = scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
-            sol = _irls(A, b, weights, p, eps_factor, t0, opts)
+            sol = _irls(A, b, weights, p, eps_factor, t0)
             if best is None or sol[1] < best[1]:
                 best = sol
         t, obj, iters, stop, grad_res, last_step = best
@@ -149,7 +150,7 @@ def solve_affine_lp(
         )
 
     t0 = np.zeros(Z.shape[1], dtype=complex)
-    t, obj, iters, stop, grad_res, last_step = _irls(A, b, weights, p, eps_factor, t0, opts)
+    t, obj, iters, stop, grad_res, last_step = _irls(A, b, weights, p, eps_factor, t0)
     return LpSolution(
         coeffs=c_part + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
         iterations=iters, converged=stop is None, grad_residual=grad_res,
@@ -157,7 +158,7 @@ def solve_affine_lp(
     )
 
 
-def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
+def _irls(A, b, w, p, eps_factor, t0):
     """IRLS from t0; returns (t, obj, accepted steps, stop flag or None, ...)."""
     t = t0.astype(complex)
     g = b + A @ t
@@ -167,7 +168,7 @@ def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
     tiny = 1e-300
     settled = 0
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         absg = np.abs(g)
         eps = eps_factor * max(float(absg.max()), tiny)
         rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
@@ -183,7 +184,7 @@ def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
 
         # for p <= 2 the full reweighted step is a majorize-minimize update
         # (guaranteed descent), so damping would only slow the contraction
-        lam = 1.0 if p <= 2 else opts.damping
+        lam = 1.0 if p <= 2 else DAMPING
         accepted = False
         for _ in range(20):
             t_trial = t + lam * (t_new - t)
@@ -206,18 +207,18 @@ def _irls(A, b, w, p, eps_factor, t0, opts: LpOptions):
         pairing = A.conj().T @ (w * rho * g)
         grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
 
-        if rel_step < opts.obj_tol and grad_res < opts.grad_tol:
+        if rel_step < OBJ_TOL and grad_res < GRAD_TOL:
             return t, obj, it, None, grad_res, rel_step
         # at p <= 1 the objective is smoothed at scale eps, below which the
         # residual carries no information about the unsmoothed problem; when
         # the minimizer vanishes inside the domain the contraction toward
         # exact stationarity is slowly linear, so once the objective has
         # settled and the residual sits at the smoothing scale we are done
-        if p <= 1.0 and rel_step < opts.obj_tol and grad_res < eps_factor:
+        if p <= 1.0 and rel_step < OBJ_TOL and grad_res < eps_factor:
             settled += 1
             if settled >= 5:
                 return t, obj, it, None, grad_res, rel_step
         else:
             settled = 0
 
-    return t, obj, opts.max_iter, "non-convergence", grad_res, rel_step
+    return t, obj, MAX_ITER, "non-convergence", grad_res, rel_step

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .algebra import (
     _as_point,
     _gen_binom,
 )
-from .domains import Domain, Quadrature, build_quadrature
+from .domains import Domain, Quadrature, build_quadrature, node_count
 
 __all__ = [
     "PolySpace",
@@ -62,6 +61,12 @@ def default_degree(dimension: int) -> int:
     return {1: 16, 2: 10}.get(dimension, 6)
 
 
+def default_orders(dimension: int) -> tuple[int, int]:
+    """Default (radial, angular) quadrature orders for a dimension."""
+    # node counts grow like (radial * angular)^n, so defaults shrink with n
+    return (32, 64) if dimension == 1 else (12, 24)
+
+
 @dataclass(eq=False)
 class PolySpace:
     """A finite monomial basis over a quadrature rule."""
@@ -86,23 +91,28 @@ class PolySpace:
         cls,
         domain: Domain,
         degree: int | None = None,
-        radial_order: int = 32,
-        angular_order: int = 64,
+        radial_order: int | None = None,
+        angular_order: int | None = None,
         mode: str = "total",
-        center: Sequence[complex] | None = None,
     ) -> "PolySpace":
         """Build the default truncated space on a domain.
 
         ``mode`` is "total" (all |alpha| <= degree) or "tensor" (all
         alpha_j <= degree per axis); annuli always get the Laurent band
         ``|k| <= degree``.  ``degree`` defaults to 16 / 10 / 6 for
-        dimensions 1 / 2 / >= 3.
+        dimensions 1 / 2 / >= 3, and each quadrature order left as None
+        to :func:`default_orders`.  The size of the node cache is checked
+        before any node is built.
         """
         if degree is None:
             degree = default_degree(domain.dimension)
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        quad = build_quadrature(domain, radial_order, angular_order)
+        radial_default, angular_default = default_orders(domain.dimension)
+        if radial_order is None:
+            radial_order = radial_default
+        if angular_order is None:
+            angular_order = angular_default
 
         laurent = domain.shape == "annulus"
         if laurent:
@@ -110,18 +120,19 @@ class PolySpace:
             indices = [MultiIndex((k,)) for k in ks]
             ctr, mode = (0j,), "laurent"
         else:
-            ctr = tuple(complex(c) for c in center) if center is not None else domain.center
+            ctr = domain.center
             if mode == "total":
                 indices = enumerate_upto_degree(domain.dimension, degree)
             elif mode == "tensor":
                 indices = _tensor_indices(domain.dimension, degree)
             else:
                 raise ValueError(f"unknown basis mode {mode!r}")
-        entries = quad.node_count * len(indices)
+        entries = node_count(domain, radial_order, angular_order) * len(indices)
         if entries > MAX_CACHE_ENTRIES:
             raise MemoryError(
                 f"node cache would hold {entries} complex entries; reduce orders or degree"
             )
+        quad = build_quadrature(domain, radial_order, angular_order)
         if quad.node_count < len(indices):
             # fewer nodes than basis functions: the quadrature product is
             # singular on the space, whatever the node placement
@@ -279,15 +290,14 @@ def lp_norm(f: PolyCoeffs | np.ndarray, space: PolySpace, p: float) -> float:
     return float(np.sum(space.quadrature.weights * np.abs(vals) ** p) ** (1.0 / p))
 
 
-def gram_matrix(space: PolySpace, check_condition: bool = True) -> np.ndarray:
+def gram_matrix(space: PolySpace) -> np.ndarray:
     """Hermitian Gram matrix of the basis under the quadrature product."""
     phi = space.node_matrix
     G = phi.conj().T @ (space.quadrature.weights[:, None] * phi)
     G = 0.5 * (G + G.conj().T)
-    if check_condition:
-        cond = np.linalg.cond(G)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise RankLossError(f"Gram matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    cond = np.linalg.cond(G)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise RankLossError(f"Gram matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
     return G
 
 
@@ -310,16 +320,10 @@ class OrthonormalBasis:
     space: PolySpace
     point: tuple[complex, ...]
     transform: np.ndarray
-    jet_adapted: bool
 
     @property
     def indices(self) -> list[MultiIndex]:
         return self.space.indices
-
-    def pairing_coeffs(self, xi: Functional) -> np.ndarray:
-        """c_alpha = (xi . sigma_alpha)(point) for every basis element."""
-        L = self.space.constraint_row(xi, self.point)
-        return self.transform.T @ L
 
     def sigma(self, position: int) -> PolyCoeffs:
         return self.space.element(self.transform[:, position], center=self.point)
@@ -351,7 +355,7 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     """
     point = _as_point(z, space.dimension)
     T = _orthonormal_transform(space.solve_node_matrix(point), space.quadrature.weights)
-    return OrthonormalBasis(space, point, T, jet_adapted=not space.laurent)
+    return OrthonormalBasis(space, point, T)
 
 
 def _orthonormal_transform(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -92,7 +92,8 @@ class VerifyContext:
         return np.random.default_rng([self.seed, zlib.crc32(name.encode())])
 
     def space(self, domain: Domain, degree: int | None = None,
-              radial_order: int = 32, angular_order: int = 64,
+              radial_order: int | None = None,
+              angular_order: int | None = None,
               mode: str = "total") -> PolySpace:
         key = (domain, degree, radial_order, angular_order, mode)
         if key not in self.cache:

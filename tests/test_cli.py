@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from xibergman.cli import main
@@ -58,6 +59,23 @@ class TestCompute:
                            "--format", "csv")
         assert code == 2
         assert "nonconvex-best-found" in out
+
+
+    def test_seed_reaches_the_restarts(self, capsys, monkeypatch):
+        # several seeds can give the same K, so watch the generator instead
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        code, _, _ = run(capsys, "compute", "--domain", "disk",
+                         "--xi", "0: 1", "--p", "0.5", "--z", "0",
+                         "--seed", "7", "--format", "csv")
+        assert code == 2
+        assert seeds == [7]
 
 
 class TestValidation:
@@ -122,6 +140,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "compute", "--config", str(cfg), "--z", "0")
         assert code == 1
         assert "bogus" in err
+
+    def test_values_are_checked_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"radial_order": 12.5}))
+        code, _, err = run(capsys, "compute", "--config", str(cfg),
+                           "--xi", "0: 1", "--p", "2", "--z", "0")
+        assert code == 1
+        assert "radial_order" in err
 
     def test_keys_must_be_flags_of_the_subcommand(self, capsys, tmp_path):
         # --threads is a sweep flag only, so compute and verify refuse it

@@ -78,9 +78,8 @@ class TestGeometry:
     def test_boundary_distance_disk(self):
         assert boundary_distance(Domain.disk(), (0.3 + 0j,)) == pytest.approx(0.7)
 
-    def test_inradius_diameter(self):
+    def test_diameter(self):
         dom = Domain.disk(2.0)
-        assert dom.inradius() == pytest.approx(2.0)
         assert dom.diameter() == pytest.approx(4.0)
 
     def test_scale_domain_volume(self):

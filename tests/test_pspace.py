@@ -1,6 +1,7 @@
 """Truncated spaces, quadrature norms, and orthonormalization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ class TestSpaceStructure:
         assert tot.size == 15   # C(4+2, 2)
         assert ten.size == 25   # (4+1)^2
         assert ten.mode == "tensor"
+
+    def test_library_defaults_fit_on_the_bidisc(self):
+        space = PolySpace.build(Domain.bidisc())
+        assert space.quadrature.node_count == 82_944  # (12 * 24)^2
+        assert space.size == 66                       # total degree 10
+
+    def test_oversized_cache_refused_before_allocation(self):
+        # (32 * 64)^2 nodes x 66 monomials exceeds the cache cap; the
+        # refusal must come before the 4-million-node rule is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                PolySpace.build(Domain.bidisc(), radial_order=32, angular_order=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_annulus_is_laurent(self):
         space = PolySpace.build(Domain.annulus(0.5, 1.0), degree=6)

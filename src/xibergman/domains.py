@@ -3,14 +3,14 @@
 Supported shapes: disk, polydisc, ball (n >= 2) and annulus (n = 1).
 Domains are immutable values: equal parameters give equal, hashable
 domains.  Quadrature rules are tensor products of Gauss-Legendre radial
-rules with uniform (trapezoidal) angular grids; on circles the trapezoid
-rule is exact for trigonometric polynomials, so monomial Gram matrices are
-integrated exactly once the radial order is high enough.
+rules with uniform (trapezoidal) angular grids, stored ring by ring (see
+:class:`Quadrature`); on circles the trapezoid rule is exact for
+trigonometric polynomials, so monomial Gram matrices are integrated exactly
+once the radial order is high enough.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -262,17 +262,38 @@ def product_domain(a: Domain, b: Domain) -> Domain:
 
 @dataclass(eq=False)
 class Quadrature:
-    """Nodes (m, n) and positive weights (m,) for integration over a domain."""
+    """Nodes (m, n) and positive weights (m,) for integration over a domain.
+
+    Nodes are stored ring-major.  A rule is K rings, each carried round a
+    uniform torus of ``angles ** n`` angles: with ``rings`` (K, n) the ring
+    offsets from the domain center,
+
+        nodes[k * angles**n + j] = center + rings[k] * exp(2 pi i j / angles),
+
+    where the angle multi-index j (one entry per coordinate) runs row-major.
+    Every rule of :func:`build_quadrature` has this form.  A hand-built rule
+    that gives no ``rings`` is read as one ring per node with a single angle
+    (rings = nodes - center, angles = 1), so sums over the ring structure
+    are then plain node sums.
+    """
 
     domain: Domain
     nodes: np.ndarray
     weights: np.ndarray
     radial_order: int
     angular_order: int
+    rings: np.ndarray | None = None
+    angles: int = 1
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        if self.rings is None:
+            self.rings = self.nodes - np.asarray(self.domain.center)[None, :]
+        if self.rings.shape[0] * self.angles ** self.domain.dimension != self.nodes.shape[0]:
+            raise QuadratureError(
+                f"{self.rings.shape[0]} rings of {self.angles} angles per coordinate "
+                f"do not give {self.nodes.shape[0]} nodes")
+        for arr in (self.nodes, self.weights, self.rings):
+            arr.setflags(write=False)
 
     @property
     def node_count(self) -> int:
@@ -290,30 +311,36 @@ def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _disk_rule_1d(radius: float, center: complex, nr: int, na: int):
-    """Polar rule on a disk: GL in radius (weight r dr), trapezoid in angle."""
+# Each ring rule returns ring offsets (K, n) from the center and the radial
+# weight of each ring; build_quadrature carries the rings round the angles.
+
+
+def _disk_rings(radius: float, nr: int):
+    """Gauss-Legendre radii on a disk (weight r dr)."""
     u, v = _gauss_legendre_01(nr)
-    theta = 2.0 * math.pi * np.arange(na) / na
-    ring = np.exp(1j * theta)
-    nodes = (center + radius * u[:, None] * ring[None, :]).ravel()
-    w_r = radius**2 * u * v
-    weights = (w_r[:, None] * np.full(na, 2.0 * math.pi / na)[None, :]).ravel()
-    return nodes, weights
+    return (radius * u)[:, None], radius**2 * u * v
 
 
-def _annulus_rule(r1: float, r2: float, nr: int, na: int):
+def _annulus_rings(r1: float, r2: float, nr: int):
     x, w = np.polynomial.legendre.leggauss(nr)
     r = 0.5 * (r2 - r1) * x + 0.5 * (r1 + r2)
-    wr = 0.5 * (r2 - r1) * w * r
-    theta = 2.0 * math.pi * np.arange(na) / na
-    ring = np.exp(1j * theta)
-    nodes = (r[:, None] * ring[None, :]).ravel()
-    weights = (wr[:, None] * np.full(na, 2.0 * math.pi / na)[None, :]).ravel()
-    return nodes, weights
+    return r[:, None], 0.5 * (r2 - r1) * w * r
 
 
-def _ball_rule(radius: float, center, n: int, nr: int, na: int):
-    """Ball rule via the cone decomposition: z_j = sqrt(sigma v_j) e^{i theta_j}
+def _polydisc_rings(radii, nr: int):
+    """Products of the per-axis disk radii, first axis slowest."""
+    per_axis = [_disk_rings(r, nr) for r in radii]
+    ring_grids = np.meshgrid(*[rg[:, 0] for rg, _ in per_axis], indexing="ij")
+    weight_grids = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
+    rings = np.stack([g.ravel() for g in ring_grids], axis=-1)
+    weights = np.ones(rings.shape[0])
+    for w in weight_grids:
+        weights = weights * w.ravel()
+    return rings, weights
+
+
+def _ball_rings(radius: float, n: int, nr: int):
+    """Ball rings via the cone decomposition: z_j = sqrt(sigma v_j) e^{i theta_j}
     with sigma in [0, R^2] and v on the probability simplex.
 
     The Lebesgue volume element becomes
@@ -340,20 +367,8 @@ def _ball_rule(radius: float, center, n: int, nr: int, na: int):
     v_list = np.array([p + (rem,) for p, rem, _ in simplex_pts])
     v_wgt = np.array([wgt for _, _, wgt in simplex_pts])
 
-    theta = 2.0 * math.pi * np.arange(na) / na
-    ring = np.exp(1j * theta)
-    ang_weight = 2.0 * math.pi / na
-
-    radial = np.sqrt(sigma[:, None, None] * v_list[None, :, :])  # (nr, nv, n)
-    base_w = 0.5**n * (w_sigma[:, None] * v_wgt[None, :]) * ang_weight**n
-
-    grids = np.meshgrid(*([ring] * n), indexing="ij")
-    ring_prod = np.stack([g.ravel() for g in grids], axis=-1)  # (na^n, n)
-
-    nodes = radial.reshape(-1, 1, n) * ring_prod[None, :, :]
-    nodes = nodes.reshape(-1, n) + np.asarray(center)[None, :]
-    weights = np.repeat(base_w.ravel(), ring_prod.shape[0])
-    return nodes, weights
+    rings = np.sqrt(sigma[:, None, None] * v_list[None, :, :]).reshape(-1, n)
+    return rings, (0.5**n * (w_sigma[:, None] * v_wgt[None, :])).ravel()
 
 
 def node_count(domain: Domain, radial_order: int, angular_order: int) -> int:
@@ -386,29 +401,27 @@ def build_quadrature(domain: Domain, radial_order: int, angular_order: int) -> Q
             f"{domain.shape} rule would need {total} nodes (cap {MAX_NODES}); lower the orders"
         )
 
+    n = domain.dimension
     if domain.shape == "disk":
-        nodes1, weights = _disk_rule_1d(domain.radius, domain.center[0], radial_order, angular_order)
-        nodes = nodes1[:, None]
+        rings, ring_weights = _disk_rings(domain.radius, radial_order)
     elif domain.shape == "annulus":
-        nodes1, weights = _annulus_rule(domain.r_inner, domain.r_outer, radial_order, angular_order)
-        nodes = nodes1[:, None]
+        rings, ring_weights = _annulus_rings(domain.r_inner, domain.r_outer, radial_order)
     elif domain.shape == "polydisc":
-        per_axis = [
-            _disk_rule_1d(r, c, radial_order, angular_order)
-            for r, c in zip(domain.radii, domain.center)
-        ]
-        node_grids = np.meshgrid(*[nd for nd, _ in per_axis], indexing="ij")
-        weight_grids = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
-        nodes = np.stack([g.ravel() for g in node_grids], axis=-1)
-        weights = np.ones(nodes.shape[0])
-        for w in weight_grids:
-            weights = weights * w.ravel()
+        rings, ring_weights = _polydisc_rings(domain.radii, radial_order)
     elif domain.shape == "ball":
-        nodes, weights = _ball_rule(domain.radius, domain.center, domain.dimension, radial_order, angular_order)
+        rings, ring_weights = _ball_rings(domain.radius, n, radial_order)
     else:
         raise UnsupportedShapeError(domain.shape)
 
-    quad = Quadrature(domain, nodes, weights, radial_order, angular_order)
+    circle = np.exp(1j * (2.0 * math.pi * np.arange(angular_order) / angular_order))
+    grids = np.meshgrid(*([circle] * n), indexing="ij")
+    torus = np.stack([g.ravel() for g in grids], axis=-1)  # (angular_order^n, n)
+    nodes = (rings[:, None, :] * torus[None, :, :]).reshape(-1, n) + np.asarray(domain.center)
+    ang_weight = 2.0 * math.pi / angular_order
+    weights = np.repeat(ring_weights * ang_weight**n, torus.shape[0])
+
+    quad = Quadrature(domain, nodes, weights, radial_order, angular_order,
+                      rings=rings, angles=angular_order)
     _validate(quad)
     return quad
 

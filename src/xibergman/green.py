@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import Functional
 from .domains import Domain, UnsupportedShapeError, contains, scale_domain
 from .higher import FunctionalFamily, HomogeneousPolynomial, higher_kernel_direct
-from .kernels import KernelError, diagonal
+from .kernels import diagonal
 from .pspace import PolySpace, default_degree
 
 __all__ = [

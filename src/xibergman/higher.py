@@ -255,18 +255,21 @@ def jet_constrained_kernel(
     xi: Functional,
     z,
     p: float,
+    basis: OrthonormalBasis | None = None,
 ) -> KernelEvaluation:
     """Minimal-norm element with prescribed vanishing jets and (xi . f)(z) = 1.
 
     The vanishing orders remove columns of the z-shifted basis; the
     functional acts on the surviving coefficients as a single affine row.
     Exact at p = 2, IRLS otherwise; the higher-order kernel is the special
-    case vanishing = all orders below deg H.
+    case vanishing = all orders below deg H.  At p = 2 a ``basis`` from
+    :func:`orthonormal_basis` at z is reused instead of a second
+    orthonormalization when the vanishing orders lead the graded order.
     """
     _require_polynomial_space(space)
     if p < 1:
         raise ValueError("jet-constrained kernels require p >= 1")
-    return _constrained_kernel(space, xi, z, p, vanishing, exact=p == 2)
+    return _constrained_kernel(space, xi, z, p, vanishing, exact=p == 2, basis=basis)
 
 
 def higher_kernel_direct(
@@ -274,15 +277,21 @@ def higher_kernel_direct(
     H: HomogeneousPolynomial,
     z,
     p: float,
+    basis: OrthonormalBasis | None = None,
 ) -> KernelEvaluation:
-    """Higher-order kernel by direct constrained minimization."""
+    """Higher-order kernel by direct constrained minimization.
+
+    The vanishing jets are all orders below deg H, a leading block of the
+    graded order, so at p = 2 a ``basis`` from :func:`orthonormal_basis`
+    at z supplies the factorization.
+    """
     _require_polynomial_space(space)
     k = H.degree
     if k > space.degree:
         raise KernelError(
             f"pairing degree {k} exceeds the truncation degree {space.degree}")
     vanishing = enumerate_upto_degree(space.dimension, k - 1) if k > 0 else []
-    return jet_constrained_kernel(space, vanishing, H.top_functional(), z, p)
+    return jet_constrained_kernel(space, vanishing, H.top_functional(), z, p, basis=basis)
 
 
 def minimizing_xi_p2(
@@ -339,7 +348,8 @@ def higher_kernel_via_inf(
     Runs a downhill simplex over the real/imaginary parts of the free
     coefficients, once from zero and once from the exact p = 2 solution.
     Each start gets max(200, 100 * nfree) inner calls for nfree free
-    coefficients.  Deterministic: no random starts.  The sanity bound
+    coefficients; a p = 2 start equal to the zero start reuses its run.
+    Deterministic: no random starts.  The sanity bound
     against the direct route (which the minimum can never undercut beyond
     numerical error) is enforced with ASSERT_TOL relative slack.
     """
@@ -350,7 +360,7 @@ def higher_kernel_via_inf(
     free = family.free_indices
     ob = orthonormal_basis(space, z) if p == 2 or free else None
 
-    direct = higher_kernel_direct(space, H, z, p)
+    direct = higher_kernel_direct(space, H, z, p, basis=ob)
 
     if not free:
         ev = diagonal(space, family.fixed_member(), z, p)
@@ -380,6 +390,11 @@ def higher_kernel_via_inf(
     runs = []
     converged_any = False
     for x0 in (np.zeros(2 * nfree), start_p2):
+        if runs and not np.any(x0):
+            # the exact p = 2 start is the zero start (z at the center of a
+            # circled domain), so the simplex would retrace the first run
+            runs.append(runs[0])
+            continue
         res = scipy.optimize.minimize(
             objective, x0, method="Nelder-Mead",
             options={"maxfev": budget, "xatol": 1e-7, "fatol": 1e-10})

@@ -7,7 +7,8 @@ space subject to the normalization (xi . f)(z) = 1, together with
     K(., z)     = minimizer * K(z)      (off-diagonal kernel, p >= 1)
 
 For p = 2 the value comes from an orthonormal-basis pairing in closed form;
-for general p the constrained solver in lpsolve runs on the node matrix.
+for general p the constrained solver in lpsolve runs on the space's ring
+operator.
 Both engines sit behind one constrained set-up, which also takes the
 vanishing jets of the higher-order kernels.
 The module also evaluates the reproducing-formula residual, the symmetrized
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
-from .domains import Domain, boundary_distance, contains
+from .domains import boundary_distance, contains
 from .lpsolve import EPS_FACTOR, EPS_FACTOR_P1, solve_affine_lp
 from .pspace import (
     OrthonormalBasis,
@@ -165,8 +166,11 @@ def _constrained_kernel(
     monomials, or the Laurent monomials), and the functional acts on the
     kept columns as a single affine row.  ``exact`` (p = 2 only) pairs the
     row with the point-adapted orthonormal basis, taken from ``basis`` when
-    given; otherwise the constrained IRLS solver runs on the node matrix,
-    drawing its p < 1 restarts from ``seed``.
+    given (with vanishing jets, its trailing block when they lead the graded
+    order); otherwise the constrained IRLS solver runs on the space's ring
+    operator, drawing its p < 1 restarts from ``seed``.  Both engines work
+    on N x N coefficient matrices: the solve basis enters through the exact
+    Taylor shift and its inverse (:meth:`PolySpace.solve_map`, ``jet_map``).
     """
     zt = _check_inputs(space, xi, z)
     if basis is not None:
@@ -189,16 +193,16 @@ def _constrained_kernel(
     if not np.any(L):
         raise ZeroPairingError(_ZERO_PAIRING)
 
-    def node_matrix():
-        phi = space.solve_node_matrix(zt)
-        return phi if keep is None else phi[:, keep]
-
-    w = space.quadrature.weights
     if exact:
         if keep is None:
             T = (basis if basis is not None else orthonormal_basis(space, zt)).transform
+        elif basis is not None and keep[0] == space.size - len(keep):
+            # the vanishing orders are a leading block of the graded order,
+            # and the basis is orthonormalized from the top, so the kept
+            # trailing block of its transform is the constrained one
+            T = basis.transform[np.ix_(keep, keep)]
         else:
-            T = _orthonormal_transform(node_matrix(), w)
+            T = _orthonormal_transform(space, zt, keep)
         c = T.T @ L
         K = float(np.sum(np.abs(c) ** 2))
         if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
@@ -213,7 +217,8 @@ def _constrained_kernel(
         j = int(np.argmax(np.abs(L)))
         witness = np.zeros(L.size, dtype=complex)
         witness[j] = 1.0 / L[j]
-        sol = solve_affine_lp(node_matrix(), w, L[None, :],
+        S = space.solve_map(zt)
+        sol = solve_affine_lp(space.ring, S if keep is None else S[:, keep], L[None, :],
                               np.array([1.0 + 0j]), p, start=witness,
                               seed=seed)
         K = 1.0 / sol.objective

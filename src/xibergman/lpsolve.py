@@ -1,10 +1,13 @@
 """Linearly constrained L^p minimization over a finite basis.
 
-Solves  min ||f||_p  over  f = sum_j c_j phi_j  subject to  B c = d,
-where the norm is a weighted node sum.  The complex affine constraints are
-eliminated through a particular solution plus an orthonormal null-space
-parametrization, after which iteratively reweighted least squares runs on
-the free coordinates:
+Solves  min ||f||_p  over  f = sum_j c_j psi_j  subject to  B c = d,
+where the norm is a weighted node sum and the basis functions psi_j are
+given by their coefficients in a space's centred monomial basis (the
+columns of ``basis``: a Taylor shift, or the identity).  The complex affine
+constraints are eliminated through a particular solution plus a null-space
+parametrization, orthonormalized in the weighted product by an N x N QR
+of ``C @ basis @ null space`` with C the space's Cholesky factor, after
+which iteratively reweighted least squares runs on the free coordinates:
 
     weights   w_q (|f(x_q)|^2 + eps^2)^((p-2)/2),
               eps = EPS_FACTOR max_q |f(x_q)| (1e-7)
@@ -15,6 +18,14 @@ the free coordinates:
               residual below GRAD_TOL (1e-10); capped at MAX_ITER (300)
               iterations; a p > 2 step that no halving turns into descent
               stops early, flagged line-search-stall.
+
+Each iteration works in coefficient space: the normal matrix is
+M^H G_c(omega) M, with M the orthonormalized directions in centred
+coefficients and G_c(omega) the ring operator's weighted Gram, the
+right-hand side is M^H G_c(omega) x0 for the particular solution x0, and
+the stationarity pairing is M^H Phi^H(w rho f) through the operator's
+adjoint.  Node values f(x_q) of an iterate are one product with the
+centred node matrix; no Q x N matrix is formed.
 
 For p = 2 the first least-squares solve is already exact and the iteration
 lands on it immediately.  At p = 1 the smoothing scale is looser
@@ -66,8 +77,8 @@ class LpSolution:
 
 
 def solve_affine_lp(
-    phi: np.ndarray,
-    weights: np.ndarray,
+    op,
+    basis: np.ndarray,
     constraints: np.ndarray,
     rhs: np.ndarray,
     p: float,
@@ -78,18 +89,21 @@ def solve_affine_lp(
 
     Parameters
     ----------
-    phi : (Q, N) complex node-value matrix of the basis.
-    weights : (Q,) positive quadrature weights.
+    op : the space's :class:`~xibergman.pspace.RingOperator` (node weights,
+        centred node matrix, weighted Gram, adjoint and Cholesky factor).
+    basis : (Nc, N) centred coefficients of the N solve-basis functions.
     constraints, rhs : B (m, N) and d (m,) with B c = d.
     p : exponent, p > 0.
     start : optional feasible coefficient vector used as the initial point.
     seed : seed of the random restarts, drawn only for p < 1.
+
+    The returned coefficients are in the solve basis.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     B = np.atleast_2d(np.asarray(constraints, dtype=complex))
     d = np.asarray(rhs, dtype=complex).ravel()
-    Q, N = phi.shape
+    N = basis.shape[1]
     if B.shape[1] != N or B.shape[0] != d.shape[0]:
         raise ValueError("constraint shapes are inconsistent")
 
@@ -103,10 +117,10 @@ def solve_affine_lp(
             raise SolverError("constraints are infeasible on this basis")
 
     Z = scipy.linalg.null_space(B)
-    b = phi @ c_part
+    x0 = basis @ c_part
 
     if Z.shape[1] == 0:
-        obj = float(np.sum(weights * np.abs(b) ** p))
+        obj = float(np.sum(op.weights * np.abs(op.node_matrix @ x0) ** p))
         return LpSolution(
             coeffs=c_part, objective=obj, m=obj ** (1.0 / p), p=p,
             iterations=0, converged=True, grad_residual=0.0,
@@ -116,9 +130,9 @@ def solve_affine_lp(
     # orthonormalize the free directions in the base weighted product; this
     # keeps the per-iteration normal equations well conditioned and makes
     # the stationarity residual scale like the orthogonality pairings it is
-    # meant to control
-    A_raw = phi @ Z
-    W_raw = np.sqrt(weights)[:, None] * A_raw
+    # meant to control.  C @ basis @ Z has the Gram of the directions' node
+    # values, so its N x N QR stands in for the Q x N one.
+    W_raw = op.factor @ (basis @ Z)
     colnorm = np.linalg.norm(W_raw, axis=0)
     if np.any(colnorm == 0):
         raise SolverError("basis direction vanishes on every node")
@@ -126,7 +140,7 @@ def solve_affine_lp(
     # does not poison the triangular factor
     R = np.linalg.qr(W_raw / colnorm, mode="r")
     Z = (Z / colnorm) @ np.linalg.inv(R)
-    A = phi @ Z
+    M = basis @ Z
 
     eps_factor = EPS_FACTOR_P1 if p == 1 else EPS_FACTOR
 
@@ -138,7 +152,7 @@ def solve_affine_lp(
             t0 = np.zeros(Z.shape[1], dtype=complex)
             if trial > 0:
                 t0 = scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
-            sol = _irls(A, b, weights, p, eps_factor, t0)
+            sol = _irls(op, M, x0, p, eps_factor, t0)
             if best is None or sol[1] < best[1]:
                 best = sol
         t, obj, iters, stop, grad_res, last_step = best
@@ -150,7 +164,7 @@ def solve_affine_lp(
         )
 
     t0 = np.zeros(Z.shape[1], dtype=complex)
-    t, obj, iters, stop, grad_res, last_step = _irls(A, b, weights, p, eps_factor, t0)
+    t, obj, iters, stop, grad_res, last_step = _irls(op, M, x0, p, eps_factor, t0)
     return LpSolution(
         coeffs=c_part + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
         iterations=iters, converged=stop is None, grad_residual=grad_res,
@@ -158,10 +172,14 @@ def solve_affine_lp(
     )
 
 
-def _irls(A, b, w, p, eps_factor, t0):
-    """IRLS from t0; returns (t, obj, accepted steps, stop flag or None, ...)."""
+def _irls(op, M, x0, p, eps_factor, t0):
+    """IRLS from t0; returns (t, obj, accepted steps, stop flag or None, ...).
+
+    The iterate is f = Phi (x0 + M t) for the centred node matrix Phi.
+    """
+    w = op.weights
     t = t0.astype(complex)
-    g = b + A @ t
+    g = op.node_matrix @ (x0 + M @ t)
     obj = float(np.sum(w * np.abs(g) ** p))
     rel_step = np.inf
     grad_res = np.inf
@@ -174,8 +192,9 @@ def _irls(A, b, w, p, eps_factor, t0):
         rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
         omega = w * rho
 
-        G = A.conj().T @ (omega[:, None] * A)
-        r = A.conj().T @ (omega * b)
+        GM = op.gram(omega) @ M
+        G = M.conj().T @ GM
+        r = GM.conj().T @ x0
         try:
             cho = scipy.linalg.cho_factor(G, check_finite=False)
             t_new = scipy.linalg.cho_solve(cho, -r, check_finite=False)
@@ -188,7 +207,7 @@ def _irls(A, b, w, p, eps_factor, t0):
         accepted = False
         for _ in range(20):
             t_trial = t + lam * (t_new - t)
-            g_trial = b + A @ t_trial
+            g_trial = op.node_matrix @ (x0 + M @ t_trial)
             obj_trial = float(np.sum(w * np.abs(g_trial) ** p))
             if obj_trial <= obj * (1.0 + 1e-15) or p <= 2:
                 accepted = True
@@ -204,7 +223,7 @@ def _irls(A, b, w, p, eps_factor, t0):
         absg = np.abs(g)
         eps = eps_factor * max(float(absg.max()), tiny)
         rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
-        pairing = A.conj().T @ (w * rho * g)
+        pairing = M.conj().T @ op.adjoint(w * rho * g)
         grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
 
         if rel_step < OBJ_TOL and grad_res < GRAD_TOL:

@@ -6,6 +6,12 @@ monomials ``z^k, |k| <= D`` on an annulus.  All norms and Gram matrices are
 taken with respect to the attached quadrature rule, so every inner product
 in the package is the same discrete object.
 
+Weighted Gram matrices and adjoints come from the space's
+:class:`RingOperator`, which sums ring by ring with FFTs over the uniform
+angles instead of forming Q x N node products; solves at a point z move
+between the centred monomials and ``(w - z)^alpha`` with the exact Taylor
+shift :meth:`PolySpace.shift_matrix`.
+
 :func:`orthonormal_basis` produces a basis adapted to a point: sigma_alpha
 has vanishing Taylor jet at the point for every order below alpha (in the
 graded order) and a nonvanishing jet exactly at alpha.  That triangular
@@ -17,8 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import (
     AlgebraError,
@@ -34,6 +42,7 @@ from .domains import Domain, Quadrature, build_quadrature, node_count
 
 __all__ = [
     "PolySpace",
+    "RingOperator",
     "OrthonormalBasis",
     "lp_norm",
     "gram_matrix",
@@ -161,6 +170,16 @@ class PolySpace:
     def index_position(self) -> dict[MultiIndex, int]:
         return {idx: j for j, idx in enumerate(self.indices)}
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """(N, n) integer array of the basis exponents."""
+        return np.array([idx.entries for idx in self.indices]).reshape(self.size, self.dimension)
+
+    @cached_property
+    def ring(self) -> "RingOperator":
+        """Weighted Grams and adjoints of the centred basis on this rule."""
+        return RingOperator(self)
+
     def _evaluate_basis(self, points: np.ndarray, center=None) -> np.ndarray:
         """Node-value matrix of the basis monomials at arbitrary points."""
         pts = np.asarray(points, dtype=complex)
@@ -168,10 +187,9 @@ class PolySpace:
             pts = pts[:, None]
         ctr = np.asarray(center if center is not None else self.center, dtype=complex)
         shifted = pts - ctr[None, :]
+        exps = self.exponents
         if self.laurent:
-            ks = np.array([idx.entries[0] for idx in self.indices])
-            return shifted[:, 0][:, None] ** ks[None, :]
-        exps = np.array([idx.entries for idx in self.indices])  # (N, n)
+            return shifted[:, 0][:, None] ** exps[None, :, 0]
         out = np.ones((pts.shape[0], len(self.indices)), dtype=complex)
         for j in range(self.dimension):
             maxdeg = int(exps[:, j].max(initial=0))
@@ -183,16 +201,63 @@ class PolySpace:
         """Values of the monomials ``(w - z)^alpha`` at the quadrature nodes.
 
         Total-degree and per-axis index sets are shift invariant, so this
-        matrix spans the same space as the cached one.  Laurent bases are
-        not shiftable.
+        matrix spans the same space as the cached one; it equals
+        ``node_matrix @ shift_matrix(z)``.  Laurent bases are not
+        shiftable.  The solvers never form it: it is the dense reference.
         """
         if self.laurent:
             raise AlgebraError("Laurent bases cannot be re-centered")
         return self._evaluate_basis(self.quadrature.nodes, center=_as_point(z, self.dimension))
 
-    def solve_node_matrix(self, z) -> np.ndarray:
-        """Node values of the solve basis at z: shifted monomials, or Laurent."""
-        return self.node_matrix if self.laurent else self.shifted_node_matrix(z)
+    def shift_matrix(self, z) -> np.ndarray:
+        """Exact Taylor shift S(z): ``(w - z)^alpha = sum_beta S[beta, alpha] (w - center)^beta``.
+
+        S[beta, alpha] = prod_j C(alpha_j, beta_j) (center_j - z_j)^(alpha_j - beta_j)
+        for beta <= alpha, which the shift-invariant index sets always
+        contain.  Laurent bases are not shiftable.
+        """
+        return self._taylor_matrix(np.asarray(self.center) - np.asarray(_as_point(z, self.dimension)))
+
+    def jet_matrix(self, z) -> np.ndarray:
+        """Taylor jets at z of the centred monomials, the inverse of S(z).
+
+        J[beta, alpha] is the order-beta Taylor coefficient at z of
+        ``(w - center)^alpha``, i.e. prod_j C(alpha_j, beta_j)
+        (z_j - center_j)^(alpha_j - beta_j).
+        """
+        return self._taylor_matrix(np.asarray(_as_point(z, self.dimension)) - np.asarray(self.center))
+
+    def _taylor_matrix(self, offset: np.ndarray) -> np.ndarray:
+        if self.laurent:
+            raise AlgebraError("Laurent bases cannot be re-centered")
+        T = np.ones((self.size, self.size), dtype=complex)
+        for j, (binom, gap) in enumerate(self._shift_tables):
+            powers = np.cumprod(np.concatenate(([1.0 + 0j], np.full(gap.max(initial=0), offset[j]))))
+            T *= binom * powers[gap]
+        return T
+
+    @cached_property
+    def _shift_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis: C(alpha_j, beta_j) (zero unless beta_j <= alpha_j) and the
+        exponent gap alpha_j - beta_j clipped at zero, rows beta, columns alpha."""
+        tables = []
+        for e in self.exponents.T:
+            gap = e[None, :] - e[:, None]
+            top = int(e.max(initial=0))
+            pascal = np.array([[math.comb(a, b) for b in range(top + 1)]
+                               for a in range(top + 1)], dtype=float)
+            binom = np.where(gap >= 0, pascal[e[None, :], e[:, None]], 0.0)
+            tables.append((binom, np.maximum(gap, 0)))
+        return tables
+
+    def solve_map(self, z) -> np.ndarray:
+        """Centred coefficients of the solve basis at z: S(z), or the
+        identity for Laurent bases, which solve in their own basis."""
+        return np.eye(self.size, dtype=complex) if self.laurent else self.shift_matrix(z)
+
+    def jet_map(self, z) -> np.ndarray:
+        """Inverse of :meth:`solve_map`: J(z), or the identity."""
+        return np.eye(self.size, dtype=complex) if self.laurent else self.jet_matrix(z)
 
     def constraint_row(self, xi: Functional, z) -> np.ndarray:
         """Row vector L with L_j = (xi . basis_j)(z) in the solve basis.
@@ -290,11 +355,77 @@ def lp_norm(f: PolyCoeffs | np.ndarray, space: PolySpace, p: float) -> float:
     return float(np.sum(space.quadrature.weights * np.abs(vals) ** p) ** (1.0 / p))
 
 
+class RingOperator:
+    """Weighted sums over a space's ring-structured quadrature rule.
+
+    On the rule's node (k, j) = center + b_k exp(2 pi i j / a) (see
+    :class:`~xibergman.domains.Quadrature`) the centred monomial phi_alpha
+    takes the value b_k^alpha exp(2 pi i alpha . j / a), so for any node
+    weights omega
+
+        sum_q omega_q conj(phi_alpha) phi_beta
+            = sum_k conj(b_k^alpha) b_k^beta omega_hat_k(alpha - beta),
+
+    where omega_hat_k is the n-dimensional FFT of ring k's weights over its
+    angles (Trefethen & Weideman, SIAM Review 56, 2014).  This is the same
+    sum in another order, exact for any weights, at K N^2 + Q log a cost
+    instead of Q N^2 and with no Q x N temporary.  A rule of one angle per
+    ring (a hand-built one) makes it the plain node sum.
+    """
+
+    def __init__(self, space: PolySpace):
+        quad = space.quadrature
+        if tuple(space.center) != tuple(space.domain.center):
+            raise ValueError("the ring structure is centred at the domain center")
+        a = quad.angles
+        exps = space.exponents
+        torus = (a,) * space.dimension
+        self.weights = quad.weights
+        self.node_matrix = space.node_matrix
+        self._shape = (quad.rings.shape[0],) + torus
+        self._axes = tuple(range(1, space.dimension + 1))
+        # b_k^alpha (K, N); flat FFT bins of alpha and of alpha - beta mod a
+        self._powers = np.prod(quad.rings[:, None, :] ** exps[None, :, :], axis=2)
+        self._residue = np.ravel_multi_index(tuple((exps % a).T), torus)
+        self._difference = np.ravel_multi_index(
+            tuple(np.moveaxis((exps[:, None, :] - exps[None, :, :]) % a, -1, 0)), torus)
+
+    def _ring_fft(self, v: np.ndarray) -> np.ndarray:
+        out = np.fft.fftn(np.reshape(v, self._shape), axes=self._axes)
+        return out.reshape(self._shape[0], -1)
+
+    def gram(self, omega: np.ndarray) -> np.ndarray:
+        """sum_q omega_q conj(phi_alpha) phi_beta over the nodes, (N, N)."""
+        spectrum = self._ring_fft(omega)[:, self._difference]
+        return np.einsum("ka,kab,kb->ab", self._powers.conj(), spectrum, self._powers)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """sum_q conj(phi_alpha) v_q over the nodes, (N,)."""
+        spectrum = self._ring_fft(v)[:, self._residue]
+        return np.einsum("ka,ka->a", self._powers.conj(), spectrum)
+
+    @cached_property
+    def base_gram(self) -> np.ndarray:
+        """Centred Gram matrix of the quadrature weights."""
+        G = self.gram(self.weights)
+        return 0.5 * (G + G.conj().T)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Upper Cholesky factor C of :attr:`base_gram` (G = C^H C).
+
+        ``C @ coeffs`` has the weighted L^2 norm of the function, so N x N
+        factorizations through C stand in for Q x N ones of node values.
+        """
+        try:
+            return scipy.linalg.cholesky(self.base_gram, lower=False, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise RankLossError("basis numerically rank deficient on this rule") from exc
+
+
 def gram_matrix(space: PolySpace) -> np.ndarray:
     """Hermitian Gram matrix of the basis under the quadrature product."""
-    phi = space.node_matrix
-    G = phi.conj().T @ (space.quadrature.weights[:, None] * phi)
-    G = 0.5 * (G + G.conj().T)
+    G = space.ring.base_gram.copy()
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise RankLossError(f"Gram matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
@@ -329,7 +460,7 @@ class OrthonormalBasis:
         return self.space.element(self.transform[:, position], center=self.point)
 
     def node_values(self) -> np.ndarray:
-        return self.space.solve_node_matrix(self.point) @ self.transform
+        return self.space.values(self.space.solve_map(self.point) @ self.transform)
 
     def check(self, space: PolySpace, point: tuple[complex, ...]) -> None:
         """Raise ValueError unless this basis was built on ``space`` at ``point``."""
@@ -354,34 +485,50 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     valid there.
     """
     point = _as_point(z, space.dimension)
-    T = _orthonormal_transform(space.solve_node_matrix(point), space.quadrature.weights)
-    return OrthonormalBasis(space, point, T)
+    return OrthonormalBasis(space, point, _orthonormal_transform(space, point))
 
 
-def _orthonormal_transform(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Triangular T whose columns phi @ T are orthonormal, built from the top.
+def _orthonormal_transform(space: PolySpace, point, keep: list[int] | None = None) -> np.ndarray:
+    """Triangular T whose solve-basis combinations are orthonormal, built from the top.
 
-    Columns are processed from the last to the first, so column a of T only
-    involves columns b >= a of phi; the leading coefficient T[a, a] is real
-    and positive.  Raises RankLossError when the columns are numerically
-    dependent.
+    Column a of T only involves solve-basis columns b >= a (of ``keep``,
+    all by default), and its leading coefficient T[a, a] is real and
+    positive; processing from the last column to the first keeps the jet
+    flag structure.  T is the lower Cholesky factor of the inverse Gram
+    of the kept columns.  With S = solve_map, J = jet_map = S^-1 and the
+    ring factor C, the inverse Gram of all columns is
+    J G^-1 J^H = X^H X for the jet representers X = C^-H J^H, whose
+    columns carry no cancellation, so T comes from an N x N QR of X (the
+    dropped columns first, their block then discarded), never from the
+    ill-conditioned S.  Raises RankLossError when the columns are
+    numerically dependent: the guard reads the same equilibrated diagonal
+    as a QR of the node values would, 1 / (T[a, a] ||psi_a||).
     """
+    n = space.size
+    C = space.ring.factor
+    S = space.solve_map(point)
+    X = scipy.linalg.solve_triangular(C, space.jet_map(point).conj().T, trans="C",
+                                      check_finite=False)
+    if keep is not None:
+        kept = set(keep)
+        drop = [j for j in range(n) if j not in kept]
+        X = X[:, drop + list(keep)]
+        S = S[:, keep]
+    m = S.shape[1]
     # equilibrate columns first so monomial scale spread (radius^|alpha| on
     # small domains) does not masquerade as rank loss
-    Brev = np.sqrt(weights)[:, None] * phi[:, ::-1]
-    colnorm = np.linalg.norm(Brev, axis=0)
-    if np.any(colnorm == 0):
-        raise RankLossError("basis numerically rank deficient at this point")
-    Brev /= colnorm
-    R = np.linalg.qr(Brev, mode="r")
+    colnorm = np.linalg.norm(X, axis=0)
+    R = np.linalg.qr(X / colnorm, mode="r")[n - m:, n - m:]
     diag = np.diagonal(R)
-    if np.min(np.abs(diag)) == 0 or np.max(np.abs(diag)) / np.min(np.abs(diag)) > math.sqrt(CONDITION_LIMIT):
+    if np.min(np.abs(diag)) == 0:
         raise RankLossError("basis numerically rank deficient at this point")
     # rotate phases so every sigma has a positive leading jet
-    phase = diag / np.abs(diag)
-    R = phase.conj()[:, None] * R * colnorm[None, :]
-    Rinv = np.linalg.inv(R)  # triangular, modest size
-    return Rinv[::-1, ::-1]
+    R = (diag / np.abs(diag)).conj()[:, None] * R * colnorm[None, n - m:]
+    T = R.conj().T
+    scaled = 1.0 / (np.abs(np.diagonal(T)) * np.linalg.norm(C @ S, axis=0))
+    if not np.all(np.isfinite(scaled)) or scaled.max() / scaled.min() > math.sqrt(CONDITION_LIMIT):
+        raise RankLossError("basis numerically rank deficient at this point")
+    return T
 
 
 # ---------------------------------------------------------------------------

@@ -635,8 +635,8 @@ def _chk_uniqueness(ctx):
     for _ in range(5):
         t = rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1])
         start = base + Z @ t
-        sol = solve_affine_lp(phi, w, L[None, :], np.array([1.0 + 0j]), p,
-                              start=start)
+        sol = solve_affine_lp(space.ring, space.shift_matrix(z), L[None, :],
+                              np.array([1.0 + 0j]), p, start=start)
         sols.append(phi @ sol.coeffs)
     worst = 0.0
     for i in range(len(sols)):

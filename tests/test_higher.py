@@ -162,6 +162,43 @@ class TestViaInf:
         assert res.K == pytest.approx(direct.K, rel=1e-7)
         assert res.inner_calls >= 2
 
+    def test_p2_factorizes_once(self, disk16, monkeypatch):
+        # the jet-constrained columns are the trailing block of the basis
+        # orthonormalized at z, so the direct value reuses its factor
+        from xibergman import kernels, pspace
+        calls = []
+        original = pspace._orthonormal_transform
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pspace, "_orthonormal_transform", spy)
+        monkeypatch.setattr(kernels, "_orthonormal_transform", spy)
+        H = HomogeneousPolynomial.from_string("z^2: 1")
+        z = 0.3 + 0.1j
+        higher_kernel_via_inf(disk16, H, z, 2.0)
+        assert len(calls) == 1
+        shared = higher_kernel_direct(disk16, H, z, 2.0, basis=orthonormal_basis(disk16, z))
+        separate = higher_kernel_direct(disk16, H, z, 2.0)
+        assert len(calls) == 3
+        assert shared.K == pytest.approx(separate.K, rel=1e-13)
+
+    def test_identical_starts_run_once(self, disk16, monkeypatch):
+        # at the center the exact p = 2 start is the zero start
+        import scipy.optimize
+        runs = []
+        original = scipy.optimize.minimize
+
+        def spy(*args, **kwargs):
+            runs.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        res = higher_kernel_via_inf(disk16, HomogeneousPolynomial.from_string("z^2: 1"), 0j, 2.0)
+        assert len(runs) == 1
+        assert res.starts[0] == res.starts[1]
+
     def test_matches_direct_p15(self, disk16):
         H = HomogeneousPolynomial.from_string("z: 1")
         res = higher_kernel_via_inf(disk16, H, 0j, 1.5)

@@ -1,6 +1,7 @@
 """Diagonal, off-diagonal, and solver-path kernel behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from xibergman import (
     PolyCoeffs,
     PolySpace,
     ZeroPairingError,
+    ball_monomial_lp_integral,
     bounds_check,
     diagonal,
+    enumerate_upto_degree,
     evaluate_batch,
     extremal_pairing,
     h_quantity,
@@ -75,6 +78,74 @@ class TestClosedForms:
         assert scaled == pytest.approx(2.0**p * base, rel=1e-9)
 
 
+def _jet_binom(k: int, b: int) -> float:
+    # C(k, b) for any integer k (Laurent exponents included), b >= 0
+    out = 1.0
+    for i in range(b):
+        out *= (k - i) / (i + 1)
+    return out
+
+
+def _series_kernel(space, xi, z, norm_sq) -> float:
+    """Truncated Bergman series sum_alpha |(xi . phi_alpha)(z)|^2 / ||phi_alpha||^2.
+
+    phi_alpha = (w - center)^alpha are orthogonal on these rules, so this is
+    the exact p = 2 kernel of the truncated space, with no Gram or QR.
+    """
+    total = 0.0
+    for alpha in space.indices:
+        pairing = 0j
+        for beta, c in xi.terms.items():
+            term = c
+            for a, b, zj, cj in zip(alpha.entries, beta.entries, z, space.center):
+                if b > a >= 0:
+                    term = 0.0
+                    break
+                term *= _jet_binom(a, b) * (zj - cj) ** (a - b)
+            pairing += term
+        total += abs(pairing) ** 2 / norm_sq(alpha.entries)
+    return total
+
+
+def _disk_norm_sq(radius):
+    return lambda e: math.pi * radius ** (2 * e[0] + 2) / (e[0] + 1)
+
+
+def _annulus_norm_sq(r1, r2):
+    def norm_sq(e):
+        k = e[0]
+        if k == -1:
+            return 2 * math.pi * math.log(r2 / r1)
+        return math.pi * (r2 ** (2 * k + 2) - r1 ** (2 * k + 2)) / (k + 1)
+    return norm_sq
+
+
+class TestSeriesOracle:
+    """The exact p = 2 kernel against its truncated series (closed-form norms)."""
+
+    CASES = {
+        "disk": (Domain.disk(), 16, 0.35 + 0.2j, _disk_norm_sq(1.0)),
+        "off-centre disk": (Domain.disk(0.6, 0.2 - 0.1j), 16, 0.45 + 0.05j, _disk_norm_sq(0.6)),
+        "annulus": (Domain.annulus(0.5, 1.0), 8, 0.6 + 0.4j, _annulus_norm_sq(0.5, 1.0)),
+        "bidisc": (Domain.bidisc(), 10, (0.3 + 0.1j, -0.2 + 0.25j),
+                   lambda e: math.pi ** 2 / ((e[0] + 1) * (e[1] + 1))),
+        "ball:2": (Domain.ball(1.0, 2), 10, (0.3 - 0.2j, 0.1 + 0.35j),
+                   lambda e: ball_monomial_lp_integral(1.0, 2, MultiIndex(e), 2.0)),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exact_kernel_is_the_series(self, name):
+        domain, degree, z, norm_sq = self.CASES[name]
+        space = PolySpace.build(domain, degree=degree)
+        rng = np.random.default_rng(11)
+        xi = Functional(domain.dimension, {
+            alpha: complex(*rng.uniform(-1.0, 1.0, 2))
+            for alpha in enumerate_upto_degree(domain.dimension, 2)})
+        zt = z if isinstance(z, tuple) else (z,)
+        expect = _series_kernel(space, xi, zt, norm_sq)
+        assert kernel2_diagonal(space, xi, z).K == pytest.approx(expect, rel=1e-11)
+
+
 class TestMinimizer:
     def test_constraint_met(self, disk16):
         xi = Functional.from_string("0: 1; 2: 1")
@@ -113,7 +184,7 @@ class TestMinimizer:
         xi = Functional.from_string("0: 1; 1: 1")
         z = 0.1 + 0.2j
         p = 1.5
-        phi = disk16.shifted_node_matrix((z,))
+        S = disk16.shift_matrix((z,))
         L = disk16.constraint_row(xi, (z,))
         rng = np.random.default_rng(3)
         sols = []
@@ -122,9 +193,8 @@ class TestMinimizer:
             start = L.conj() / np.vdot(L, L) + null @ (
                 0.5 * (rng.standard_normal(disk16.size)
                        + 1j * rng.standard_normal(disk16.size)))
-            sol = solve_affine_lp(phi, disk16.quadrature.weights,
-                                  L[None, :], np.array([1.0 + 0j]), p,
-                                  start=start)
+            sol = solve_affine_lp(disk16.ring, S, L[None, :],
+                                  np.array([1.0 + 0j]), p, start=start)
             sols.append(sol.objective)
         assert max(sols) - min(sols) <= 1e-8 * max(sols)
 
@@ -218,6 +288,23 @@ class TestBatchAndFlags:
     def test_outside_point_rejected(self, disk16):
         with pytest.raises(ValueError):
             diagonal(disk16, Functional.delta((0,)), 1.5 + 0j, 2.0)
+
+
+class TestMemory:
+    def test_bidisc_solve_allocates_no_node_products(self):
+        # the IRLS normal matrices come from per-ring FFTs, so a p = 1.5
+        # solve on the default bidisc (82,944 nodes x 66 monomials, an
+        # 88 MB node matrix) allocates nothing of node-matrix size
+        space = PolySpace.build(Domain.bidisc())
+        z = (0.35 * np.exp(0.7j), 0.35 * np.exp(-1.9j))
+        tracemalloc.start()
+        try:
+            ev = kernelp_diagonal(space, Functional.delta((0, 0)), z, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not ev.flags
+        assert peak < 40e6
 
 
 class TestSolverContract:

@@ -103,6 +103,54 @@ class TestBergmanSeries:
         assert vals[-1] == pytest.approx(expect, rel=1e-6)
 
 
+def _hand_built_space():
+    # scattered nodes with no ring structure: read as rings of one angle
+    rng = np.random.default_rng(4)
+    dom = Domain.disk()
+    nodes = (0.9 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40)))
+    quad = Quadrature(dom, nodes[:, None], rng.uniform(0.05, 0.1, 40), 0, 0)
+    return PolySpace(dom, quad, enumerate_upto_degree(1, 5), (0j,))
+
+
+RING_SPACES = {
+    "disk": lambda: PolySpace.build(Domain.disk(), degree=16),
+    "annulus": lambda: PolySpace.build(Domain.annulus(0.5, 1.0), degree=6),
+    "off-centre polydisc": lambda: PolySpace.build(
+        Domain.polydisc((1.0, 0.5), (0.2 + 0.1j, -0.3j)), degree=4,
+        radial_order=6, angular_order=8),
+    "ball:2": lambda: PolySpace.build(Domain.ball(1.0, 2), degree=4,
+                                      radial_order=6, angular_order=8),
+    "ball:3": lambda: PolySpace.build(Domain.ball(1.0, 3), degree=3,
+                                      radial_order=4, angular_order=6),
+    "hand-built": _hand_built_space,
+}
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestRingOperator:
+    @pytest.mark.parametrize("name", list(RING_SPACES))
+    def test_gram_and_adjoint_equal_the_node_sums(self, name):
+        space = RING_SPACES[name]()
+        phi = space.node_matrix
+        rng = np.random.default_rng(9)
+        q = space.quadrature.node_count
+        omega = rng.uniform(0.5, 2.0, q)
+        v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        assert _rel(space.ring.gram(omega), phi.conj().T @ (omega[:, None] * phi)) < 1e-12
+        assert _rel(space.ring.adjoint(v), phi.conj().T @ v) < 1e-12
+
+    @pytest.mark.parametrize("name", ["disk", "off-centre polydisc", "ball:3"])
+    def test_shift_matrix_moves_the_node_matrix(self, name):
+        space = RING_SPACES[name]()
+        z = tuple(c + 0.2 - 0.1j * j for j, c in enumerate(space.center))
+        S = space.shift_matrix(z)
+        assert _rel(space.node_matrix @ S, space.shifted_node_matrix(z)) < 1e-12
+        assert np.max(np.abs(space.jet_matrix(z) @ S - np.eye(space.size))) < 1e-12
+
+
 class TestSpaceStructure:
     def test_total_vs_tensor_size(self):
         tot = PolySpace.build(Domain.bidisc(), degree=4, mode="total",

@@ -1,5 +1,6 @@
-"""Source hygiene: plain ASCII modules and exports that resolve."""
+"""Source hygiene: plain ASCII modules, used imports and exports that resolve."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -18,6 +19,48 @@ def test_modules_are_ascii():
         except UnicodeDecodeError as exc:
             offenders.append(f"{path.name}: byte {exc.start}")
     assert not offenders, offenders
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Imported names a module never reads, exports or keeps with ``# noqa: F401``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            # quoted annotations name their types inside a string
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_imports_are_used():
+    unused = [item for path in sorted(PACKAGE_DIR.glob("*.py")) for item in _unused_imports(path)]
+    assert not unused, unused
 
 
 def test_exports_resolve():

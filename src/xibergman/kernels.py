@@ -19,7 +19,6 @@ and a priori lower/upper bounds for K.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,14 +162,16 @@ def _constrained_kernel(
 
     The one constrained solve behind every kernel in the package.  Each
     vanishing order removes its column of the solve basis (the z-shifted
-    monomials, or the Laurent monomials), and the functional acts on the
-    kept columns as a single affine row.  ``exact`` (p = 2 only) pairs the
-    row with the point-adapted orthonormal basis, taken from ``basis`` when
-    given (with vanishing jets, its trailing block when they lead the graded
-    order); otherwise the constrained IRLS solver runs on the space's ring
-    operator, drawing its p < 1 restarts from ``seed``.  Both engines work
-    on N x N coefficient matrices: the solve basis enters through the exact
-    Taylor shift and its inverse (:meth:`PolySpace.solve_map`, ``jet_map``).
+    monomials, or the Laurent monomials), and both engines work in the
+    point-adapted orthonormal basis of the kept columns: its transform T
+    to the solve basis and its centred coefficients U come from ``basis``
+    when given (with vanishing jets, its trailing block when they lead the
+    graded order), otherwise from one orthonormalization at z.  There the
+    functional is the single row c = T^T L, K = |c|^2 at p = 2, and
+    u0 = conj(c) / |c|^2 is the p = 2 minimizer.  ``exact`` (p = 2 only)
+    stops at u0; otherwise the IRLS solver starts there on the space's
+    ring operator, drawing its p < 1 restarts from ``seed``.  The
+    minimizer's solve-basis coefficients are T u.
     """
     zt = _check_inputs(space, xi, z)
     if basis is not None:
@@ -188,46 +189,38 @@ def _constrained_kernel(
         if not keep:
             raise KernelError("vanishing constraints exhaust the truncated space")
     L = space.constraint_row(xi, zt)
-    if keep is not None:
+    if keep is None:
+        ob = basis if basis is not None else orthonormal_basis(space, zt)
+        T, U = ob.transform, ob.coeffs
+    else:
         L = L[keep]
-    if not np.any(L):
-        raise ZeroPairingError(_ZERO_PAIRING)
-
-    if exact:
-        if keep is None:
-            T = (basis if basis is not None else orthonormal_basis(space, zt)).transform
-        elif basis is not None and keep[0] == space.size - len(keep):
+        if basis is not None and keep[0] == space.size - len(keep):
             # the vanishing orders are a leading block of the graded order,
-            # and the basis is orthonormalized from the top, so the kept
-            # trailing block of its transform is the constrained one
-            T = basis.transform[np.ix_(keep, keep)]
+            # and the basis is orthonormalized from the top, so its kept
+            # trailing block is the constrained one
+            T, U = basis.transform[np.ix_(keep, keep)], basis.coeffs[:, keep]
         else:
-            T = _orthonormal_transform(space, zt, keep)
-        c = T.T @ L
-        K = float(np.sum(np.abs(c) ** 2))
-        if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
-            raise ZeroPairingError(_ZERO_PAIRING)
-        sub = (T @ np.conj(c)) / K
+            T, U = _orthonormal_transform(space, zt, keep)
+
+    c = T.T @ L
+    K = float(np.sum(np.abs(c) ** 2))
+    if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
+        raise ZeroPairingError(_ZERO_PAIRING)
+    if exact:
+        u = np.conj(c) / K
         m = K ** -0.5
         diagnostics = {"method": "exact-2", "iterations": 0,
                        "final_rel_step": 0.0, "flags": ()}
     else:
-        # witness vector: exactly feasible, anchored at the largest entry of
-        # the row so the affine offset never blows up on a nearly vanishing term
-        j = int(np.argmax(np.abs(L)))
-        witness = np.zeros(L.size, dtype=complex)
-        witness[j] = 1.0 / L[j]
-        S = space.solve_map(zt)
-        sol = solve_affine_lp(space.ring, S if keep is None else S[:, keep], L[None, :],
-                              np.array([1.0 + 0j]), p, start=witness,
-                              seed=seed)
+        sol = solve_affine_lp(space.ring, U, c, p, seed=seed)
         K = 1.0 / sol.objective
         m = sol.m
-        sub = sol.coeffs
+        u = sol.coeffs
         diagnostics = {"method": sol.method, "iterations": sol.iterations,
                        "final_rel_step": sol.final_rel_step,
                        "grad_residual": sol.grad_residual,
                        "flags": sol.flags}
+    sub = T @ u
 
     if keep is None:
         full = sub
@@ -431,21 +424,9 @@ def evaluate_batch(
     xi: Functional,
     points,
     p: float,
-    threads: int = 1,
 ) -> list[KernelEvaluation]:
-    """Diagonal kernel on a list of points, optionally thread-parallel.
-
-    Evaluations are independent and the result order follows the input
-    order regardless of thread count.
-    """
-    def run(pt):
-        return diagonal(space, xi, pt, p)
-
-    pts = list(points)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, pts))
-    return [run(pt) for pt in pts]
+    """Diagonal kernel on a list of points, in input order."""
+    return [diagonal(space, xi, pt, p) for pt in points]
 
 
 def evaluations_to_csv(evaluations) -> str:

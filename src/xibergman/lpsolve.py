@@ -1,34 +1,36 @@
 """Linearly constrained L^p minimization over a finite basis.
 
-Solves  min ||f||_p  over  f = sum_j c_j psi_j  subject to  B c = d,
-where the norm is a weighted node sum and the basis functions psi_j are
-given by their coefficients in a space's centred monomial basis (the
-columns of ``basis``: a Taylor shift, or the identity).  The complex affine
-constraints are eliminated through a particular solution plus a null-space
-parametrization, orthonormalized in the weighted product by an N x N QR
-of ``C @ basis @ null space`` with C the space's Cholesky factor, after
-which iteratively reweighted least squares runs on the free coordinates:
+Solves  min ||f||_p  over  f = sum_j u_j sigma_j  subject to  row . u = 1,
+where the norm is a weighted node sum and the functions sigma_j are given
+by their coefficients in a space's centred monomial basis (the columns of
+``basis``) and are orthonormal in the weighted product: the kernels pass
+the point-adapted orthonormal basis of :mod:`xibergman.pspace`.  The one
+complex constraint is eliminated through its minimal-norm solution
+u0 = conj(row) / |row|^2 plus the orthonormal null space Z of the row, so
+the free directions M = basis Z are orthonormal too, and iteratively
+reweighted least squares runs on their coordinates t:
 
     weights   w_q (|f(x_q)|^2 + eps^2)^((p-2)/2),
               eps = EPS_FACTOR max_q |f(x_q)| (1e-7)
-    update    t <- (1 - lam) t + lam t_new,        lam = 1 for p <= 2
-              (full reweighted steps are majorize-minimize updates there),
-              lam = DAMPING (0.7) with step halving above p = 2
+    update    t <- (1 - lam) t + lam t_new,  lam = min(1, 2/p), with step
+              halving above p = 2.  Full reweighted steps are majorize-
+              minimize updates for p <= 2; above it the reweighted
+              curvature ratio lies in [1, p - 1], and lam = 2/p contracts
+              both ends of that range by (p - 2)/p
     stop      relative objective change < OBJ_TOL (1e-11) and stationarity
               residual below GRAD_TOL (1e-10); capped at MAX_ITER (300)
               iterations; a p > 2 step that no halving turns into descent
               stops early, flagged line-search-stall.
 
 Each iteration works in coefficient space: the normal matrix is
-M^H G_c(omega) M, with M the orthonormalized directions in centred
-coefficients and G_c(omega) the ring operator's weighted Gram, the
-right-hand side is M^H G_c(omega) x0 for the particular solution x0, and
-the stationarity pairing is M^H Phi^H(w rho f) through the operator's
+M^H G_c(omega) M, with G_c(omega) the ring operator's weighted Gram, the
+right-hand side is M^H G_c(omega) x0 for x0 = basis u0, and the
+stationarity pairing is M^H Phi^H(w rho f) through the operator's
 adjoint.  Node values f(x_q) of an iterate are one product with the
 centred node matrix; no Q x N matrix is formed.
 
-For p = 2 the first least-squares solve is already exact and the iteration
-lands on it immediately.  At p = 1 the smoothing scale is looser
+For p = 2 the default start u0 is already the minimizer and the iteration
+stays on it.  At p = 1 the smoothing scale is looser
 (EPS_FACTOR_P1, 1e-6).  For p <= 1 the residual is only meaningful down to
 the smoothing scale, so stationarity is accepted there once the objective
 has settled; results carry a documented 1e-3 relative accuracy contract.
@@ -50,7 +52,6 @@ import scipy.linalg
 __all__ = ["LpSolution", "SolverError", "solve_affine_lp"]
 
 MAX_ITER = 300
-DAMPING = 0.7
 OBJ_TOL = 1e-11
 GRAD_TOL = 1e-10
 EPS_FACTOR = 1e-7
@@ -59,7 +60,7 @@ RESTARTS = 8
 
 
 class SolverError(RuntimeError):
-    """Constraint elimination or the IRLS loop failed outright."""
+    """The supplied start is infeasible or the IRLS loop failed outright."""
 
 
 @dataclass
@@ -79,67 +80,51 @@ class LpSolution:
 def solve_affine_lp(
     op,
     basis: np.ndarray,
-    constraints: np.ndarray,
-    rhs: np.ndarray,
+    row: np.ndarray,
     p: float,
     start: np.ndarray | None = None,
     seed: int = 42,
 ) -> LpSolution:
-    """Minimize the weighted node L^p norm subject to complex affine constraints.
+    """Minimize the weighted node L^p norm of ``basis @ u`` subject to ``row @ u = 1``.
 
     Parameters
     ----------
     op : the space's :class:`~xibergman.pspace.RingOperator` (node weights,
-        centred node matrix, weighted Gram, adjoint and Cholesky factor).
-    basis : (Nc, N) centred coefficients of the N solve-basis functions.
-    constraints, rhs : B (m, N) and d (m,) with B c = d.
+        centred node matrix, weighted Gram and adjoint).
+    basis : (Nc, m) centred coefficients of m weighted-orthonormal functions.
+    row : (m,) constraint row, not zero.
     p : exponent, p > 0.
-    start : optional feasible coefficient vector used as the initial point.
+    start : optional feasible u used as the initial point; by default the
+        minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer.
     seed : seed of the random restarts, drawn only for p < 1.
 
-    The returned coefficients are in the solve basis.
+    The returned coefficients are u, in the given basis.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    B = np.atleast_2d(np.asarray(constraints, dtype=complex))
-    d = np.asarray(rhs, dtype=complex).ravel()
-    N = basis.shape[1]
-    if B.shape[1] != N or B.shape[0] != d.shape[0]:
-        raise ValueError("constraint shapes are inconsistent")
-
+    row = np.asarray(row, dtype=complex)
+    if basis.shape[1] != row.shape[0]:
+        raise ValueError("constraint row and basis sizes differ")
     if start is not None:
-        c_part = np.asarray(start, dtype=complex)
-        if np.linalg.norm(B @ c_part - d) > 1e-8 * max(1.0, np.linalg.norm(d)):
-            raise SolverError("supplied start violates the constraints")
+        u0 = np.asarray(start, dtype=complex)
+        if abs(row @ u0 - 1.0) > 1e-8:
+            raise SolverError("supplied start violates the constraint")
     else:
-        c_part, *_ = np.linalg.lstsq(B, d, rcond=None)
-        if np.linalg.norm(B @ c_part - d) > 1e-8 * max(1.0, np.linalg.norm(d)):
-            raise SolverError("constraints are infeasible on this basis")
+        u0 = np.conj(row) / np.vdot(row, row).real
 
-    Z = scipy.linalg.null_space(B)
-    x0 = basis @ c_part
-
+    x0 = basis @ u0
+    # the basis is weighted-orthonormal, so the free directions M along the
+    # orthonormal null space of the row are too: the normal equations stay
+    # well conditioned, and the stationarity residual scales like the
+    # orthogonality pairings it is meant to control
+    Z = scipy.linalg.null_space(row[None, :])
     if Z.shape[1] == 0:
         obj = float(np.sum(op.weights * np.abs(op.node_matrix @ x0) ** p))
         return LpSolution(
-            coeffs=c_part, objective=obj, m=obj ** (1.0 / p), p=p,
+            coeffs=u0, objective=obj, m=obj ** (1.0 / p), p=p,
             iterations=0, converged=True, grad_residual=0.0,
             final_rel_step=0.0, method="determined",
         )
-
-    # orthonormalize the free directions in the base weighted product; this
-    # keeps the per-iteration normal equations well conditioned and makes
-    # the stationarity residual scale like the orthogonality pairings it is
-    # meant to control.  C @ basis @ Z has the Gram of the directions' node
-    # values, so its N x N QR stands in for the Q x N one.
-    W_raw = op.factor @ (basis @ Z)
-    colnorm = np.linalg.norm(W_raw, axis=0)
-    if np.any(colnorm == 0):
-        raise SolverError("basis direction vanishes on every node")
-    # equilibrate before the QR so monomial scale spread on small domains
-    # does not poison the triangular factor
-    R = np.linalg.qr(W_raw / colnorm, mode="r")
-    Z = (Z / colnorm) @ np.linalg.inv(R)
     M = basis @ Z
 
     eps_factor = EPS_FACTOR_P1 if p == 1 else EPS_FACTOR
@@ -147,7 +132,7 @@ def solve_affine_lp(
     if p < 1:
         rng = np.random.default_rng(seed)
         best = None
-        scale = max(1.0, float(np.linalg.norm(c_part)))
+        scale = max(1.0, float(np.linalg.norm(u0)))
         for trial in range(RESTARTS + 1):
             t0 = np.zeros(Z.shape[1], dtype=complex)
             if trial > 0:
@@ -158,7 +143,7 @@ def solve_affine_lp(
         t, obj, iters, stop, grad_res, last_step = best
         flags = ("nonconvex-best-found",) + ((stop,) if stop else ())
         return LpSolution(
-            coeffs=c_part + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
+            coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
             iterations=iters, converged=stop is None, grad_residual=grad_res,
             final_rel_step=last_step, method="multistart", flags=flags,
         )
@@ -166,7 +151,7 @@ def solve_affine_lp(
     t0 = np.zeros(Z.shape[1], dtype=complex)
     t, obj, iters, stop, grad_res, last_step = _irls(op, M, x0, p, eps_factor, t0)
     return LpSolution(
-        coeffs=c_part + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
+        coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
         iterations=iters, converged=stop is None, grad_residual=grad_res,
         final_rel_step=last_step, method="irls", flags=(stop,) if stop else (),
     )
@@ -202,8 +187,9 @@ def _irls(op, M, x0, p, eps_factor, t0):
             t_new, *_ = np.linalg.lstsq(G, -r, rcond=None)
 
         # for p <= 2 the full reweighted step is a majorize-minimize update
-        # (guaranteed descent), so damping would only slow the contraction
-        lam = 1.0 if p <= 2 else DAMPING
+        # (guaranteed descent), so damping would only slow the contraction;
+        # above it 2/p contracts every curvature ratio in [1, p - 1]
+        lam = min(1.0, 2.0 / p)
         accepted = False
         for _ in range(20):
             t_trial = t + lam * (t_new - t)

@@ -8,9 +8,8 @@ in the package is the same discrete object.
 
 Weighted Gram matrices and adjoints come from the space's
 :class:`RingOperator`, which sums ring by ring with FFTs over the uniform
-angles instead of forming Q x N node products; solves at a point z move
-between the centred monomials and ``(w - z)^alpha`` with the exact Taylor
-shift :meth:`PolySpace.shift_matrix`.
+angles instead of forming Q x N node products; the exact Taylor jets
+:meth:`PolySpace.jet_matrix` tie the centred monomials to a point z.
 
 :func:`orthonormal_basis` produces a basis adapted to a point: sigma_alpha
 has vanishing Taylor jet at the point for every order below alpha (in the
@@ -201,40 +200,32 @@ class PolySpace:
         """Values of the monomials ``(w - z)^alpha`` at the quadrature nodes.
 
         Total-degree and per-axis index sets are shift invariant, so this
-        matrix spans the same space as the cached one; it equals
-        ``node_matrix @ shift_matrix(z)``.  Laurent bases are not
-        shiftable.  The solvers never form it: it is the dense reference.
+        matrix spans the same space as the cached one:
+        ``shifted_node_matrix(z) @ jet_matrix(z)`` is ``node_matrix``.
+        Laurent bases are not shiftable.  The solvers never form it: it is
+        the dense reference.
         """
         if self.laurent:
             raise AlgebraError("Laurent bases cannot be re-centered")
         return self._evaluate_basis(self.quadrature.nodes, center=_as_point(z, self.dimension))
 
-    def shift_matrix(self, z) -> np.ndarray:
-        """Exact Taylor shift S(z): ``(w - z)^alpha = sum_beta S[beta, alpha] (w - center)^beta``.
-
-        S[beta, alpha] = prod_j C(alpha_j, beta_j) (center_j - z_j)^(alpha_j - beta_j)
-        for beta <= alpha, which the shift-invariant index sets always
-        contain.  Laurent bases are not shiftable.
-        """
-        return self._taylor_matrix(np.asarray(self.center) - np.asarray(_as_point(z, self.dimension)))
-
     def jet_matrix(self, z) -> np.ndarray:
-        """Taylor jets at z of the centred monomials, the inverse of S(z).
+        """Taylor jets at z of the centred monomials.
 
         J[beta, alpha] is the order-beta Taylor coefficient at z of
         ``(w - center)^alpha``, i.e. prod_j C(alpha_j, beta_j)
-        (z_j - center_j)^(alpha_j - beta_j).
+        (z_j - center_j)^(alpha_j - beta_j) for beta <= alpha, which the
+        shift-invariant index sets always contain.  Laurent bases are not
+        shiftable.
         """
-        return self._taylor_matrix(np.asarray(_as_point(z, self.dimension)) - np.asarray(self.center))
-
-    def _taylor_matrix(self, offset: np.ndarray) -> np.ndarray:
         if self.laurent:
             raise AlgebraError("Laurent bases cannot be re-centered")
-        T = np.ones((self.size, self.size), dtype=complex)
+        offset = np.asarray(_as_point(z, self.dimension)) - np.asarray(self.center)
+        J = np.ones((self.size, self.size), dtype=complex)
         for j, (binom, gap) in enumerate(self._shift_tables):
             powers = np.cumprod(np.concatenate(([1.0 + 0j], np.full(gap.max(initial=0), offset[j]))))
-            T *= binom * powers[gap]
-        return T
+            J *= binom * powers[gap]
+        return J
 
     @cached_property
     def _shift_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -250,13 +241,9 @@ class PolySpace:
             tables.append((binom, np.maximum(gap, 0)))
         return tables
 
-    def solve_map(self, z) -> np.ndarray:
-        """Centred coefficients of the solve basis at z: S(z), or the
-        identity for Laurent bases, which solve in their own basis."""
-        return np.eye(self.size, dtype=complex) if self.laurent else self.shift_matrix(z)
-
     def jet_map(self, z) -> np.ndarray:
-        """Inverse of :meth:`solve_map`: J(z), or the identity."""
+        """Jets at z of the centred basis in the solve basis: J(z), or the
+        identity for Laurent bases, which solve in their own basis."""
         return np.eye(self.size, dtype=complex) if self.laurent else self.jet_matrix(z)
 
     def constraint_row(self, xi: Functional, z) -> np.ndarray:
@@ -446,11 +433,13 @@ class OrthonormalBasis:
     polynomial spaces (then transform[b, a] is also the order-beta Taylor
     jet of sigma_a at the point, and vanishes unless beta >= alpha in the
     graded order), or the Laurent monomials (no jet adaptation).
+    ``coeffs[:, a]`` holds the same sigma_a in the space's centred basis.
     """
 
     space: PolySpace
     point: tuple[complex, ...]
     transform: np.ndarray
+    coeffs: np.ndarray
 
     @property
     def indices(self) -> list[MultiIndex]:
@@ -460,7 +449,7 @@ class OrthonormalBasis:
         return self.space.element(self.transform[:, position], center=self.point)
 
     def node_values(self) -> np.ndarray:
-        return self.space.values(self.space.solve_map(self.point) @ self.transform)
+        return self.space.values(self.coeffs)
 
     def check(self, space: PolySpace, point: tuple[complex, ...]) -> None:
         """Raise ValueError unless this basis was built on ``space`` at ``point``."""
@@ -485,50 +474,54 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     valid there.
     """
     point = _as_point(z, space.dimension)
-    return OrthonormalBasis(space, point, _orthonormal_transform(space, point))
+    return OrthonormalBasis(space, point, *_orthonormal_transform(space, point))
 
 
-def _orthonormal_transform(space: PolySpace, point, keep: list[int] | None = None) -> np.ndarray:
-    """Triangular T whose solve-basis combinations are orthonormal, built from the top.
+def _orthonormal_transform(space: PolySpace, point,
+                           keep: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Triangular T and centred coefficients U of an orthonormal basis, built from the top.
 
     Column a of T only involves solve-basis columns b >= a (of ``keep``,
     all by default), and its leading coefficient T[a, a] is real and
     positive; processing from the last column to the first keeps the jet
-    flag structure.  T is the lower Cholesky factor of the inverse Gram
-    of the kept columns.  With S = solve_map, J = jet_map = S^-1 and the
-    ring factor C, the inverse Gram of all columns is
-    J G^-1 J^H = X^H X for the jet representers X = C^-H J^H, whose
-    columns carry no cancellation, so T comes from an N x N QR of X (the
-    dropped columns first, their block then discarded), never from the
-    ill-conditioned S.  Raises RankLossError when the columns are
+    flag structure.  With J = jet_map and the ring factor C, the columns
+    of X = C^-H J^H represent the jet functionals at the point in the
+    weighted product, and carry no cancellation.  An N x N QR, X = Q R,
+    with the dropped columns first and their block then discarded, gives
+    both factors: the trailing columns of Q span the functions whose
+    dropped jets vanish, so U = C^-1 Q is orthonormal there, and its jets
+    at the point are T = R^H.  Raises RankLossError when the columns are
     numerically dependent: the guard reads the same equilibrated diagonal
-    as a QR of the node values would, 1 / (T[a, a] ||psi_a||).
+    as a QR of the node values would, 1 / (T[a, a] ||psi_a||), where
+    ||psi_a|| is the norm of column a of T^-1.
     """
     n = space.size
-    C = space.ring.factor
-    S = space.solve_map(point)
-    X = scipy.linalg.solve_triangular(C, space.jet_map(point).conj().T, trans="C",
-                                      check_finite=False)
+    # numpy's inverse rather than scipy's triangular solves: scipy's own
+    # threaded BLAS leaves its workers spinning against the numpy products
+    # of an IRLS solve that follows (3x slower on two cores)
+    C_inv = np.linalg.inv(space.ring.factor)
+    X = (space.jet_map(point) @ C_inv).conj().T
     if keep is not None:
         kept = set(keep)
-        drop = [j for j in range(n) if j not in kept]
-        X = X[:, drop + list(keep)]
-        S = S[:, keep]
-    m = S.shape[1]
+        X = X[:, [j for j in range(n) if j not in kept] + list(keep)]
+    m = n if keep is None else len(keep)
     # equilibrate columns first so monomial scale spread (radius^|alpha| on
     # small domains) does not masquerade as rank loss
     colnorm = np.linalg.norm(X, axis=0)
-    R = np.linalg.qr(X / colnorm, mode="r")[n - m:, n - m:]
+    Q, R = np.linalg.qr(X / colnorm)
+    Q, R = Q[:, n - m:], R[n - m:, n - m:]
     diag = np.diagonal(R)
     if np.min(np.abs(diag)) == 0:
         raise RankLossError("basis numerically rank deficient at this point")
     # rotate phases so every sigma has a positive leading jet
-    R = (diag / np.abs(diag)).conj()[:, None] * R * colnorm[None, n - m:]
-    T = R.conj().T
-    scaled = 1.0 / (np.abs(np.diagonal(T)) * np.linalg.norm(C @ S, axis=0))
+    phase = diag / np.abs(diag)
+    R = phase.conj()[:, None] * R * colnorm[None, n - m:]
+    # ||psi_a||, the norm of column a of T^-1, is that of row a of R^-1;
+    # the upper triangular R inverts without pivoting
+    scaled = 1.0 / (np.abs(np.diagonal(R)) * np.linalg.norm(np.linalg.inv(R), axis=1))
     if not np.all(np.isfinite(scaled)) or scaled.max() / scaled.min() > math.sqrt(CONDITION_LIMIT):
         raise RankLossError("basis numerically rank deficient at this point")
-    return T
+    return R.conj().T, C_inv @ (Q * phase[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -621,23 +621,19 @@ def _chk_uniqueness(ctx):
     xi = Functional(1, {MultiIndex((0,)): 1.0, MultiIndex((1,)): 0.3})
     p = 1.5
     z = 0.2 + 0j
-    phi = space.shifted_node_matrix(z)
-    L = space.constraint_row(xi, z)
+    ob = orthonormal_basis(space, z)
+    c = ob.transform.T @ space.constraint_row(xi, z)
     w = space.quadrature.weights
-    # random exactly-feasible starts: witness plus a null-space perturbation
+    # random exactly-feasible starts in the orthonormal coordinates: the
+    # minimal-norm solution plus a null-space perturbation
     import scipy.linalg
-    Z = scipy.linalg.null_space(L[None, :])
-    pos = space.index_position()
-    alpha0 = min(xi.support())
-    base = np.zeros(space.size, dtype=complex)
-    base[pos[alpha0]] = 1.0 / xi[alpha0]
+    Z = scipy.linalg.null_space(c[None, :])
+    base = np.conj(c) / np.vdot(c, c).real
     sols = []
     for _ in range(5):
         t = rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1])
-        start = base + Z @ t
-        sol = solve_affine_lp(space.ring, space.shift_matrix(z), L[None, :],
-                              np.array([1.0 + 0j]), p, start=start)
-        sols.append(phi @ sol.coeffs)
+        sol = solve_affine_lp(space.ring, ob.coeffs, c, p, start=base + Z @ t)
+        sols.append(space.values(ob.coeffs @ sol.coeffs))
     worst = 0.0
     for i in range(len(sols)):
         for j in range(i + 1, len(sols)):

@@ -144,11 +144,11 @@ class TestRingOperator:
 
     @pytest.mark.parametrize("name", ["disk", "off-centre polydisc", "ball:3"])
     def test_shift_matrix_moves_the_node_matrix(self, name):
+        # the Taylor jets at z carry the shifted monomials back to the centred ones
         space = RING_SPACES[name]()
         z = tuple(c + 0.2 - 0.1j * j for j, c in enumerate(space.center))
-        S = space.shift_matrix(z)
-        assert _rel(space.node_matrix @ S, space.shifted_node_matrix(z)) < 1e-12
-        assert np.max(np.abs(space.jet_matrix(z) @ S - np.eye(space.size))) < 1e-12
+        moved = space.shifted_node_matrix(z) @ space.jet_matrix(z)
+        assert _rel(moved, space.node_matrix) < 1e-12
 
 
 class TestSpaceStructure:

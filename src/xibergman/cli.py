@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .algebra import AlgebraError, Functional
@@ -117,22 +116,6 @@ def _parse_a_grid(value) -> list[float]:
     if vals[-1] > 0:
         raise ConfigError("a-grid", "grid values must be <= 0")
     return vals
-
-
-def _resolve_threads(value) -> int:
-    if value is not None:
-        n = int(value)
-        if n < 1:
-            raise ConfigError("threads", "must be >= 1")
-        return n
-    env = os.environ.get("XIBERGMAN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError("threads",
-                              f"bad XIBERGMAN_THREADS value {env!r}") from exc
-    return 1
 
 
 def _require_p(args: argparse.Namespace) -> float:
@@ -258,11 +241,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             model = GreenModel.balanced(domain)
     except ValueError as exc:
         raise ConfigError("pole" if pole else "domain", str(exc)) from exc
-    threads = _resolve_threads(args.threads)
     table = sweep(model, target, p, grid, degree=args.degree,
                   radial_order=args.radial_order,
                   angular_order=args.angular_order,
-                  seed=args.seed, threads=threads)
+                  seed=args.seed)
     if args.format == "json":
         _emit(_dump_json(table.to_json_dict()), args.out)
     else:
@@ -329,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp = subs.add_parser("sweep", help="Green-function sublevel sweep")
     _add_common(swp, with_points=True)
     swp.add_argument("--pole", help="Green pole (nonzero selects the disk model)")
-    swp.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: XIBERGMAN_THREADS or 1)")
     swp.add_argument("--a-grid", default=None,
                      help='sublevel heights: "lo:hi:count" or comma list, all <= 0')
     swp.add_argument("--format", choices=("json", "csv"), default="csv")

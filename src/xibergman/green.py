@@ -19,7 +19,6 @@ supported in a single degree it is constant by exact discrete scaling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,7 +200,6 @@ def sweep(
     radial_order: int | None = None,
     angular_order: int | None = None,
     seed: int = 42,
-    threads: int = 1,
 ) -> SweepTable:
     """Kernel at the pole across the sublevel family; rows are independent.
 
@@ -240,11 +238,7 @@ def sweep(
         return SweepRow(a=a, K=ev.K, scaled=math.exp(exponent * a) * ev.K,
                         logK=math.log(ev.K), flags=ev.flags)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_row, grid))
-    else:
-        rows = [run_row(a) for a in grid]
+    rows = [run_row(a) for a in grid]
 
     if isinstance(target, HomogeneousPolynomial):
         target_text = str(target)

@@ -41,10 +41,11 @@ from .kernels import (
     KernelEvaluation,
     _constrained_kernel,
     diagonal,
-    kernel2_diagonal,
+    kernel2_diagonal,  # noqa: F401
 )
-# solve_affine_lp is not called here since the jet-constrained solve moved
-# to kernels; it stays importable because bench/spans.py wraps this lookup
+# kernel2_diagonal and solve_affine_lp are not called here since the solves
+# moved to kernels; they stay importable because bench/spans.py wraps these
+# lookups
 from .lpsolve import solve_affine_lp  # noqa: F401
 from .pspace import OrthonormalBasis, PolySpace, orthonormal_basis
 
@@ -347,7 +348,8 @@ def higher_kernel_via_inf(
 
     Runs a downhill simplex over the real/imaginary parts of the free
     coefficients, once from zero and once from the exact p = 2 solution.
-    Each start gets max(200, 100 * nfree) inner calls for nfree free
+    Every inner call solves in one basis orthonormalized at z.  Each start
+    gets max(200, 100 * nfree) inner calls for nfree free
     coefficients; a p = 2 start equal to the zero start reuses its run.
     Deterministic: no random starts.  The sanity bound
     against the direct route (which the minimum can never undercut beyond
@@ -374,10 +376,8 @@ def higher_kernel_via_inf(
         nonlocal calls
         calls += 1
         vec = x[0::2] + 1j * x[1::2]
-        xi = family.member(vec)
-        if p == 2:
-            return kernel2_diagonal(space, xi, z, basis=ob).K
-        return diagonal(space, xi, z, p).K
+        return _constrained_kernel(space, family.member(vec), z, p,
+                                   exact=p == 2, basis=ob).K
 
     nfree = len(free)
     xi2 = minimizing_xi_p2(space, H, z, basis=ob)

@@ -26,8 +26,8 @@ Each iteration works in coefficient space: the normal matrix is
 M^H G_c(omega) M, with G_c(omega) the ring operator's weighted Gram, the
 right-hand side is M^H G_c(omega) x0 for x0 = basis u0, and the
 stationarity pairing is M^H Phi^H(w rho f) through the operator's
-adjoint.  Node values f(x_q) of an iterate are one product with the
-centred node matrix; no Q x N matrix is formed.
+adjoint.  Node values f(x_q) of an iterate are the operator's per-ring
+inverse FFTs of its coefficients; no Q x N matrix is formed.
 
 For p = 2 the default start u0 is already the minimizer and the iteration
 stays on it.  At p = 1 the smoothing scale is looser
@@ -90,7 +90,7 @@ def solve_affine_lp(
     Parameters
     ----------
     op : the space's :class:`~xibergman.pspace.RingOperator` (node weights,
-        centred node matrix, weighted Gram and adjoint).
+        node values, weighted Gram and adjoint).
     basis : (Nc, m) centred coefficients of m weighted-orthonormal functions.
     row : (m,) constraint row, not zero.
     p : exponent, p > 0.
@@ -119,7 +119,7 @@ def solve_affine_lp(
     # orthogonality pairings it is meant to control
     Z = scipy.linalg.null_space(row[None, :])
     if Z.shape[1] == 0:
-        obj = float(np.sum(op.weights * np.abs(op.node_matrix @ x0) ** p))
+        obj = float(np.sum(op.weights * np.abs(op.values(x0)) ** p))
         return LpSolution(
             coeffs=u0, objective=obj, m=obj ** (1.0 / p), p=p,
             iterations=0, converged=True, grad_residual=0.0,
@@ -160,11 +160,11 @@ def solve_affine_lp(
 def _irls(op, M, x0, p, eps_factor, t0):
     """IRLS from t0; returns (t, obj, accepted steps, stop flag or None, ...).
 
-    The iterate is f = Phi (x0 + M t) for the centred node matrix Phi.
+    The iterate is f = Phi (x0 + M t) for the centred basis Phi.
     """
     w = op.weights
     t = t0.astype(complex)
-    g = op.node_matrix @ (x0 + M @ t)
+    g = op.values(x0 + M @ t)
     obj = float(np.sum(w * np.abs(g) ** p))
     rel_step = np.inf
     grad_res = np.inf
@@ -193,7 +193,7 @@ def _irls(op, M, x0, p, eps_factor, t0):
         accepted = False
         for _ in range(20):
             t_trial = t + lam * (t_new - t)
-            g_trial = op.node_matrix @ (x0 + M @ t_trial)
+            g_trial = op.values(x0 + M @ t_trial)
             obj_trial = float(np.sum(w * np.abs(g_trial) ** p))
             if obj_trial <= obj * (1.0 + 1e-15) or p <= 2:
                 accepted = True

@@ -1,4 +1,4 @@
-"""Truncated subspaces of A^p(Omega) with cached node evaluations.
+"""Truncated subspaces of A^p(Omega) and their quadrature sums.
 
 A :class:`PolySpace` is the span of monomials ``(z - center)^alpha`` for a
 finite index set (total-degree or per-axis-degree truncation), or of Laurent
@@ -6,9 +6,9 @@ monomials ``z^k, |k| <= D`` on an annulus.  All norms and Gram matrices are
 taken with respect to the attached quadrature rule, so every inner product
 in the package is the same discrete object.
 
-Weighted Gram matrices and adjoints come from the space's
-:class:`RingOperator`, which sums ring by ring with FFTs over the uniform
-angles instead of forming Q x N node products; the exact Taylor jets
+Node values, weighted Gram matrices and adjoints all come from the space's
+:class:`RingOperator`, which works ring by ring with FFTs over the uniform
+angles; no Q x N array of node values is kept.  The exact Taylor jets
 :meth:`PolySpace.jet_matrix` tie the centred monomials to a point z.
 
 :func:`orthonormal_basis` produces a basis adapted to a point: sigma_alpha
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .algebra import (
@@ -37,7 +38,7 @@ from .algebra import (
     _as_point,
     _gen_binom,
 )
-from .domains import Domain, Quadrature, build_quadrature, node_count
+from .domains import Domain, Quadrature, build_quadrature
 
 __all__ = [
     "PolySpace",
@@ -51,7 +52,7 @@ __all__ = [
     "DegreeOverflowError",
 ]
 
-# refuse node-value caches beyond this many complex entries (~1.6 GB)
+# refuse ring Gram gathers (K x N x N) beyond this many complex entries (~1.6 GB)
 MAX_CACHE_ENTRIES = 100_000_000
 
 CONDITION_LIMIT = 1e12
@@ -85,12 +86,6 @@ class PolySpace:
     center: tuple[complex, ...]
     laurent: bool = False
     mode: str = "total"
-    node_matrix: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.node_matrix is None:
-            self.node_matrix = self._evaluate_basis(self.quadrature.nodes)
-            self.node_matrix.setflags(write=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -109,8 +104,9 @@ class PolySpace:
         alpha_j <= degree per axis); annuli always get the Laurent band
         ``|k| <= degree``.  ``degree`` defaults to 16 / 10 / 6 for
         dimensions 1 / 2 / >= 3, and each quadrature order left as None
-        to :func:`default_orders`.  The size of the node cache is checked
-        before any node is built.
+        to :func:`default_orders`.  The largest array that grows with the
+        degree, the K x N x N gather of :meth:`RingOperator.gram` on K =
+        radial_order^n rings, is sized before any node is built.
         """
         if degree is None:
             degree = default_degree(domain.dimension)
@@ -135,10 +131,10 @@ class PolySpace:
                 indices = _tensor_indices(domain.dimension, degree)
             else:
                 raise ValueError(f"unknown basis mode {mode!r}")
-        entries = node_count(domain, radial_order, angular_order) * len(indices)
+        entries = radial_order ** domain.dimension * len(indices) ** 2
         if entries > MAX_CACHE_ENTRIES:
             raise MemoryError(
-                f"node cache would hold {entries} complex entries; reduce orders or degree"
+                f"ring Gram would gather {entries} complex entries; reduce orders or degree"
             )
         quad = build_quadrature(domain, radial_order, angular_order)
         if quad.node_count < len(indices):
@@ -176,38 +172,24 @@ class PolySpace:
 
     @cached_property
     def ring(self) -> "RingOperator":
-        """Weighted Grams and adjoints of the centred basis on this rule."""
+        """Node values, weighted Grams and adjoints of the centred basis on this rule."""
         return RingOperator(self)
-
-    def _evaluate_basis(self, points: np.ndarray, center=None) -> np.ndarray:
-        """Node-value matrix of the basis monomials at arbitrary points."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        ctr = np.asarray(center if center is not None else self.center, dtype=complex)
-        shifted = pts - ctr[None, :]
-        exps = self.exponents
-        if self.laurent:
-            return shifted[:, 0][:, None] ** exps[None, :, 0]
-        out = np.ones((pts.shape[0], len(self.indices)), dtype=complex)
-        for j in range(self.dimension):
-            maxdeg = int(exps[:, j].max(initial=0))
-            powers = shifted[:, j][:, None] ** np.arange(maxdeg + 1)[None, :]
-            out *= powers[:, exps[:, j]]
-        return out
 
     def shifted_node_matrix(self, z) -> np.ndarray:
         """Values of the monomials ``(w - z)^alpha`` at the quadrature nodes.
 
         Total-degree and per-axis index sets are shift invariant, so this
-        matrix spans the same space as the cached one:
-        ``shifted_node_matrix(z) @ jet_matrix(z)`` is ``node_matrix``.
-        Laurent bases are not shiftable.  The solvers never form it: it is
-        the dense reference.
+        Q x N matrix spans the space: ``shifted_node_matrix(z) @
+        jet_matrix(z) @ c`` is ``values(c)``.  Laurent bases are not
+        shiftable.  The solvers never form it: it is the dense reference.
         """
         if self.laurent:
             raise AlgebraError("Laurent bases cannot be re-centered")
-        return self._evaluate_basis(self.quadrature.nodes, center=_as_point(z, self.dimension))
+        shifted = self.quadrature.nodes - np.asarray(_as_point(z, self.dimension))
+        out = np.ones((shifted.shape[0], self.size), dtype=complex)
+        for j, e in enumerate(self.exponents.T):
+            out *= (shifted[:, j][:, None] ** np.arange(e.max(initial=0) + 1))[:, e]
+        return out
 
     def jet_matrix(self, z) -> np.ndarray:
         """Taylor jets at z of the centred monomials.
@@ -309,7 +291,8 @@ class PolySpace:
         return PolyCoeffs(self.dimension, ctr, data)
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.node_matrix @ coeffs
+        """Node values of centred-basis coefficients, (Q,) or (Q, m)."""
+        return self.ring.values(coeffs)
 
 
 def _tensor_indices(dimension: int, degree: int) -> list[MultiIndex]:
@@ -343,21 +326,23 @@ def lp_norm(f: PolyCoeffs | np.ndarray, space: PolySpace, p: float) -> float:
 
 
 class RingOperator:
-    """Weighted sums over a space's ring-structured quadrature rule.
+    """Node values and weighted sums over a space's ring-structured rule.
 
     On the rule's node (k, j) = center + b_k exp(2 pi i j / a) (see
     :class:`~xibergman.domains.Quadrature`) the centred monomial phi_alpha
-    takes the value b_k^alpha exp(2 pi i alpha . j / a), so for any node
+    takes the value b_k^alpha exp(2 pi i alpha . j / a).  So ring k's node
+    values of sum_alpha c_alpha phi_alpha are an inverse FFT over its
+    angles of b_k^alpha c_alpha placed at bin alpha mod a, and for any node
     weights omega
 
         sum_q omega_q conj(phi_alpha) phi_beta
             = sum_k conj(b_k^alpha) b_k^beta omega_hat_k(alpha - beta),
 
     where omega_hat_k is the n-dimensional FFT of ring k's weights over its
-    angles (Trefethen & Weideman, SIAM Review 56, 2014).  This is the same
-    sum in another order, exact for any weights, at K N^2 + Q log a cost
-    instead of Q N^2 and with no Q x N temporary.  A rule of one angle per
-    ring (a hand-built one) makes it the plain node sum.
+    angles (Trefethen & Weideman, SIAM Review 56, 2014).  These are the
+    node sums in another order, exact for any weights and coefficients, at
+    K N^2 + Q log a cost instead of Q N^2 and with no Q x N array.  A rule
+    of one angle per ring (a hand-built one) makes them plain node sums.
     """
 
     def __init__(self, space: PolySpace):
@@ -368,27 +353,54 @@ class RingOperator:
         exps = space.exponents
         torus = (a,) * space.dimension
         self.weights = quad.weights
-        self.node_matrix = space.node_matrix
         self._shape = (quad.rings.shape[0],) + torus
+        self._flat = (quad.rings.shape[0], a ** space.dimension)
         self._axes = tuple(range(1, space.dimension + 1))
         # b_k^alpha (K, N); flat FFT bins of alpha and of alpha - beta mod a
         self._powers = np.prod(quad.rings[:, None, :] ** exps[None, :, :], axis=2)
         self._residue = np.ravel_multi_index(tuple((exps % a).T), torus)
         self._difference = np.ravel_multi_index(
             tuple(np.moveaxis((exps[:, None, :] - exps[None, :, :]) % a, -1, 0)), torus)
+        # synthesis runs over the exponents grouped by bin: exponents that
+        # alias (one angle per ring, or a degree reaching a) share one bin
+        self._order = np.argsort(self._residue, kind="stable")
+        self._grouped_powers = self._powers[:, self._order, None]
+        grouped = self._residue[self._order]
+        self._starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        self._bins = grouped[self._starts]
 
-    def _ring_fft(self, v: np.ndarray) -> np.ndarray:
-        out = np.fft.fftn(np.reshape(v, self._shape), axes=self._axes)
-        return out.reshape(self._shape[0], -1)
+    def _ring_fft(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Unscaled n-d FFT (or inverse FFT) over each ring's angles.
+
+        ``x`` is (K, a^n, ...), ring-major like the nodes; so is the result.
+        """
+        grid = x.reshape(self._shape + x.shape[2:])
+        if inverse:
+            grid = scipy.fft.ifftn(grid, axes=self._axes, norm="forward")
+        else:
+            grid = scipy.fft.fftn(grid, axes=self._axes)
+        return grid.reshape(x.shape)
+
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_alpha coeffs_alpha phi_alpha at the nodes, (Q,) or (Q, m).
+
+        The synthesis twin of :meth:`adjoint`; aliased bins are summed.
+        """
+        c = np.asarray(coeffs, dtype=complex)
+        columns = c[self._order].reshape(c.shape[0], -1)
+        spectrum = np.zeros(self._flat + columns.shape[1:], dtype=complex)
+        spectrum[:, self._bins] = np.add.reduceat(
+            self._grouped_powers * columns, self._starts, axis=1)
+        return self._ring_fft(spectrum, inverse=True).reshape((-1,) + c.shape[1:])
 
     def gram(self, omega: np.ndarray) -> np.ndarray:
         """sum_q omega_q conj(phi_alpha) phi_beta over the nodes, (N, N)."""
-        spectrum = self._ring_fft(omega)[:, self._difference]
+        spectrum = self._ring_fft(np.reshape(omega, self._flat))[:, self._difference]
         return np.einsum("ka,kab,kb->ab", self._powers.conj(), spectrum, self._powers)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """sum_q conj(phi_alpha) v_q over the nodes, (N,)."""
-        spectrum = self._ring_fft(v)[:, self._residue]
+        spectrum = self._ring_fft(np.reshape(v, self._flat))[:, self._residue]
         return np.einsum("ka,ka->a", self._powers.conj(), spectrum)
 
     @cached_property

@@ -86,13 +86,6 @@ class TestSweep:
         assert table.monotonicity_margin() >= -1e-8
         assert table.log_convexity_margin() >= -1e-6
 
-    def test_threads_do_not_change_rows(self):
-        model = GreenModel.balanced(Domain.disk())
-        grid = default_a_grid(-2, 0, 5)
-        one = sweep(model, Functional.delta((0,)), 2.0, grid, threads=1)
-        two = sweep(model, Functional.delta((0,)), 2.0, grid, threads=3)
-        assert [r.K for r in one.rows] == [r.K for r in two.rows]
-
     def test_csv_shape(self):
         model = GreenModel.balanced(Domain.disk())
         table = sweep(model, Functional.delta((0,)), 2.0, [-1.0, 0.0])

@@ -162,10 +162,12 @@ class TestViaInf:
         assert res.K == pytest.approx(direct.K, rel=1e-7)
         assert res.inner_calls >= 2
 
-    def test_p2_factorizes_once(self, disk16, monkeypatch):
+    def test_p2_factorizes_once(self, monkeypatch):
         # the jet-constrained columns are the trailing block of the basis
-        # orthonormalized at z, so the direct value reuses its factor
+        # orthonormalized at z, so the direct value reuses its factor, and
+        # every inner call of the outer minimization solves in that basis
         from xibergman import kernels, pspace
+        space = PolySpace.build(Domain.disk(), degree=6, radial_order=12, angular_order=24)
         calls = []
         original = pspace._orthonormal_transform
 
@@ -177,12 +179,19 @@ class TestViaInf:
         monkeypatch.setattr(kernels, "_orthonormal_transform", spy)
         H = HomogeneousPolynomial.from_string("z^2: 1")
         z = 0.3 + 0.1j
-        higher_kernel_via_inf(disk16, H, z, 2.0)
-        assert len(calls) == 1
-        shared = higher_kernel_direct(disk16, H, z, 2.0, basis=orthonormal_basis(disk16, z))
-        separate = higher_kernel_direct(disk16, H, z, 2.0)
-        assert len(calls) == 3
-        assert shared.K == pytest.approx(separate.K, rel=1e-13)
+        for p in (2.0, 1.5):
+            calls.clear()
+            res = higher_kernel_via_inf(space, H, z, p)
+            assert len(calls) == 1 and res.inner_calls > 100
+            ob = orthonormal_basis(space, z)
+            shared = higher_kernel_direct(space, H, z, p, basis=ob)
+            separate = higher_kernel_direct(space, H, z, p)
+            assert len(calls) == 3
+            assert shared.K == pytest.approx(separate.K, rel=1e-13)
+            # a shared basis is the one a fresh call would build: equal bits
+            xi = FunctionalFamily(H).member(res.free_part)
+            assert (kernels._constrained_kernel(space, xi, z, p, exact=p == 2, basis=ob).K
+                    == diagonal(space, xi, z, p).K)
 
     def test_identical_starts_run_once(self, disk16, monkeypatch):
         # at the center the exact p = 2 start is the zero start

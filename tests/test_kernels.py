@@ -307,6 +307,18 @@ class TestMemory:
         assert not ev.flags
         assert peak < 40e6
 
+    def test_bidisc_build_holds_no_node_matrix(self):
+        # the space keeps the rule and per-ring powers, never Q x N values:
+        # building the default bidisc and its Cholesky factor stays far
+        # below the 88 MB a node matrix would take
+        tracemalloc.start()
+        try:
+            PolySpace.build(Domain.bidisc()).ring.factor
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
 
 class TestSolverContract:
     def test_p1_accepts_at_smoothing_scale(self):

@@ -123,6 +123,9 @@ RING_SPACES = {
     "ball:3": lambda: PolySpace.build(Domain.ball(1.0, 3), degree=3,
                                       radial_order=4, angular_order=6),
     "hand-built": _hand_built_space,
+    # degree 10 on 8 angles: z^k and z^(k+8) share an FFT bin
+    "aliased disk": lambda: PolySpace.build(Domain.disk(), degree=10,
+                                            radial_order=8, angular_order=8),
 }
 
 
@@ -130,11 +133,17 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _dense_values(space):
+    # phi_alpha at every node, straight from the nodes and exponents
+    offsets = space.quadrature.nodes - np.asarray(space.center)
+    return np.prod(offsets[:, None, :] ** space.exponents[None, :, :], axis=2)
+
+
 class TestRingOperator:
     @pytest.mark.parametrize("name", list(RING_SPACES))
     def test_gram_and_adjoint_equal_the_node_sums(self, name):
         space = RING_SPACES[name]()
-        phi = space.node_matrix
+        phi = _dense_values(space)
         rng = np.random.default_rng(9)
         q = space.quadrature.node_count
         omega = rng.uniform(0.5, 2.0, q)
@@ -142,13 +151,24 @@ class TestRingOperator:
         assert _rel(space.ring.gram(omega), phi.conj().T @ (omega[:, None] * phi)) < 1e-12
         assert _rel(space.ring.adjoint(v), phi.conj().T @ v) < 1e-12
 
+    @pytest.mark.parametrize("name", list(RING_SPACES))
+    def test_values_equal_the_node_sums(self, name):
+        # exponents that alias share a bin: all of them on the hand-built rule
+        space = RING_SPACES[name]()
+        phi = _dense_values(space)
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+        block = rng.standard_normal((space.size, 3)) + 1j * rng.standard_normal((space.size, 3))
+        assert _rel(space.values(c), phi @ c) < 1e-12
+        assert _rel(space.values(block), phi @ block) < 1e-12
+
     @pytest.mark.parametrize("name", ["disk", "off-centre polydisc", "ball:3"])
     def test_shift_matrix_moves_the_node_matrix(self, name):
         # the Taylor jets at z carry the shifted monomials back to the centred ones
         space = RING_SPACES[name]()
         z = tuple(c + 0.2 - 0.1j * j for j, c in enumerate(space.center))
         moved = space.shifted_node_matrix(z) @ space.jet_matrix(z)
-        assert _rel(moved, space.node_matrix) < 1e-12
+        assert _rel(moved, space.shifted_node_matrix(space.center)) < 1e-12
 
 
 class TestSpaceStructure:
@@ -167,12 +187,13 @@ class TestSpaceStructure:
         assert space.size == 66                       # total degree 10
 
     def test_oversized_cache_refused_before_allocation(self):
-        # (32 * 64)^2 nodes x 66 monomials exceeds the cache cap; the
-        # refusal must come before the 4-million-node rule is built
+        # degree 48 has 1,225 monomials, so the ring Gram gather on the
+        # 144 rings of the default bidisc rule would hold 216 million
+        # entries; the refusal must come before any node is built
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError):
-                PolySpace.build(Domain.bidisc(), radial_order=32, angular_order=64)
+                PolySpace.build(Domain.bidisc(), degree=48)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

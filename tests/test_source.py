@@ -1,4 +1,5 @@
-"""Source hygiene: plain ASCII modules, used imports and exports that resolve."""
+"""Source hygiene: plain ASCII modules, used imports, no environment reads
+and exports that resolve."""
 
 import ast
 import importlib
@@ -61,6 +62,20 @@ def _unused_imports(path: Path) -> list[str]:
 def test_imports_are_used():
     unused = [item for path in sorted(PACKAGE_DIR.glob("*.py")) for item in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_modules_read_no_environment():
+    # every input is a flag, a config key or an argument, so runs repeat
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in ("environ", "getenv")):
+                offenders.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [f"{path.name}:{node.lineno} from os import {alias.name}"
+                              for alias in node.names if alias.name in ("environ", "getenv")]
+    assert not offenders, offenders
 
 
 def test_exports_resolve():

@@ -20,6 +20,7 @@ Cross-agreement of the three is part of the verification battery.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -43,6 +44,7 @@ from .kernels import (
     diagonal,
     kernel2_diagonal,  # noqa: F401
 )
+from .lpsolve import GRAD_TOL, OBJ_TOL
 # kernel2_diagonal and solve_affine_lp are not called here since the solves
 # moved to kernels; they stay importable because bench/spans.py wraps these
 # lookups
@@ -338,6 +340,24 @@ def minimizing_xi_p2(
     return family.member(x)
 
 
+def _log_kernel_and_gradient(space, family, z, p, basis, x):
+    """log K of the family member at x, with its exact gradient in x.
+
+    ``x`` interleaves the real and imaginary parts of the free coefficients.
+    The inner minimizer f* has (xi . f*)(z) = 1, so by the envelope theorem
+    d log K = p Re sum_alpha d xi_alpha a_alpha, where a_alpha is the centred
+    coefficient of f* at the free index alpha (its free jet, (T u)_alpha):
+    the derivative costs no solve beyond the value.
+    """
+    ev = _constrained_kernel(space, family.member(x[0::2] + 1j * x[1::2]), z, p,
+                             exact=p == 2, basis=basis)
+    jets = np.array([ev.minimizer.coefficient(idx) for idx in family.free_indices])
+    grad = np.empty(len(x))
+    grad[0::2] = p * jets.real
+    grad[1::2] = -p * jets.imag
+    return math.log(ev.K), grad
+
+
 def higher_kernel_via_inf(
     space: PolySpace,
     H: HomogeneousPolynomial,
@@ -346,14 +366,20 @@ def higher_kernel_via_inf(
 ) -> HigherInfResult:
     """Higher-order kernel as the minimum of plain kernels over the family.
 
-    Runs a downhill simplex over the real/imaginary parts of the free
-    coefficients, once from zero and once from the exact p = 2 solution.
-    Every inner call solves in one basis orthonormalized at z.  Each start
-    gets max(200, 100 * nfree) inner calls for nfree free
-    coefficients; a p = 2 start equal to the zero start reuses its run.
-    Deterministic: no random starts.  The sanity bound
-    against the direct route (which the minimum can never undercut beyond
-    numerical error) is enforced with ASSERT_TOL relative slack.
+    Minimizes log K by BFGS over the real and imaginary parts of the free
+    coefficients, once from zero and once from the exact p = 2 solution; a
+    p = 2 start equal to the zero start reuses its run.  The derivative is
+    exact and free: it is p times the inner minimizer's free jets, which
+    vanish exactly where the direct route's jet conditions hold.  Every
+    inner call solves in one basis orthonormalized at z.  A run converges
+    when every gradient entry is below 100 p GRAD_TOL, the accuracy of the
+    inner solve, or when its line search loses precision with a predicted
+    remaining decrease of log K below OBJ_TOL, the relative objective
+    change the inner solve resolves.  The result carries
+    ``outer-non-convergence`` only when no start converged.  Deterministic:
+    no random starts.  The sanity bound against the direct route (which the
+    minimum can never undercut beyond numerical error) is enforced with
+    ASSERT_TOL relative slack; the stop rule never reads the direct value.
     """
     _require_polynomial_space(space)
     if p < 1:
@@ -372,12 +398,10 @@ def higher_kernel_via_inf(
 
     calls = 0
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal calls
         calls += 1
-        vec = x[0::2] + 1j * x[1::2]
-        return _constrained_kernel(space, family.member(vec), z, p,
-                                   exact=p == 2, basis=ob).K
+        return _log_kernel_and_gradient(space, family, z, p, ob, x)
 
     nfree = len(free)
     xi2 = minimizing_xi_p2(space, H, z, basis=ob)
@@ -386,32 +410,35 @@ def higher_kernel_via_inf(
         start_p2[2 * i] = xi2[idx].real
         start_p2[2 * i + 1] = xi2[idx].imag
 
-    budget = max(200, 100 * nfree)
     runs = []
     converged_any = False
     for x0 in (np.zeros(2 * nfree), start_p2):
         if runs and not np.any(x0):
             # the exact p = 2 start is the zero start (z at the center of a
-            # circled domain), so the simplex would retrace the first run
+            # circled domain), so the search would retrace the first run
             runs.append(runs[0])
             continue
         res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxfev": budget, "xatol": 1e-7, "fatol": 1e-10})
+            objective, x0, jac=True, method="BFGS",
+            options={"gtol": 100 * p * GRAD_TOL})
         runs.append(res)
-        converged_any = converged_any or bool(res.success)
+        # a precision-loss stop (status 2) is converged when no step can
+        # gain more than the inner solve resolves: the line search then
+        # fails on the inner rounding, not on a wrong model
+        at_floor = res.status == 2 and 0.5 * res.jac @ res.hess_inv @ res.jac <= OBJ_TOL
+        converged_any = converged_any or bool(res.success) or at_floor
 
     best = min(runs, key=lambda r: r.fun)
     vec = tuple(best.x[0::2] + 1j * best.x[1::2])
     xi_star = family.member(vec)
-    K = float(best.fun)
+    K = math.exp(best.fun)
     flags = () if converged_any else ("outer-non-convergence",)
 
     if K < direct.K * (1 - ASSERT_TOL):
         raise KernelError(
             f"outer minimum {K:.9g} undercuts the direct value {direct.K:.9g}")
     starts = tuple(
-        (float(r.fun), tuple(r.x[0::2] + 1j * r.x[1::2])) for r in runs)
+        (math.exp(r.fun), tuple(r.x[0::2] + 1j * r.x[1::2])) for r in runs)
     return HigherInfResult(
         K=K, m=K ** (-1.0 / p), xi_star=xi_star, free_part=vec,
         inner_calls=calls, starts=starts, flags=flags)

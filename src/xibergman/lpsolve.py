@@ -6,9 +6,10 @@ by their coefficients in a space's centred monomial basis (the columns of
 ``basis``) and are orthonormal in the weighted product: the kernels pass
 the point-adapted orthonormal basis of :mod:`xibergman.pspace`.  The one
 complex constraint is eliminated through its minimal-norm solution
-u0 = conj(row) / |row|^2 plus the orthonormal null space Z of the row, so
-the free directions M = basis Z are orthonormal too, and iteratively
-reweighted least squares runs on their coordinates t:
+u0 = conj(row) / |row|^2 plus the orthonormal null space Z of the row (the
+trailing columns of one Householder reflection), so the free directions
+M = basis Z are orthonormal too, and iteratively reweighted least squares
+runs on their coordinates t:
 
     weights   w_q (|f(x_q)|^2 + eps^2)^((p-2)/2),
               eps = EPS_FACTOR max_q |f(x_q)| (1e-7)
@@ -117,7 +118,7 @@ def solve_affine_lp(
     # orthonormal null space of the row are too: the normal equations stay
     # well conditioned, and the stationarity residual scales like the
     # orthogonality pairings it is meant to control
-    Z = scipy.linalg.null_space(row[None, :])
+    Z = _null_space(row)
     if Z.shape[1] == 0:
         obj = float(np.sum(op.weights * np.abs(op.values(x0)) ** p))
         return LpSolution(
@@ -157,6 +158,29 @@ def solve_affine_lp(
     )
 
 
+def _null_space(row: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Z of {u : row . u = 0}, shape (m, m - 1).
+
+    The Householder reflection P = I - 2 v v^H / (v^H v) that maps the unit
+    vector r = conj(row) / |row| to a multiple of e_0 is Hermitian and
+    unitary, so its first column is parallel to r and the others span r's
+    orthogonal complement, which is the null space of the row.  The sign
+    is chosen so that v = r + e^(i arg r_0) e_0 never cancels.
+    """
+    r = np.conj(row) / np.linalg.norm(row)
+    v = r.copy()
+    v[0] += np.exp(1j * np.angle(r[0]))
+    return np.eye(len(r), dtype=complex)[:, 1:] - np.outer(
+        v, v[1:].conj() * (2.0 / np.vdot(v, v).real))
+
+
+def _weights(g, p, eps_factor, tiny):
+    """IRLS weights (|g|^2 + eps^2)^((p-2)/2) at the node values g."""
+    absg = np.abs(g)
+    eps = eps_factor * max(float(absg.max()), tiny)
+    return (absg**2 + eps**2) ** (0.5 * p - 1.0)
+
+
 def _irls(op, M, x0, p, eps_factor, t0):
     """IRLS from t0; returns (t, obj, accepted steps, stop flag or None, ...).
 
@@ -171,10 +195,12 @@ def _irls(op, M, x0, p, eps_factor, t0):
     tiny = 1e-300
     settled = 0
 
+    # smoothed weights of the current iterate, computed once per iterate:
+    # the stationarity pairing after a step and the next normal matrix
+    # share them
+    rho = _weights(g, p, eps_factor, tiny)
+
     for it in range(1, MAX_ITER + 1):
-        absg = np.abs(g)
-        eps = eps_factor * max(float(absg.max()), tiny)
-        rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
         omega = w * rho
 
         GM = op.gram(omega) @ M
@@ -206,9 +232,7 @@ def _irls(op, M, x0, p, eps_factor, t0):
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
         t, g, obj = t_trial, g_trial, obj_trial
 
-        absg = np.abs(g)
-        eps = eps_factor * max(float(absg.max()), tiny)
-        rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
+        rho = _weights(g, p, eps_factor, tiny)
         pairing = M.conj().T @ op.adjoint(w * rho * g)
         grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
 

@@ -363,3 +363,16 @@ class TestSolverContract:
                               0.3 + 0.1j, 3.0)
         assert ev.diagnostics["iterations"] == 0
         assert ev.flags == ("line-search-stall",)
+
+    def test_null_space_is_orthonormal(self):
+        # the Householder columns annihilate the row and are orthonormal,
+        # also when the row's first entry is zero and when nothing is left
+        rng = np.random.default_rng(8)
+        rows = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (2, 5, 17)]
+        rows.append(np.array([0j, 1 - 2j, 0.5j, 3.0]))
+        rows.append(np.array([2 - 1j]))
+        for row in rows:
+            Z = lpsolve._null_space(row)
+            assert Z.shape == (len(row), len(row) - 1)
+            assert np.abs(row @ Z).max(initial=0.0) <= 1e-14
+            assert np.abs(Z.conj().T @ Z - np.eye(len(row) - 1)).max(initial=0.0) <= 1e-14

@@ -169,8 +169,10 @@ def _constrained_kernel(
     graded order), otherwise from one orthonormalization at z.  There the
     functional is the single row c = T^T L, K = |c|^2 at p = 2, and
     u0 = conj(c) / |c|^2 is the p = 2 minimizer.  ``exact`` (p = 2 only)
-    stops at u0; otherwise the IRLS solver starts there on the space's
-    ring operator, drawing its p < 1 restarts from ``seed``.  The
+    stops at u0; otherwise the descent solver of :mod:`xibergman.lpsolve`
+    (Newton steps for p > 1, reweighted least squares for p <= 1) starts
+    there on the space's ring operator, drawing its p < 1 restarts from
+    ``seed``.  The
     minimizer's solve-basis coefficients are T u.
     """
     zt = _check_inputs(space, xi, z)
@@ -257,7 +259,7 @@ def kernelp_diagonal(
     p: float,
     seed: int = 42,
 ) -> KernelEvaluation:
-    """Kernel value for general p > 0 through the constrained IRLS solver.
+    """Kernel value for general p > 0 through the constrained descent solver.
 
     Convex and reliable for p >= 1.  For p in (0, 1) the objective is
     nonconvex; a multistart heuristic seeded by ``seed`` runs and the

@@ -8,27 +8,42 @@ the point-adapted orthonormal basis of :mod:`xibergman.pspace`.  The one
 complex constraint is eliminated through its minimal-norm solution
 u0 = conj(row) / |row|^2 plus the orthonormal null space Z of the row (the
 trailing columns of one Householder reflection), so the free directions
-M = basis Z are orthonormal too, and iteratively reweighted least squares
-runs on their coordinates t:
+M = basis Z are orthonormal too, and one descent loop runs on their
+coordinates t.  With f = Phi (x0 + M t), x0 = basis u0, it minimizes the
+smoothed objective
 
-    weights   w_q (|f(x_q)|^2 + eps^2)^((p-2)/2),
-              eps = EPS_FACTOR max_q |f(x_q)| (1e-7)
-    update    t <- (1 - lam) t + lam t_new,  lam = min(1, 2/p), with step
-              halving above p = 2.  Full reweighted steps are majorize-
-              minimize updates for p <= 2; above it the reweighted
-              curvature ratio lies in [1, p - 1], and lam = 2/p contracts
-              both ends of that range by (p - 2)/p
+    F(t)      sum_q w_q s_q^(p/2),  s_q = |f(x_q)|^2 + eps^2,
+              eps = EPS_FACTOR max_q |f(x_q)| (1e-7),
+
+whose gradient in conj(t) is b = (p/2) M^H Phi^H(w rho f) for the
+weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
+
+    p > 1     Newton.  The Hessian in (t, conj t) is [A, conj(C); C,
+              conj(A)] with
+                  A = (p/2) M^H G(w rho (1 + (p/2 - 1) |f|^2 / s)) M,
+                  C = (p/2)(p/2 - 1) M^T P(w rho conj(f)^2 / s) M,
+              G(omega) the weighted Gram sum_q omega_q conj(phi_a) phi_b
+              and P(nu) its unconjugated twin sum_q nu_q phi_a phi_b.  The
+              step d solves A d + conj(C d) = -b, as a real 2(m - 1)
+              system by Cholesky, and is backtracked by Armijo on the
+              unsmoothed objective.  The Hessian is positive definite,
+              dominating min(1, p - 1) (p/2) M^H G(w rho) M, so a
+              Hessian with no Cholesky factor, a step with slope
+              2 Re(b^H d) >= 0 or one that no halving makes a descent
+              stops the loop, flagged line-search-stall.  At p = 2,
+              where C vanishes and A is (p/2) M^H G(w rho) M, and at an
+              already stationary iterate, where the step is rounding,
+              the step solves with that reweighted Gram alone.
+    p <= 1    majorize-minimize (iteratively reweighted least squares):
+              d = -(M^H G(w rho) M)^-1 M^H Phi^H(w rho f), always accepted.
+
     stop      relative objective change < OBJ_TOL (1e-11) and stationarity
-              residual below GRAD_TOL (1e-10); capped at MAX_ITER (300)
-              iterations; a p > 2 step that no halving turns into descent
-              stops early, flagged line-search-stall.
+              residual |M^H Phi^H(w rho f)|_max / F^((p-1)/p) below
+              GRAD_TOL (1e-10); capped at MAX_ITER (300) steps.
 
-Each iteration works in coefficient space: the normal matrix is
-M^H G_c(omega) M, with G_c(omega) the ring operator's weighted Gram, the
-right-hand side is M^H G_c(omega) x0 for x0 = basis u0, and the
-stationarity pairing is M^H Phi^H(w rho f) through the operator's
-adjoint.  Node values f(x_q) of an iterate are the operator's per-ring
-inverse FFTs of its coefficients; no Q x N matrix is formed.
+G and P come from the ring operator's per-ring FFTs, the pairing from its
+adjoint, and node values f(x_q) of an iterate from its per-ring inverse
+FFTs; no Q x N matrix is formed.
 
 For p = 2 the default start u0 is already the minimizer and the iteration
 stays on it.  At p = 1 the smoothing scale is looser
@@ -61,7 +76,7 @@ RESTARTS = 8
 
 
 class SolverError(RuntimeError):
-    """The supplied start is infeasible or the IRLS loop failed outright."""
+    """The supplied start is infeasible."""
 
 
 @dataclass
@@ -138,7 +153,7 @@ def solve_affine_lp(
             t0 = np.zeros(Z.shape[1], dtype=complex)
             if trial > 0:
                 t0 = scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
-            sol = _irls(op, M, x0, p, eps_factor, t0)
+            sol = _descend(op, M, x0, p, eps_factor, t0)
             if best is None or sol[1] < best[1]:
                 best = sol
         t, obj, iters, stop, grad_res, last_step = best
@@ -150,11 +165,12 @@ def solve_affine_lp(
         )
 
     t0 = np.zeros(Z.shape[1], dtype=complex)
-    t, obj, iters, stop, grad_res, last_step = _irls(op, M, x0, p, eps_factor, t0)
+    t, obj, iters, stop, grad_res, last_step = _descend(op, M, x0, p, eps_factor, t0)
     return LpSolution(
         coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
         iterations=iters, converged=stop is None, grad_residual=grad_res,
-        final_rel_step=last_step, method="irls", flags=(stop,) if stop else (),
+        final_rel_step=last_step, method="newton" if p > 1 else "irls",
+        flags=(stop,) if stop else (),
     )
 
 
@@ -174,67 +190,74 @@ def _null_space(row: np.ndarray) -> np.ndarray:
         v, v[1:].conj() * (2.0 / np.vdot(v, v).real))
 
 
-def _weights(g, p, eps_factor, tiny):
-    """IRLS weights (|g|^2 + eps^2)^((p-2)/2) at the node values g."""
+def _smoothed(g, p, eps_factor, tiny):
+    """rho = s^((p-2)/2) and 1 / s at the node values g, for s = |g|^2 + eps^2."""
     absg = np.abs(g)
     eps = eps_factor * max(float(absg.max()), tiny)
-    return (absg**2 + eps**2) ** (0.5 * p - 1.0)
+    s = absg**2 + eps**2
+    return s ** (0.5 * p - 1.0), 1.0 / s
 
 
-def _irls(op, M, x0, p, eps_factor, t0):
-    """IRLS from t0; returns (t, obj, accepted steps, stop flag or None, ...).
+def _descend(op, M, x0, p, eps_factor, t0):
+    """Descent from t0; returns (t, obj, accepted steps, stop flag or None, ...).
 
     The iterate is f = Phi (x0 + M t) for the centred basis Phi.
     """
     w = op.weights
-    t = t0.astype(complex)
-    g = op.values(x0 + M @ t)
-    obj = float(np.sum(w * np.abs(g) ** p))
-    rel_step = np.inf
-    grad_res = np.inf
     tiny = 1e-300
+
+    def evaluate(t):
+        g = op.values(x0 + M @ t)
+        return g, float(np.sum(w * np.abs(g) ** p))
+
+    def stationarity(g, obj):
+        # the smoothed weights and the stationarity pairing of an iterate,
+        # computed once: the stop test after a step and the next step share them
+        rho, inv_s = _smoothed(g, p, eps_factor, tiny)
+        pairing = M.conj().T @ op.adjoint(w * rho * g)
+        return rho, inv_s, pairing, float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
+
+    t = t0.astype(complex)
+    g, obj = evaluate(t)
+    rho, inv_s, pairing, grad_res = stationarity(g, obj)
+    rel_step = np.inf
     settled = 0
 
-    # smoothed weights of the current iterate, computed once per iterate:
-    # the stationarity pairing after a step and the next normal matrix
-    # share them
-    rho = _weights(g, p, eps_factor, tiny)
-
     for it in range(1, MAX_ITER + 1):
-        omega = w * rho
-
-        GM = op.gram(omega) @ M
-        G = M.conj().T @ GM
-        r = GM.conj().T @ x0
-        try:
-            cho = scipy.linalg.cho_factor(G, check_finite=False)
-            t_new = scipy.linalg.cho_solve(cho, -r, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            t_new, *_ = np.linalg.lstsq(G, -r, rcond=None)
-
-        # for p <= 2 the full reweighted step is a majorize-minimize update
-        # (guaranteed descent), so damping would only slow the contraction;
-        # above it 2/p contracts every curvature ratio in [1, p - 1]
-        lam = min(1.0, 2.0 / p)
-        accepted = False
-        for _ in range(20):
-            t_trial = t + lam * (t_new - t)
-            g_trial = op.values(x0 + M @ t_trial)
-            obj_trial = float(np.sum(w * np.abs(g_trial) ** p))
-            if obj_trial <= obj * (1.0 + 1e-15) or p <= 2:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            # p > 2 overshoot that no step length cures: keep the iterate
-            return t, obj, it - 1, "line-search-stall", grad_res, rel_step
+        if p > 1:
+            delta = _newton_step(op, M, w * rho, g, inv_s, pairing, p,
+                                 with_pair=grad_res >= GRAD_TOL)
+            slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
+            # the Hessian dominates min(1, p - 1) times the reweighted Gram,
+            # so only a broken operator fails to factor it or to give a
+            # descent direction; an exactly stationary iterate (zero
+            # pairing) takes its zero step
+            if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
+                return t, obj, it - 1, "line-search-stall", grad_res, rel_step
+            # Armijo backtracking on the unsmoothed objective, with slack
+            # for the rounding of the node sum
+            lam = 1.0
+            for _ in range(20):
+                t_trial = t + lam * delta
+                g_trial, obj_trial = evaluate(t_trial)
+                if obj_trial <= obj + 1e-4 * lam * slope + 1e-15 * obj:
+                    break
+                lam *= 0.5
+            else:
+                return t, obj, it - 1, "line-search-stall", grad_res, rel_step
+        else:
+            # majorize-minimize: the reweighted least-squares step, a
+            # guaranteed descent for p <= 1, always accepted
+            A = M.conj().T @ (op.gram(w * rho) @ M)
+            try:
+                t_trial = t + _cholesky_solve(A, -pairing)
+            except scipy.linalg.LinAlgError:
+                t_trial = t + np.linalg.lstsq(A, -pairing, rcond=None)[0]
+            g_trial, obj_trial = evaluate(t_trial)
 
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
         t, g, obj = t_trial, g_trial, obj_trial
-
-        rho = _weights(g, p, eps_factor, tiny)
-        pairing = M.conj().T @ op.adjoint(w * rho * g)
-        grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
+        rho, inv_s, pairing, grad_res = stationarity(g, obj)
 
         if rel_step < OBJ_TOL and grad_res < GRAD_TOL:
             return t, obj, it, None, grad_res, rel_step
@@ -251,3 +274,36 @@ def _irls(op, M, x0, p, eps_factor, t0):
             settled = 0
 
     return t, obj, MAX_ITER, "non-convergence", grad_res, rel_step
+
+
+def _newton_step(op, M, wr, g, inv_s, pairing, p, with_pair):
+    """Newton step d of the smoothed objective, or None when its Hessian does not factor.
+
+    Scaled by 2/p, the Newton system A d + conj(C d) = -pairing has
+    A = M^H G(wr (1 + (p/2 - 1) |g|^2 / s)) M and
+    C = (p/2 - 1) M^T P(wr conj(g)^2 / s) M for wr = w rho; as a real
+    system in (Re d, Im d) it is symmetric.  At p = 2, where C vanishes
+    and A is the reweighted Gram M^H G(wr) M, and unless ``with_pair``,
+    the step solves with that Gram alone: at an already stationary
+    iterate the step is rounding, and the pair product would only cost
+    time.
+    """
+    bend = 0.5 * p - 1.0
+    try:
+        if p == 2 or not with_pair:
+            return _cholesky_solve(M.conj().T @ (op.gram(wr) @ M), -pairing)
+        A = M.conj().T @ (op.gram(wr * (1.0 + bend * np.abs(g) ** 2 * inv_s)) @ M)
+        C = M.T @ (op.pair(bend * wr * np.conj(g) ** 2 * inv_s) @ M)
+        H = np.block([[A.real + C.real, -A.imag - C.imag],
+                      [A.imag - C.imag, A.real - C.real]])
+        d = _cholesky_solve(H, -np.concatenate([pairing.real, pairing.imag]))
+    except scipy.linalg.LinAlgError:
+        return None
+    n = len(pairing)
+    return d[:n] + 1j * d[n:]
+
+
+def _cholesky_solve(A, rhs):
+    """A^-1 rhs for a Hermitian positive definite A; LinAlgError when it is not one."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, check_finite=False), rhs,
+                                  check_finite=False)

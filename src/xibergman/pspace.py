@@ -52,7 +52,9 @@ __all__ = [
     "DegreeOverflowError",
 ]
 
-# refuse ring Gram gathers (K x N x N) beyond this many complex entries (~1.6 GB)
+# refuse spaces whose K x N x N ring gather, the one that RingOperator.gram
+# and RingOperator.pair each form (never both at once), would exceed this
+# many complex entries (~1.6 GB)
 MAX_CACHE_ENTRIES = 100_000_000
 
 CONDITION_LIMIT = 1e12
@@ -105,8 +107,9 @@ class PolySpace:
         ``|k| <= degree``.  ``degree`` defaults to 16 / 10 / 6 for
         dimensions 1 / 2 / >= 3, and each quadrature order left as None
         to :func:`default_orders`.  The largest array that grows with the
-        degree, the K x N x N gather of :meth:`RingOperator.gram` on K =
-        radial_order^n rings, is sized before any node is built.
+        degree, the K x N x N gather of :meth:`RingOperator.gram` (and of
+        :meth:`RingOperator.pair`) on K = radial_order^n rings, is sized
+        before any node is built.
         """
         if degree is None:
             degree = default_degree(domain.dimension)
@@ -339,10 +342,12 @@ class RingOperator:
             = sum_k conj(b_k^alpha) b_k^beta omega_hat_k(alpha - beta),
 
     where omega_hat_k is the n-dimensional FFT of ring k's weights over its
-    angles (Trefethen & Weideman, SIAM Review 56, 2014).  These are the
-    node sums in another order, exact for any weights and coefficients, at
-    K N^2 + Q log a cost instead of Q N^2 and with no Q x N array.  A rule
-    of one angle per ring (a hand-built one) makes them plain node sums.
+    angles (Trefethen & Weideman, SIAM Review 56, 2014); the unconjugated
+    sum_q nu_q phi_alpha phi_beta reads the same FFT at -(alpha + beta).
+    These are the node sums in another order, exact for any weights and
+    coefficients, at K N^2 + Q log a cost instead of Q N^2 and with no
+    Q x N array.  A rule of one angle per ring (a hand-built one) makes
+    them plain node sums.
     """
 
     def __init__(self, space: PolySpace):
@@ -356,11 +361,15 @@ class RingOperator:
         self._shape = (quad.rings.shape[0],) + torus
         self._flat = (quad.rings.shape[0], a ** space.dimension)
         self._axes = tuple(range(1, space.dimension + 1))
-        # b_k^alpha (K, N); flat FFT bins of alpha and of alpha - beta mod a
+        # b_k^alpha (K, N); flat FFT bins of alpha, of alpha - beta and of
+        # -(alpha + beta) mod a
         self._powers = np.prod(quad.rings[:, None, :] ** exps[None, :, :], axis=2)
+        self._powers_t = np.ascontiguousarray(self._powers.T)
         self._residue = np.ravel_multi_index(tuple((exps % a).T), torus)
         self._difference = np.ravel_multi_index(
             tuple(np.moveaxis((exps[:, None, :] - exps[None, :, :]) % a, -1, 0)), torus)
+        self._sum = np.ravel_multi_index(
+            tuple(np.moveaxis(-(exps[:, None, :] + exps[None, :, :]) % a, -1, 0)), torus)
         # synthesis runs over the exponents grouped by bin: exponents that
         # alias (one angle per ring, or a degree reaching a) share one bin
         self._order = np.argsort(self._residue, kind="stable")
@@ -395,8 +404,27 @@ class RingOperator:
 
     def gram(self, omega: np.ndarray) -> np.ndarray:
         """sum_q omega_q conj(phi_alpha) phi_beta over the nodes, (N, N)."""
-        spectrum = self._ring_fft(np.reshape(omega, self._flat))[:, self._difference]
-        return np.einsum("ka,kab,kb->ab", self._powers.conj(), spectrum, self._powers)
+        return self._contract(omega, self._difference, conjugate=True)
+
+    def pair(self, nu: np.ndarray) -> np.ndarray:
+        """sum_q nu_q phi_alpha phi_beta over the nodes, (N, N), symmetric.
+
+        The twin of :meth:`gram` without the conjugate: ring k contributes
+        b_k^alpha b_k^beta nu_hat_k(-(alpha + beta)).
+        """
+        return self._contract(nu, self._sum, conjugate=False)
+
+    def _contract(self, x: np.ndarray, bins: np.ndarray, conjugate: bool) -> np.ndarray:
+        """sum_k b_k^alpha (conjugated or not) x_hat_k(bins[alpha, beta]) b_k^beta.
+
+        One K x N x N gather, laid out (N, N, K) so that the ring sum is a
+        batch of matrix-vector products; it is scaled in place, so a call
+        holds one array of that size.
+        """
+        spectrum = np.take(self._ring_fft(np.reshape(x, self._flat)).T, bins, axis=0)
+        spectrum *= self._powers_t
+        left = self._powers_t.conj() if conjugate else self._powers_t
+        return np.matmul(spectrum, left[:, :, None])[..., 0]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """sum_q conj(phi_alpha) v_q over the nodes, (N,)."""
@@ -510,7 +538,7 @@ def _orthonormal_transform(space: PolySpace, point,
     n = space.size
     # numpy's inverse rather than scipy's triangular solves: scipy's own
     # threaded BLAS leaves its workers spinning against the numpy products
-    # of an IRLS solve that follows (3x slower on two cores)
+    # of a descent solve that follows (3x slower on two cores)
     C_inv = np.linalg.inv(space.ring.factor)
     X = (space.jet_map(point) @ C_inv).conj().T
     if keep is not None:

@@ -147,8 +147,9 @@ class TestSeriesOracle:
 
     @pytest.mark.parametrize("z", [0.95j, 0.9 + 0j])
     def test_iterated_kernel_is_the_series_near_the_boundary(self, z):
-        # the IRLS at p = 2 solves in the same orthonormal coordinates as
-        # the exact engine, so it keeps the series' digits near the boundary
+        # the descent solver at p = 2 works in the same orthonormal
+        # coordinates as the exact engine, so it keeps the series' digits
+        # near the boundary
         space = PolySpace.build(Domain.disk(), degree=24)
         xi = Functional.from_string("0: 1; 1: 0.5; 2: -0.25j")
         expect = _series_kernel(space, xi, (z,), _disk_norm_sq(1.0))
@@ -293,7 +294,7 @@ class TestBatchAndFlags:
 
 class TestMemory:
     def test_bidisc_solve_allocates_no_node_products(self):
-        # the IRLS normal matrices come from per-ring FFTs, so a p = 1.5
+        # the Newton matrices come from per-ring FFTs, so a p = 1.5
         # solve on the default bidisc (82,944 nodes x 66 monomials, an
         # 88 MB node matrix) allocates nothing of node-matrix size
         space = PolySpace.build(Domain.bidisc())
@@ -341,7 +342,7 @@ class TestSolverContract:
             prev = K
 
     def test_high_exponents_converge(self, disk16):
-        # the damped step contracts every curvature ratio in [1, p - 1]
+        # backtracked Newton steps above p = 2
         ev = diagonal(disk16, Functional.delta((1,)), 0.3j, 4.0)
         assert not ev.flags
         for p in (3.0, 4.0, 6.0):
@@ -350,9 +351,9 @@ class TestSolverContract:
                     assert not diagonal(disk16, Functional.delta((k,)), z, p).flags
 
     def test_line_search_stall_reports_accepted_steps(self, monkeypatch):
-        # a Gram scaled by 1j turns every reweighted step into its negative,
-        # an ascent direction at p > 2 that no halving recovers, so the loop
-        # stops before its first accepted step
+        # a Gram scaled by 1j leaves the Newton matrix without a Cholesky
+        # factor, hence without a descent direction, so the loop stops
+        # before its first accepted step
         space = PolySpace.build(Domain.disk(), degree=8, radial_order=12,
                                 angular_order=24)
         ring = space.ring
@@ -376,3 +377,63 @@ class TestSolverContract:
             assert Z.shape == (len(row), len(row) - 1)
             assert np.abs(row @ Z).max(initial=0.0) <= 1e-14
             assert np.abs(Z.conj().T @ Z - np.eye(len(row) - 1)).max(initial=0.0) <= 1e-14
+
+    def test_newton_grid_converges(self):
+        # Newton steps for p > 1: no flag and no solve at the cap on the
+        # disk up to |z| = 0.9 and on the bidisc, few steps at p = 1.5
+        disk = PolySpace.build(Domain.disk(), degree=24)
+        bidisc = PolySpace.build(Domain.bidisc())
+        mixed = Functional.from_string("0,0: 1; 1,0: 0.5; 0,1: -0.3j", 2)
+        cases = [(disk, Functional.delta((k,)), r * np.exp(0.7j))
+                 for k in (0, 1, 2) for r in (0.0, 0.3, 0.6, 0.9)]
+        cases += [(bidisc, Functional.delta((1, 0)), (0j, 0j)),
+                  (bidisc, mixed, (0.35 * np.exp(0.7j), 0.35 * np.exp(-1.9j)))]
+        steps = {}
+        for p in (1.2, 1.5, 3.0, 4.0):
+            for space, xi, z in cases:
+                ev = kernelp_diagonal(space, xi, z, p)
+                assert not ev.flags, (p, z, ev.flags)
+                assert ev.diagnostics["method"] == "newton"
+                assert ev.diagnostics["iterations"] < lpsolve.MAX_ITER
+                steps.setdefault(p, []).append(ev.diagnostics["iterations"])
+        assert np.median(steps[1.5]) <= 8
+
+
+def _duality_gap(space, xi, z, p):
+    """Hoelder bracket ||g||_q^p ||f*||_p^p - 1 around the solver's value.
+
+    f* (feasible) gives K >= ||f*||_p^-p.  Any g with sum_q w_q f_q g_q =
+    (xi . f)(z) on the whole space gives K <= ||g||_q^p, q = p / (p - 1).
+    g is the optimal representer |f*|^(p-2) conj(f*) / ||f*||_p^p plus the
+    L^2 representer sum_a r_a conj(sigma_a) of its pairing residual r on
+    the orthonormal basis sigma, which makes it exact.
+    """
+    ob = orthonormal_basis(space, z)
+    c = ob.transform.T @ space.constraint_row(xi, ob.point)
+    sol = solve_affine_lp(space.ring, ob.coeffs, c, p)
+    w = space.quadrature.weights
+    f = space.values(ob.coeffs @ sol.coeffs)
+    obj = np.sum(w * np.abs(f) ** p)
+    g = np.abs(f) ** (p - 2) * np.conj(f) / obj
+    # r_a = (xi . sigma_a)(z) - sum_q w_q sigma_a(x_q) g_q, through the adjoint
+    r = c - ob.coeffs.T @ np.conj(space.ring.adjoint(np.conj(w * g)))
+    g = g + np.conj(space.values(ob.coeffs @ np.conj(r)))
+    q = p / (p - 1)
+    return float(np.sum(w * np.abs(g) ** q) ** (p / q) * obj - 1)
+
+
+class TestDualityBracket:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    def test_disk(self, disk16, p):
+        xi = Functional.from_string("0: 1; 1: 0.5", 1)
+        for r in (0.0, 0.3, 0.6, 0.9):
+            gap = _duality_gap(disk16, xi, r * np.exp(1.1j), p)
+            assert abs(gap) <= (1e-9 if r > 0.6 else 1e-12), (r, gap)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    def test_bidisc_mixed(self, p):
+        space = PolySpace.build(Domain.bidisc())
+        xi = Functional.from_string("0,0: 1; 1,0: 0.5; 0,1: -0.3j", 2)
+        for r in (0.3, 0.6, 0.9):
+            gap = _duality_gap(space, xi, (r * np.exp(0.7j), 0.5 * r * np.exp(-1.9j)), p)
+            assert abs(gap) <= (1e-9 if r > 0.6 else 1e-12), (r, gap)

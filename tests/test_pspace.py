@@ -150,6 +150,8 @@ class TestRingOperator:
         v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         assert _rel(space.ring.gram(omega), phi.conj().T @ (omega[:, None] * phi)) < 1e-12
         assert _rel(space.ring.adjoint(v), phi.conj().T @ v) < 1e-12
+        # the unconjugated twin of the Gram, read at -(alpha + beta)
+        assert _rel(space.ring.pair(v), phi.T @ (v[:, None] * phi)) < 1e-12
 
     @pytest.mark.parametrize("name", list(RING_SPACES))
     def test_values_equal_the_node_sums(self, name):

@@ -264,7 +264,7 @@ def jet_constrained_kernel(
 
     The vanishing orders remove columns of the z-shifted basis; the
     functional acts on the surviving coefficients as a single affine row.
-    Exact at p = 2, iterative otherwise (Newton steps for p > 1); the
+    Exact at p = 2, iterative otherwise (Newton steps for p >= 1); the
     higher-order kernel is the special case vanishing = all orders below
     deg H.  At p = 2 a ``basis`` from
     :func:`orthonormal_basis` at z is reused instead of a second

@@ -170,7 +170,7 @@ def _constrained_kernel(
     functional is the single row c = T^T L, K = |c|^2 at p = 2, and
     u0 = conj(c) / |c|^2 is the p = 2 minimizer.  ``exact`` (p = 2 only)
     stops at u0; otherwise the descent solver of :mod:`xibergman.lpsolve`
-    (Newton steps for p > 1, reweighted least squares for p <= 1) starts
+    (Newton steps for p >= 1, reweighted least squares for p < 1) starts
     there on the space's ring operator, drawing its p < 1 restarts from
     ``seed``.  The
     minimizer's solve-basis coefficients are T u.

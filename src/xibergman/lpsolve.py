@@ -18,7 +18,7 @@ smoothed objective
 whose gradient in conj(t) is b = (p/2) M^H Phi^H(w rho f) for the
 weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
 
-    p > 1     Newton.  The Hessian in (t, conj t) is [A, conj(C); C,
+    p >= 1    Newton.  The Hessian in (t, conj t) is [A, conj(C); C,
               conj(A)] with
                   A = (p/2) M^H G(w rho (1 + (p/2 - 1) |f|^2 / s)) M,
                   C = (p/2)(p/2 - 1) M^T P(w rho conj(f)^2 / s) M,
@@ -26,15 +26,20 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               and P(nu) its unconjugated twin sum_q nu_q phi_a phi_b.  The
               step d solves A d + conj(C d) = -b, as a real 2(m - 1)
               system by Cholesky, and is backtracked by Armijo on the
-              unsmoothed objective.  The Hessian is positive definite,
-              dominating min(1, p - 1) (p/2) M^H G(w rho) M, so a
-              Hessian with no Cholesky factor, a step with slope
-              2 Re(b^H d) >= 0 or one that no halving makes a descent
-              stops the loop, flagged line-search-stall.  At p = 2,
-              where C vanishes and A is (p/2) M^H G(w rho) M, and at an
-              already stationary iterate, where the step is rounding,
-              the step solves with that reweighted Gram alone.
-    p <= 1    majorize-minimize (iteratively reweighted least squares):
+              smoothed objective F it models, at the current iterate's
+              eps.  The Hessian is positive definite: at each node the
+              curvature of s^(p/2) is p rho across f and
+              p rho ((p - 1) |f|^2 + eps^2) / s along it, so the Hessian
+              dominates (p/2) M^H G(w rho min(1, ((p - 1) |f|^2 + eps^2)
+              / s)) M, which at p = 1 is (1/2) M^H G(w rho eps^2 / s) M,
+              positive definite because eps > 0.  A Hessian with no
+              Cholesky factor, a step with slope 2 Re(b^H d) >= 0 or one
+              that no halving makes a descent of F stops the loop,
+              flagged line-search-stall.  At p = 2, where C vanishes
+              and A is (p/2) M^H G(w rho) M, and at an already stationary
+              iterate, where the step is rounding, the step solves with
+              that reweighted Gram alone.
+    p < 1     majorize-minimize (iteratively reweighted least squares):
               d = -(M^H G(w rho) M)^-1 M^H Phi^H(w rho f), always accepted.
 
     stop      relative objective change < OBJ_TOL (1e-11) and stationarity
@@ -169,7 +174,7 @@ def solve_affine_lp(
     return LpSolution(
         coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
         iterations=iters, converged=stop is None, grad_residual=grad_res,
-        final_rel_step=last_step, method="newton" if p > 1 else "irls",
+        final_rel_step=last_step, method="newton",
         flags=(stop,) if stop else (),
     )
 
@@ -190,12 +195,13 @@ def _null_space(row: np.ndarray) -> np.ndarray:
         v, v[1:].conj() * (2.0 / np.vdot(v, v).real))
 
 
-def _smoothed(g, p, eps_factor, tiny):
-    """rho = s^((p-2)/2) and 1 / s at the node values g, for s = |g|^2 + eps^2."""
-    absg = np.abs(g)
-    eps = eps_factor * max(float(absg.max()), tiny)
-    s = absg**2 + eps**2
-    return s ** (0.5 * p - 1.0), 1.0 / s
+def _smoothed(a2, p, eps_factor, tiny):
+    """s^(p/2), rho = s^((p-2)/2), 1 / s and eps^2 for s = a2 + eps^2, a2 = |g|^2 at the nodes."""
+    eps2 = (eps_factor * max(float(np.sqrt(a2.max())), tiny)) ** 2
+    s = a2 + eps2
+    inv_s = 1.0 / s
+    sp = s ** (0.5 * p)
+    return sp, sp * inv_s, inv_s, eps2
 
 
 def _descend(op, M, x0, p, eps_factor, t0):
@@ -207,65 +213,75 @@ def _descend(op, M, x0, p, eps_factor, t0):
     tiny = 1e-300
 
     def evaluate(t):
+        # node values g and their squared moduli
         g = op.values(x0 + M @ t)
-        return g, float(np.sum(w * np.abs(g) ** p))
+        return g, g.real**2 + g.imag**2
 
-    def stationarity(g, obj):
-        # the smoothed weights and the stationarity pairing of an iterate,
-        # computed once: the stop test after a step and the next step share them
-        rho, inv_s = _smoothed(g, p, eps_factor, tiny)
+    def objective(a2):
+        return float(np.sum(w * a2 ** (0.5 * p)))
+
+    def stationarity(g, a2, obj):
+        # the smoothed objective and weights and the stationarity pairing of
+        # an iterate, computed once: the stop test after a step and the next
+        # step share them
+        sp, rho, inv_s, eps2 = _smoothed(a2, p, eps_factor, tiny)
         pairing = M.conj().T @ op.adjoint(w * rho * g)
-        return rho, inv_s, pairing, float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
+        grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
+        return float(np.sum(w * sp)), rho, inv_s, eps2, pairing, grad_res
 
     t = t0.astype(complex)
-    g, obj = evaluate(t)
-    rho, inv_s, pairing, grad_res = stationarity(g, obj)
+    g, a2 = evaluate(t)
+    obj = objective(a2)
+    F, rho, inv_s, eps2, pairing, grad_res = stationarity(g, a2, obj)
     rel_step = np.inf
     settled = 0
 
     for it in range(1, MAX_ITER + 1):
-        if p > 1:
+        if p >= 1:
             delta = _newton_step(op, M, w * rho, g, inv_s, pairing, p,
                                  with_pair=grad_res >= GRAD_TOL)
             slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
-            # the Hessian dominates min(1, p - 1) times the reweighted Gram,
-            # so only a broken operator fails to factor it or to give a
-            # descent direction; an exactly stationary iterate (zero
-            # pairing) takes its zero step
+            # the Hessian is positive definite for p >= 1 (eps > 0), so only
+            # a broken operator fails to factor it or to give a descent
+            # direction; an exactly stationary iterate (zero pairing) takes
+            # its zero step
             if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
                 return t, obj, it - 1, "line-search-stall", grad_res, rel_step
-            # Armijo backtracking on the unsmoothed objective, with slack
-            # for the rounding of the node sum
+            # Armijo backtracking on the smoothed objective F the step models,
+            # at this iterate's eps, with slack for the rounding of the node sum
             lam = 1.0
             for _ in range(20):
                 t_trial = t + lam * delta
-                g_trial, obj_trial = evaluate(t_trial)
-                if obj_trial <= obj + 1e-4 * lam * slope + 1e-15 * obj:
+                g_trial, a2_trial = evaluate(t_trial)
+                F_trial = float(np.sum(w * (a2_trial + eps2) ** (0.5 * p)))
+                if F_trial <= F + 1e-4 * lam * slope + 1e-15 * F:
                     break
                 lam *= 0.5
             else:
                 return t, obj, it - 1, "line-search-stall", grad_res, rel_step
         else:
             # majorize-minimize: the reweighted least-squares step, a
-            # guaranteed descent for p <= 1, always accepted
+            # guaranteed descent for p < 1, always accepted
             A = M.conj().T @ (op.gram(w * rho) @ M)
             try:
                 t_trial = t + _cholesky_solve(A, -pairing)
             except scipy.linalg.LinAlgError:
                 t_trial = t + np.linalg.lstsq(A, -pairing, rcond=None)[0]
-            g_trial, obj_trial = evaluate(t_trial)
+            g_trial, a2_trial = evaluate(t_trial)
 
+        obj_trial = objective(a2_trial)
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
-        t, g, obj = t_trial, g_trial, obj_trial
-        rho, inv_s, pairing, grad_res = stationarity(g, obj)
+        t, g, a2, obj = t_trial, g_trial, a2_trial, obj_trial
+        F, rho, inv_s, eps2, pairing, grad_res = stationarity(g, a2, obj)
 
         if rel_step < OBJ_TOL and grad_res < GRAD_TOL:
             return t, obj, it, None, grad_res, rel_step
         # at p <= 1 the objective is smoothed at scale eps, below which the
         # residual carries no information about the unsmoothed problem; when
         # the minimizer vanishes inside the domain the contraction toward
-        # exact stationarity is slowly linear, so once the objective has
-        # settled and the residual sits at the smoothing scale we are done
+        # exact stationarity can be slow (linear for the p < 1 steps), so
+        # once the objective has settled and the residual sits at the
+        # smoothing scale we are done
         if p <= 1.0 and rel_step < OBJ_TOL and grad_res < eps_factor:
             settled += 1
             if settled >= 5:
@@ -282,7 +298,9 @@ def _newton_step(op, M, wr, g, inv_s, pairing, p, with_pair):
     Scaled by 2/p, the Newton system A d + conj(C d) = -pairing has
     A = M^H G(wr (1 + (p/2 - 1) |g|^2 / s)) M and
     C = (p/2 - 1) M^T P(wr conj(g)^2 / s) M for wr = w rho; as a real
-    system in (Re d, Im d) it is symmetric.  At p = 2, where C vanishes
+    system in (Re d, Im d) it is symmetric, and for p >= 1 positive
+    definite, dominating M^H G(wr min(1, ((p - 1) |g|^2 + eps^2) / s)) M
+    (at p = 1, M^H G(wr eps^2 / s) M).  At p = 2, where C vanishes
     and A is the reweighted Gram M^H G(wr) M, and unless ``with_pair``,
     the step solves with that Gram alone: at an already stationary
     iterate the step is rounding, and the pair product would only cost

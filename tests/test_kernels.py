@@ -10,6 +10,7 @@ from xibergman import lpsolve
 from xibergman import (
     Domain,
     Functional,
+    GreenModel,
     KernelEvaluation,
     MultiIndex,
     PolyCoeffs,
@@ -28,6 +29,7 @@ from xibergman import (
     orthonormal_basis,
     reproducing_residual,
     solve_affine_lp,
+    sublevel_domain,
     sup_bound_constant,
 )
 
@@ -378,9 +380,33 @@ class TestSolverContract:
             assert np.abs(row @ Z).max(initial=0.0) <= 1e-14
             assert np.abs(Z.conj().T @ Z - np.eye(len(row) - 1)).max(initial=0.0) <= 1e-14
 
+    def test_p1_backtracks_on_the_smoothed_objective(self):
+        # the Moebius delta_1 sweep row at a = -0.6: Armijo on the unsmoothed
+        # objective rejects the Newton steps near the minimizer's zero and
+        # runs to the cap; on the smoothed objective the steps model, it
+        # converges
+        pole = 0.5 * np.exp(0.7j)
+        space = PolySpace.build(sublevel_domain(GreenModel.moebius_disk(pole), -0.6),
+                                degree=24)
+        ev = diagonal(space, Functional.delta((1,)), pole, 1.0)
+        assert not ev.flags
+        assert ev.diagnostics["method"] == "newton"
+        assert ev.diagnostics["iterations"] < lpsolve.MAX_ITER
+
+    def test_p1_reaches_stationarity_on_the_disk(self):
+        # K_{delta_0, 1}(z) on the unit disk is the Bergman kernel
+        # 1 / (pi (1 - |z|^2)^2); Newton at p = 1 stops on the true
+        # stationarity test, not on the smoothing-scale one
+        disk = PolySpace.build(Domain.disk(), degree=24)
+        for r in (0.0, 0.3, 0.6):
+            ev = kernelp_diagonal(disk, Functional.delta((0,)), r * np.exp(0.7j), 1.0)
+            assert not ev.flags
+            assert ev.diagnostics["grad_residual"] < lpsolve.GRAD_TOL, r
+            assert ev.K == pytest.approx(1 / (math.pi * (1 - r * r) ** 2), rel=1e-6)
+
     def test_newton_grid_converges(self):
-        # Newton steps for p > 1: no flag and no solve at the cap on the
-        # disk up to |z| = 0.9 and on the bidisc, few steps at p = 1.5
+        # Newton steps for p >= 1: no flag and no solve at the cap on the
+        # disk up to |z| = 0.9 and on the bidisc, few steps at p = 1.5 and 1
         disk = PolySpace.build(Domain.disk(), degree=24)
         bidisc = PolySpace.build(Domain.bidisc())
         mixed = Functional.from_string("0,0: 1; 1,0: 0.5; 0,1: -0.3j", 2)
@@ -389,7 +415,7 @@ class TestSolverContract:
         cases += [(bidisc, Functional.delta((1, 0)), (0j, 0j)),
                   (bidisc, mixed, (0.35 * np.exp(0.7j), 0.35 * np.exp(-1.9j)))]
         steps = {}
-        for p in (1.2, 1.5, 3.0, 4.0):
+        for p in (1.0, 1.2, 1.5, 3.0, 4.0):
             for space, xi, z in cases:
                 ev = kernelp_diagonal(space, xi, z, p)
                 assert not ev.flags, (p, z, ev.flags)
@@ -397,6 +423,7 @@ class TestSolverContract:
                 assert ev.diagnostics["iterations"] < lpsolve.MAX_ITER
                 steps.setdefault(p, []).append(ev.diagnostics["iterations"])
         assert np.median(steps[1.5]) <= 8
+        assert np.median(steps[1.0]) <= 16
 
 
 def _duality_gap(space, xi, z, p):

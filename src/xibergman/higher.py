@@ -10,8 +10,9 @@ Three independent routes compute it:
   * direct constrained minimization: the jet conditions remove the low-order
     columns of the shifted basis and the normalization becomes one affine row;
   * outer minimization of the plain kernel over the affine family of
-    functionals sharing the top coefficients a_alpha * alpha! (downhill
-    simplex over the free low-order coefficients);
+    functionals sharing the top coefficients a_alpha * alpha! (one BFGS run
+    over the free low-order coefficients, each inner solve warm-started
+    from the previous one);
   * at p = 2, a triangular linear system through the jet-adapted orthonormal
     basis yields the exact minimizing functional in closed form.
 
@@ -27,7 +28,6 @@ from typing import Mapping
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .algebra import (
     AlgebraError,
@@ -341,17 +341,23 @@ def minimizing_xi_p2(
     return family.member(x)
 
 
-def _log_kernel_and_gradient(space, family, z, p, basis, x):
+def _log_kernel_and_gradient(space, family, z, p, basis, x, warm=None):
     """log K of the family member at x, with its exact gradient in x.
 
     ``x`` interleaves the real and imaginary parts of the free coefficients.
     The inner minimizer f* has (xi . f*)(z) = 1, so by the envelope theorem
     d log K = p Re sum_alpha d xi_alpha a_alpha, where a_alpha is the centred
     coefficient of f* at the free index alpha (its free jet, (T u)_alpha):
-    the derivative costs no solve beyond the value.
+    the derivative costs no solve beyond the value.  ``warm``, a one-entry
+    list, carries the solve-basis coefficients u of the last inner minimizer
+    from call to call: the inner solve starts from them (None: the p = 2
+    point) and leaves its own there.
     """
     ev = _constrained_kernel(space, family.member(x[0::2] + 1j * x[1::2]), z, p,
-                             exact=p == 2, basis=basis)
+                             exact=p == 2, basis=basis,
+                             start=None if warm is None else warm[0])
+    if warm is not None:
+        warm[0] = ev.diagnostics["coeffs"]
     jets = np.array([ev.minimizer.coefficient(idx) for idx in family.free_indices])
     grad = np.empty(len(x))
     grad[0::2] = p * jets.real
@@ -367,21 +373,27 @@ def higher_kernel_via_inf(
 ) -> HigherInfResult:
     """Higher-order kernel as the minimum of plain kernels over the family.
 
-    Minimizes log K by BFGS over the real and imaginary parts of the free
-    coefficients, once from zero and once from the exact p = 2 solution; a
-    p = 2 start equal to the zero start reuses its run.  The derivative is
-    exact and free: it is p times the inner minimizer's free jets, which
-    vanish exactly where the direct route's jet conditions hold.  Every
-    inner call solves in one basis orthonormalized at z.  A run converges
-    when every gradient entry is below 100 p GRAD_TOL, the accuracy of the
-    inner solve, or when its line search loses precision with a predicted
-    remaining decrease of log K below OBJ_TOL, the relative objective
-    change the inner solve resolves.  The result carries
-    ``outer-non-convergence`` only when no start converged.  Deterministic:
-    no random starts.  The sanity bound against the direct route (which the
-    minimum can never undercut beyond numerical error) is enforced with
-    ASSERT_TOL relative slack; the stop rule never reads the direct value.
+    Minimizes log K by one BFGS run over the real and imaginary parts of the
+    free coefficients.  K^(1/p) is a dual norm of the functional, so log K
+    is convex along the family and one run suffices.  It starts from the
+    exact p = 2 solution, or from zero at p = 2 itself, where that solution
+    would make this route a copy of :func:`minimizing_xi_p2`.  The
+    derivative is exact and free: it is p times the inner minimizer's free
+    jets, which vanish exactly where the direct route's jet conditions hold.
+    Every inner call solves in one basis orthonormalized at z, starting
+    from the previous call's minimizer rescaled to the new functional.  The
+    run converges when every gradient entry is below 100 p GRAD_TOL, the
+    accuracy of the inner solve, or when its line search loses precision
+    with a predicted remaining decrease of log K below OBJ_TOL, the
+    relative objective change the inner solve resolves; otherwise the
+    result carries ``outer-non-convergence``.  Deterministic: no random
+    starts.  The sanity bound against the direct route (which the minimum
+    can never undercut beyond numerical error) is enforced with ASSERT_TOL
+    relative slack; the stop rule never reads the direct value.
     """
+    # only this route minimizes, so the import is paid on its first call
+    import scipy.optimize
+
     _require_polynomial_space(space)
     if p < 1:
         raise ValueError("outer minimization requires p >= 1")
@@ -398,48 +410,33 @@ def higher_kernel_via_inf(
             inner_calls=1, starts=((ev.K, ()),), flags=ev.flags)
 
     calls = 0
+    warm = [None]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal calls
         calls += 1
-        return _log_kernel_and_gradient(space, family, z, p, ob, x)
+        return _log_kernel_and_gradient(space, family, z, p, ob, x, warm=warm)
 
-    nfree = len(free)
-    xi2 = minimizing_xi_p2(space, H, z, basis=ob)
-    start_p2 = np.empty(2 * nfree)
-    for i, idx in enumerate(free):
-        start_p2[2 * i] = xi2[idx].real
-        start_p2[2 * i + 1] = xi2[idx].imag
+    x0 = np.zeros(2 * len(free))
+    if p != 2:
+        xi2 = minimizing_xi_p2(space, H, z, basis=ob)
+        for i, idx in enumerate(free):
+            x0[2 * i], x0[2 * i + 1] = xi2[idx].real, xi2[idx].imag
 
-    runs = []
-    converged_any = False
-    for x0 in (np.zeros(2 * nfree), start_p2):
-        if runs and not np.any(x0):
-            # the exact p = 2 start is the zero start (z at the center of a
-            # circled domain), so the search would retrace the first run
-            runs.append(runs[0])
-            continue
-        res = scipy.optimize.minimize(
-            objective, x0, jac=True, method="BFGS",
-            options={"gtol": 100 * p * GRAD_TOL})
-        runs.append(res)
-        # a precision-loss stop (status 2) is converged when no step can
-        # gain more than the inner solve resolves: the line search then
-        # fails on the inner rounding, not on a wrong model
-        at_floor = res.status == 2 and 0.5 * res.jac @ res.hess_inv @ res.jac <= OBJ_TOL
-        converged_any = converged_any or bool(res.success) or at_floor
+    res = scipy.optimize.minimize(
+        objective, x0, jac=True, method="BFGS",
+        options={"gtol": 100 * p * GRAD_TOL})
+    # a precision-loss stop (status 2) is converged when no step can gain
+    # more than the inner solve resolves: the line search then fails on the
+    # inner rounding, not on a wrong model
+    at_floor = res.status == 2 and 0.5 * res.jac @ res.hess_inv @ res.jac <= OBJ_TOL
+    flags = () if res.success or at_floor else ("outer-non-convergence",)
 
-    best = min(runs, key=lambda r: r.fun)
-    vec = tuple(best.x[0::2] + 1j * best.x[1::2])
-    xi_star = family.member(vec)
-    K = math.exp(best.fun)
-    flags = () if converged_any else ("outer-non-convergence",)
-
+    vec = tuple(res.x[0::2] + 1j * res.x[1::2])
+    K = math.exp(res.fun)
     if K < direct.K * (1 - ASSERT_TOL):
         raise KernelError(
             f"outer minimum {K:.9g} undercuts the direct value {direct.K:.9g}")
-    starts = tuple(
-        (math.exp(r.fun), tuple(r.x[0::2] + 1j * r.x[1::2])) for r in runs)
     return HigherInfResult(
-        K=K, m=K ** (-1.0 / p), xi_star=xi_star, free_part=vec,
-        inner_calls=calls, starts=starts, flags=flags)
+        K=K, m=K ** (-1.0 / p), xi_star=family.member(vec), free_part=vec,
+        inner_calls=calls, starts=((K, vec),), flags=flags)

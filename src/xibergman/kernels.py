@@ -157,6 +157,7 @@ def _constrained_kernel(
     exact: bool = False,
     basis: OrthonormalBasis | None = None,
     seed: int = 42,
+    start: np.ndarray | None = None,
 ) -> KernelEvaluation:
     """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at ``vanishing``.
 
@@ -172,8 +173,11 @@ def _constrained_kernel(
     stops at u0; otherwise the descent solver of :mod:`xibergman.lpsolve`
     (Newton steps for p >= 1, reweighted least squares for p < 1) starts
     there on the space's ring operator, drawing its p < 1 restarts from
-    ``seed``.  The
-    minimizer's solve-basis coefficients are T u.
+    ``seed``.  A ``start`` u from an earlier solve in the same basis (a
+    neighbouring functional) replaces u0 by u / (c . u), which is feasible;
+    u0 stays when c . u is tiny against |c| |u|.  The minimizer's
+    solve-basis coefficients are T u; the diagnostics keep u under
+    "coeffs" for such a start.
     """
     zt = _check_inputs(space, xi, z)
     if basis is not None:
@@ -214,7 +218,11 @@ def _constrained_kernel(
         diagnostics = {"method": "exact-2", "iterations": 0,
                        "final_rel_step": 0.0, "flags": ()}
     else:
-        sol = solve_affine_lp(space.ring, U, c, p, seed=seed)
+        if start is not None:
+            scale = c @ start
+            tiny = abs(scale) <= 1e-6 * np.linalg.norm(c) * np.linalg.norm(start)
+            start = None if tiny else start / scale
+        sol = solve_affine_lp(space.ring, U, c, p, start=start, seed=seed)
         K = 1.0 / sol.objective
         m = sol.m
         u = sol.coeffs
@@ -222,6 +230,7 @@ def _constrained_kernel(
                        "final_rel_step": sol.final_rel_step,
                        "grad_residual": sol.grad_residual,
                        "flags": sol.flags}
+    diagnostics["coeffs"] = u
     sub = T @ u
 
     if keep is None:

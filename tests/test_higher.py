@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xibergman import (
     AlgebraError,
@@ -198,21 +199,6 @@ class TestViaInf:
             assert (kernels._constrained_kernel(space, xi, z, p, exact=p == 2, basis=ob).K
                     == diagonal(space, xi, z, p).K)
 
-    def test_identical_starts_run_once(self, disk16, monkeypatch):
-        # at the center the exact p = 2 start is the zero start
-        import scipy.optimize
-        runs = []
-        original = scipy.optimize.minimize
-
-        def spy(*args, **kwargs):
-            runs.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", spy)
-        res = higher_kernel_via_inf(disk16, HomogeneousPolynomial.from_string("z^2: 1"), 0j, 2.0)
-        assert len(runs) == 1
-        assert res.starts[0] == res.starts[1]
-
     def test_matches_direct_p15(self, disk16):
         H = HomogeneousPolynomial.from_string("z: 1")
         res = higher_kernel_via_inf(disk16, H, 0j, 1.5)
@@ -250,16 +236,74 @@ class TestViaInf:
                 assert not res.flags
                 assert res.K == pytest.approx(direct.K, rel=1e-10)
 
+    def test_inner_solves_start_warm(self, disk16, monkeypatch):
+        # every inner solve after the first starts from the last minimizer
+        from xibergman import kernels
+        starts = []
+        original = kernels.solve_affine_lp
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs.get("start"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "solve_affine_lp", spy)
+        H = HomogeneousPolynomial.from_string("z^2: 1")
+        res = higher_kernel_via_inf(disk16, H, 0.4 * np.exp(0.9j), 1.5)
+        # the direct value, then the inner calls
+        assert len(starts) == res.inner_calls + 1 and res.inner_calls >= 3
+        assert starts[0] is None and starts[1] is None
+        assert all(start is not None for start in starts[2:])
+        assert len(res.starts) == 1
+        assert not res.flags
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_run_from_the_p2_minimizer(self, disk16, monkeypatch, p):
+        # one BFGS run, from the exact p = 2 minimizer off p = 2 and from
+        # zero at p = 2, where that minimizer would leave nothing to search
+        from xibergman import higher
+        points = []
+        original = higher._log_kernel_and_gradient
+
+        def spy(*args, **kwargs):
+            points.append(args[-1].copy())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(higher, "_log_kernel_and_gradient", spy)
+        H = HomogeneousPolynomial.from_string("z^3: 1")
+        z = 0.3 + 0.2j
+        res = higher_kernel_via_inf(disk16, H, z, p)
+        xi2 = minimizing_xi_p2(disk16, H, z)
+        free = FunctionalFamily(H).free_indices
+        expected = np.zeros(2 * len(free))
+        if p != 2:
+            expected[0::2] = [xi2[idx].real for idx in free]
+            expected[1::2] = [xi2[idx].imag for idx in free]
+        assert np.array_equal(points[0], expected)
+        assert len(res.starts) == 1 and res.inner_calls == len(points)
+
+    @given(k=st.integers(1, 3),
+           r=st.floats(0.0, 0.5), theta=st.floats(0.0, 2 * math.pi),
+           a=st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+           p=st.floats(1.2, 4.0))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_property_matches_direct(self, disk6, k, r, theta, a, p):
+        H = HomogeneousPolynomial.monomial((k,), a)
+        z = r * complex(math.cos(theta), math.sin(theta))
+        res = higher_kernel_via_inf(disk6, H, z, p)
+        direct = higher_kernel_direct(disk6, H, z, p)
+        assert not res.flags
+        assert res.K == pytest.approx(direct.K, rel=1e-10)
+
     def test_precision_loss_at_the_floor_converges(self, disk6, monkeypatch):
         # rounding of 1e-12 in log K, below the OBJ_TOL the inner solve
-        # resolves, makes both line searches fail next to the minimum; such
-        # stops are converged, not stalls
+        # resolves, makes the line search fail next to the minimum; such a
+        # stop is converged, not a stall
         import scipy.optimize
         from xibergman import higher
         original = higher._log_kernel_and_gradient
 
-        def rounded(*args):
-            logK, grad = original(*args)
+        def rounded(*args, **kwargs):
+            logK, grad = original(*args, **kwargs)
             return logK + 1e-12 * float(np.sin(1e9 * args[-1]).sum()), grad
 
         statuses = []
@@ -274,7 +318,7 @@ class TestViaInf:
         monkeypatch.setattr(scipy.optimize, "minimize", spy)
         H = HomogeneousPolynomial.from_string("z^2: 1")
         res = higher_kernel_via_inf(disk6, H, 0.3 + 0.2j, 3.0)
-        assert statuses == [2, 2]
+        assert statuses == [2]
         assert not res.flags
         direct = higher_kernel_direct(disk6, H, 0.3 + 0.2j, 3.0)
         assert res.K == pytest.approx(direct.K, rel=1e-10)
@@ -285,8 +329,8 @@ class TestViaInf:
         from xibergman import higher
         original = higher._log_kernel_and_gradient
 
-        def uphill(*args):
-            logK, grad = original(*args)
+        def uphill(*args, **kwargs):
+            logK, grad = original(*args, **kwargs)
             return logK, -grad
 
         monkeypatch.setattr(higher, "_log_kernel_and_gradient", uphill)

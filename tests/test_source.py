@@ -1,9 +1,12 @@
-"""Source hygiene: plain ASCII modules, used imports, no environment reads
-and exports that resolve."""
+"""Source hygiene: plain ASCII modules, used imports, no environment reads,
+exports that resolve and a lean CLI import."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import xibergman
@@ -103,3 +106,14 @@ def test_bench_lookup_points_resolve():
         if owner is None:
             missing.append(f"{module_name}.{attr}")
     assert not missing, missing
+
+
+def test_cli_import_skips_scipy_optimize():
+    # only the infimum route minimizes, so a one-shot CLI run never pays for
+    # importing scipy.optimize
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, xibergman.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

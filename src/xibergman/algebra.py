@@ -143,11 +143,6 @@ def enumerate_upto_degree(dimension: int, degree: int) -> list[MultiIndex]:
     return out
 
 
-def _as_complex(x) -> complex:
-    c = complex(x)
-    return c
-
-
 @dataclass(frozen=True, eq=False)
 class Functional:
     """A finitely supported jet functional.
@@ -171,7 +166,7 @@ class Functional:
                 )
             if not idx.is_taylor:
                 raise AlgebraError("functional indices must be non-negative")
-            c = _as_complex(coeff)
+            c = complex(coeff)
             if c != 0:
                 cleaned[idx] = c
         object.__setattr__(self, "terms", cleaned)
@@ -315,7 +310,7 @@ class PolyCoeffs:
                 idx = MultiIndex(tuple(idx))
             if idx.dimension != self.dimension:
                 raise AlgebraError("coefficient index dimension mismatch")
-            c = _as_complex(c)
+            c = complex(c)
             if c != 0:
                 cleaned[idx] = c
         self.coeffs = cleaned
@@ -328,13 +323,6 @@ class PolyCoeffs:
     @property
     def is_laurent(self) -> bool:
         return any(min(idx.entries) < 0 for idx in self.coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        """Largest total degree in the support (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return 0
-        return max(idx.degree for idx in self.coeffs)
 
     @property
     def band(self) -> int:

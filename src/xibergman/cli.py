@@ -134,7 +134,7 @@ def _target(args: argparse.Namespace, dimension: int):
     if args.xi is not None:
         try:
             return Functional.from_string(args.xi, dimension=dimension), None
-        except AlgebraError as exc:
+        except ValueError as exc:
             raise ConfigError("xi", str(exc)) from exc
     if args.H is not None:
         try:
@@ -146,9 +146,10 @@ def _target(args: argparse.Namespace, dimension: int):
 
 def _check_orders(args: argparse.Namespace) -> None:
     """Reject nonpositive order flags; None keeps the per-dimension default."""
-    if any(order is not None and order < 1
-           for order in (args.radial_order, args.angular_order)):
-        raise ConfigError("radial-order", "orders must be >= 1")
+    for flag, order in (("radial-order", args.radial_order),
+                        ("angular-order", args.angular_order)):
+        if order is not None and order < 1:
+            raise ConfigError(flag, f"must be >= 1, got {order}")
 
 
 def _round12(obj):
@@ -212,7 +213,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         payload["H"] = str(H)
     else:
         ev = diagonal(space, xi, z, p, args.seed)
-    payload["evaluation"] = evaluation_to_dict(ev, include_minimizer=True)
+    payload["evaluation"] = evaluation_to_dict(ev)
     if args.format == "csv":
         _emit(evaluations_to_csv([ev]), args.out)
     else:

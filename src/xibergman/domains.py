@@ -26,7 +26,6 @@ __all__ = [
     "node_count",
     "boundary_distance",
     "scale_domain",
-    "product_domain",
     "contains",
     "domain_from_spec",
     "UnsupportedShapeError",
@@ -237,22 +236,6 @@ def scale_domain(domain: Domain, t: float) -> Domain:
     if domain.shape == "ball":
         return Domain.ball(t * domain.radius, domain.dimension)
     raise UnsupportedShapeError(domain.shape)
-
-
-def product_domain(a: Domain, b: Domain) -> Domain:
-    """Cartesian product of disk/polydisc factors, itself a polydisc."""
-    for d in (a, b):
-        if d.shape not in ("disk", "polydisc"):
-            raise UnsupportedShapeError(f"product with {d.shape} factor is not tensor-compatible")
-
-    def parts(d: Domain) -> tuple[tuple[float, ...], tuple[complex, ...]]:
-        if d.shape == "disk":
-            return (d.radius,), d.center
-        return d.radii, d.center
-
-    ra, ca = parts(a)
-    rb, cb = parts(b)
-    return Domain.polydisc(ra + rb, ca + cb)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,9 @@ __all__ = [
     "default_a_grid",
 ]
 
+# relative slack on each inequality of the limit chain
+LIMIT_CHAIN_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GreenModel:
@@ -274,7 +277,6 @@ def limit_chain_check(
     degree: int | None = None,
     radial_order: int | None = None,
     angular_order: int | None = None,
-    tol: float = 1e-6,
 ) -> LimitChainResult:
     """Check  K_xi(whole) >= sweep limit >= K_H(indicatrix)  at the pole.
 
@@ -289,7 +291,7 @@ def limit_chain_check(
     family = FunctionalFamily(H)
     if xi is None:
         xi = family.fixed_member()
-    elif not family.contains(xi, tol=1e-12):
+    elif not family.contains(xi):
         raise ValueError("functional does not share the top part of H")
 
     space_full = PolySpace.build(model.domain, degree=degree,
@@ -311,7 +313,7 @@ def limit_chain_check(
                                 angular_order=angular_order)
     rhs = higher_kernel_direct(space_ind, H, model.pole, p).K
 
-    scale = max(abs(lhs), abs(limit), abs(rhs))
-    passed = (lhs - limit >= -tol * scale) and (limit - rhs >= -tol * scale)
+    slack = LIMIT_CHAIN_TOL * max(abs(lhs), abs(limit), abs(rhs))
+    passed = lhs - limit >= -slack and limit - rhs >= -slack
     return LimitChainResult(lhs=lhs, limit=limit, rhs=rhs, passed=passed,
                             stabilization=stabilization, table=table)

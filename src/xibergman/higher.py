@@ -67,6 +67,9 @@ _FACTOR_RE = re.compile(r"^z(\d*)(?:\^(\d+))?$")
 # relative slack by which the infimum route may undercut the direct value
 ASSERT_TOL = 1e-3
 
+# absolute slack on the top coefficients in FunctionalFamily.contains
+MEMBER_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousPolynomial:
@@ -155,25 +158,6 @@ class HomogeneousPolynomial:
             self.dimension,
             {idx: c * idx.factorial() for idx, c in self.coeffs.items()})
 
-    def apply(self, f: PolyCoeffs, z) -> complex:
-        return apply_homogeneous(self, f, z)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": {str(a): [c.real, c.imag]
-                       for a, c in sorted(self.coeffs.items(), key=lambda t: t[0].sort_key())},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping, dimension: int | None = None) -> "HomogeneousPolynomial":
-        coeffs = {}
-        for key, val in data["coeffs"].items():
-            entries = tuple(int(s) for s in key.split(","))
-            coeffs[MultiIndex(entries)] = complex(val[0], val[1])
-        dim = dimension if dimension is not None else len(next(iter(coeffs)).entries)
-        return cls(dim, int(data["degree"]), coeffs)
-
     def __str__(self) -> str:
         parts = []
         for idx, c in sorted(self.coeffs.items(), key=lambda t: t[0].sort_key()):
@@ -222,16 +206,16 @@ class FunctionalFamily:
     def fixed_member(self) -> Functional:
         return self.member((0j,) * len(self.free_indices))
 
-    def contains(self, xi: Functional, tol: float = 0.0) -> bool:
-        """Membership check: top part matches, nothing above degree k."""
+    def contains(self, xi: Functional) -> bool:
+        """Membership check: top part matches to MEMBER_TOL, nothing above degree k."""
         top = self.H.top_functional()
         k = self.H.degree
         for idx, c in xi.terms.items():
             if idx.degree > k:
                 return False
-            if idx.degree == k and abs(c - top[idx]) > tol:
+            if idx.degree == k and abs(c - top[idx]) > MEMBER_TOL:
                 return False
-        return all(abs(xi[idx] - c) <= tol for idx, c in top.terms.items())
+        return all(abs(xi[idx] - c) <= MEMBER_TOL for idx, c in top.terms.items())
 
 
 @dataclass
@@ -266,9 +250,9 @@ def jet_constrained_kernel(
     functional acts on the surviving coefficients as a single affine row.
     Exact at p = 2, iterative otherwise (Newton steps for p >= 1); the
     higher-order kernel is the special case vanishing = all orders below
-    deg H.  At p = 2 a ``basis`` from
-    :func:`orthonormal_basis` at z is reused instead of a second
-    orthonormalization when the vanishing orders lead the graded order.
+    deg H.  A ``basis`` from :func:`orthonormal_basis` at z is reused, at
+    every p, instead of a second orthonormalization when the vanishing
+    orders lead the graded order.
     """
     _require_polynomial_space(space)
     if p < 1:
@@ -286,8 +270,8 @@ def higher_kernel_direct(
     """Higher-order kernel by direct constrained minimization.
 
     The vanishing jets are all orders below deg H, a leading block of the
-    graded order, so at p = 2 a ``basis`` from :func:`orthonormal_basis`
-    at z supplies the factorization.
+    graded order, so a ``basis`` from :func:`orthonormal_basis` at z
+    supplies the factorization at every p.
     """
     _require_polynomial_space(space)
     k = H.degree

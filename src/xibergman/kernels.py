@@ -50,7 +50,6 @@ __all__ = [
     "h_quantity",
     "bounds_check",
     "ball_monomial_lp_integral",
-    "evaluate_batch",
     "evaluations_to_csv",
     "evaluation_to_dict",
 ]
@@ -430,16 +429,6 @@ def bounds_check(space: PolySpace, xi: Functional, p: float, z) -> BoundsResult:
     return BoundsResult(lower=lower, upper=upper, kernel=ev.K, z=zt, p=float(p))
 
 
-def evaluate_batch(
-    space: PolySpace,
-    xi: Functional,
-    points,
-    p: float,
-) -> list[KernelEvaluation]:
-    """Diagonal kernel on a list of points, in input order."""
-    return [diagonal(space, xi, pt, p) for pt in points]
-
-
 def evaluations_to_csv(evaluations) -> str:
     """CSV rows of diagonal values; one line per point."""
     evals = list(evaluations)
@@ -461,8 +450,8 @@ def evaluations_to_csv(evaluations) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluation_to_dict(ev: KernelEvaluation, include_minimizer: bool = False) -> dict:
-    """JSON-ready dict for one evaluation."""
+def evaluation_to_dict(ev: KernelEvaluation) -> dict:
+    """JSON-ready dict for one evaluation, minimizer included."""
     diag = {
         "method": ev.diagnostics.get("method"),
         "iterations": ev.diagnostics.get("iterations"),
@@ -472,7 +461,7 @@ def evaluation_to_dict(ev: KernelEvaluation, include_minimizer: bool = False) ->
     }
     if "grad_residual" in ev.diagnostics:
         diag["grad_residual"] = ev.diagnostics["grad_residual"]
-    out = {
+    return {
         "p": ev.p,
         "z": [[c.real, c.imag] for c in ev.z],
         "m": ev.m,
@@ -480,11 +469,9 @@ def evaluation_to_dict(ev: KernelEvaluation, include_minimizer: bool = False) ->
         "degree": ev.degree,
         "xi": ev.xi.to_json_dict(),
         "diagnostics": diag,
-    }
-    if include_minimizer:
-        out["minimizer"] = {
+        "minimizer": {
             "center": [[c.real, c.imag] for c in ev.minimizer.center],
             "coeffs": {str(idx): [v.real, v.imag]
                        for idx, v in sorted(ev.minimizer.coeffs.items())},
-        }
-    return out
+        },
+    }

@@ -91,7 +91,6 @@ class LpSolution:
     m: float                   # objective ** (1/p)
     p: float
     iterations: int
-    converged: bool
     grad_residual: float
     final_rel_step: float
     method: str
@@ -143,7 +142,7 @@ def solve_affine_lp(
         obj = float(np.sum(op.weights * np.abs(op.values(x0)) ** p))
         return LpSolution(
             coeffs=u0, objective=obj, m=obj ** (1.0 / p), p=p,
-            iterations=0, converged=True, grad_residual=0.0,
+            iterations=0, grad_residual=0.0,
             final_rel_step=0.0, method="determined",
         )
     M = basis @ Z
@@ -165,7 +164,7 @@ def solve_affine_lp(
         flags = ("nonconvex-best-found",) + ((stop,) if stop else ())
         return LpSolution(
             coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
-            iterations=iters, converged=stop is None, grad_residual=grad_res,
+            iterations=iters, grad_residual=grad_res,
             final_rel_step=last_step, method="multistart", flags=flags,
         )
 
@@ -173,7 +172,7 @@ def solve_affine_lp(
     t, obj, iters, stop, grad_res, last_step = _descend(op, M, x0, p, eps_factor, t0)
     return LpSolution(
         coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
-        iterations=iters, converged=stop is None, grad_residual=grad_res,
+        iterations=iters, grad_residual=grad_res,
         final_rel_step=last_step, method="newton",
         flags=(stop,) if stop else (),
     )

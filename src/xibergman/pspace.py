@@ -45,7 +45,6 @@ __all__ = [
     "RingOperator",
     "OrthonormalBasis",
     "lp_norm",
-    "gram_matrix",
     "orthonormal_basis",
     "sup_bound_constant",
     "RankLossError",
@@ -450,15 +449,6 @@ class RingOperator:
             raise RankLossError("basis numerically rank deficient on this rule") from exc
 
 
-def gram_matrix(space: PolySpace) -> np.ndarray:
-    """Hermitian Gram matrix of the basis under the quadrature product."""
-    G = space.ring.base_gram.copy()
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise RankLossError(f"Gram matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return G
-
-
 # ---------------------------------------------------------------------------
 # point-adapted orthonormal bases
 # ---------------------------------------------------------------------------
@@ -480,10 +470,6 @@ class OrthonormalBasis:
     point: tuple[complex, ...]
     transform: np.ndarray
     coeffs: np.ndarray
-
-    @property
-    def indices(self) -> list[MultiIndex]:
-        return self.space.indices
 
     def sigma(self, position: int) -> PolyCoeffs:
         return self.space.element(self.transform[:, position], center=self.point)

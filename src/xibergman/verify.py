@@ -106,34 +106,31 @@ class VerifyContext:
         return self.space(Domain.disk(), degree=degree)
 
 
-_REGISTRY: list[tuple[str, str, object]] = []
+# check name -> (suite, check function), in registration order
+_REGISTRY: dict[str, tuple[str, object]] = {}
 
 
 def _check(name: str, suite: str):
     def deco(fn):
-        _REGISTRY.append((name, suite, fn))
+        _REGISTRY[name] = (suite, fn)
         return fn
     return deco
 
 
 def check_names(suite: str = "all") -> list[str]:
-    if suite == "all":
-        return [name for name, _, _ in _REGISTRY]
-    return [name for name, s, _ in _REGISTRY if s == suite]
+    return [name for name, (s, _) in _REGISTRY.items() if suite in ("all", s)]
 
 
 def run_check(name: str, ctx: VerifyContext | None = None) -> CheckResult:
     ctx = ctx or VerifyContext()
-    for cname, suite, fn in _REGISTRY:
-        if cname == name:
-            start = time.perf_counter()
-            try:
-                passed, detail, value = fn(ctx)
-            except Exception as exc:  # noqa: BLE001 - battery must not abort
-                passed, detail, value = False, f"raised {type(exc).__name__}: {exc}", None
-            seconds = time.perf_counter() - start
-            return CheckResult(cname, suite, bool(passed), detail, value, seconds)
-    raise KeyError(f"unknown check {name!r}")
+    suite, fn = _REGISTRY[name]
+    start = time.perf_counter()
+    try:
+        passed, detail, value = fn(ctx)
+    except Exception as exc:  # noqa: BLE001 - battery must not abort
+        passed, detail, value = False, f"raised {type(exc).__name__}: {exc}", None
+    seconds = time.perf_counter() - start
+    return CheckResult(name, suite, bool(passed), detail, value, seconds)
 
 
 def run_suite(suite: str, ctx: VerifyContext | None = None,
@@ -146,18 +143,11 @@ def run_suite(suite: str, ctx: VerifyContext | None = None,
     for name in check_names(suite):
         if budget is not None and time.perf_counter() - start > budget:
             results.append(CheckResult(
-                name, _suite_of(name), False, "skipped: budget exhausted",
+                name, _REGISTRY[name][0], False, "skipped: budget exhausted",
                 None, 0.0))
             continue
         results.append(run_check(name, ctx))
     return results
-
-
-def _suite_of(name: str) -> str:
-    for cname, suite, _ in _REGISTRY:
-        if cname == name:
-            return suite
-    raise KeyError(name)
 
 
 def format_table(results: list[CheckResult]) -> str:

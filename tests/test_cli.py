@@ -88,6 +88,12 @@ class TestValidation:
         (("sweep", "--domain", "disk", "--xi", "0: 1", "--p", "2",
           "--a-grid", "-1,0.25"), "a-grid"),
         (("verify", "--suite", "bogus"), "suite"),
+        (("compute", "--domain", "disk", "--xi", "0: 1", "--p", "2", "--z", "0",
+          "--angular-order", "0"), "angular-order"),
+        (("compute", "--domain", "disk", "--xi", "0: 1", "--p", "2", "--z", "0",
+          "--radial-order", "0"), "radial-order"),
+        (("compute", "--domain", "disk", "--xi", "0,x: 1", "--p", "2", "--z", "0"), "xi"),
+        (("compute", "--domain", "disk", "--xi", "{", "--p", "2", "--z", "0"), "xi"),
     ])
     def test_field_named_in_error(self, capsys, argv, field):
         code, _, err = run(capsys, *argv)

@@ -12,7 +12,6 @@ from xibergman import (
     build_quadrature,
     contains,
     domain_from_spec,
-    product_domain,
     scale_domain,
 )
 
@@ -87,11 +86,6 @@ class TestGeometry:
             scaled = scale_domain(dom, 0.5)
             assert scaled.volume() == pytest.approx(
                 dom.volume() * 0.5 ** (2 * n), rel=1e-12)
-
-    def test_product_of_disks_is_polydisc(self):
-        prod = product_domain(Domain.disk(1.0), Domain.disk(0.5))
-        assert prod.dimension == 2
-        assert prod.volume() == pytest.approx(Domain.bidisc(1.0, 0.5).volume())
 
     def test_balanced_predicate(self):
         assert Domain.disk().is_balanced_at_origin

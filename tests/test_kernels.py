@@ -20,7 +20,6 @@ from xibergman import (
     bounds_check,
     diagonal,
     enumerate_upto_degree,
-    evaluate_batch,
     extremal_pairing,
     h_quantity,
     kernel2_diagonal,
@@ -269,14 +268,6 @@ class TestBounds:
 
 
 class TestBatchAndFlags:
-    def test_batch_matches_loop(self, disk16):
-        xi = Functional.delta((0,))
-        pts = [0j, 0.2 + 0j, 0.3 - 0.3j]
-        batch = evaluate_batch(disk16, xi, pts, 1.5)
-        single = [diagonal(disk16, xi, z, 1.5) for z in pts]
-        for b, s in zip(batch, single):
-            assert b.K == pytest.approx(s.K, rel=1e-12)
-
     def test_nonconvex_flagged(self, disk16):
         ev = diagonal(disk16, Functional.delta((0,)), 0j, 0.5)
         assert "nonconvex-best-found" in ev.flags

@@ -13,7 +13,6 @@ from xibergman import (
     PolySpace,
     Quadrature,
     enumerate_upto_degree,
-    gram_matrix,
     kernel2_diagonal,
     lp_norm,
     orthonormal_basis,
@@ -41,7 +40,7 @@ class TestNorms:
         assert lp_norm(vec, disk16, p) == pytest.approx(expect, rel=rel)
 
     def test_gram_diagonal(self, disk16):
-        G = gram_matrix(disk16)
+        G = disk16.ring.base_gram
         for k in range(5):
             j = disk16.index_position()[MultiIndex((k,))]
             assert G[j, j].real == pytest.approx(math.pi / (k + 1), rel=1e-12)

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ from pathlib import Path
 import xibergman
 
 PACKAGE_DIR = Path(xibergman.__file__).parent
-BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+REPO = Path(__file__).resolve().parents[1]
+BENCH_SPANS = REPO / "bench" / "spans.py"
 
 
 def test_modules_are_ascii():
@@ -90,6 +92,26 @@ def test_exports_resolve():
                for mod in modules for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def test_exports_have_callers():
+    # a public name that only its own test reaches is dead surface: the
+    # package, the README or the bench has to use it
+    used = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    text = "\n".join(path.read_text() for path in
+                     [REPO / "README.md", *sorted((REPO / "bench").glob("*.py"))])
+    unreached = [name for name in xibergman.__all__
+                 if name != "__version__" and name not in used
+                 and not re.search(rf"\b{name}\b", text)]
+    assert not unreached, unreached
 
 
 def test_bench_lookup_points_resolve():

@@ -7,8 +7,10 @@ functions with vanishing (k-1)-jet at z normalized by (P f)(z) = 1.
 
 Three independent routes compute it:
 
-  * direct constrained minimization: the jet conditions remove the low-order
-    columns of the shifted basis and the normalization becomes one affine row;
+  * direct constrained minimization: the vanishing jets are all orders below
+    k, the leading block of the graded basis, so the solve runs on the
+    trailing block of the jet-adapted orthonormal basis at z and the
+    normalization becomes one affine row;
   * outer minimization of the plain kernel over the affine family of
     functionals sharing the top coefficients a_alpha * alpha! (one BFGS run
     over the free low-order coefficients, each inner solve warm-started
@@ -34,7 +36,6 @@ from .algebra import (
     Functional,
     MultiIndex,
     PolyCoeffs,
-    _as_point,
     enumerate_upto_degree,
 )
 from .kernels import (
@@ -49,14 +50,13 @@ from .lpsolve import GRAD_TOL, OBJ_TOL
 # moved to kernels; they stay importable because bench/spans.py wraps these
 # lookups
 from .lpsolve import solve_affine_lp  # noqa: F401
-from .pspace import OrthonormalBasis, PolySpace, orthonormal_basis
+from .pspace import PolySpace, orthonormal_basis
 
 __all__ = [
     "HomogeneousPolynomial",
     "FunctionalFamily",
     "HigherInfResult",
     "apply_homogeneous",
-    "jet_constrained_kernel",
     "higher_kernel_direct",
     "higher_kernel_via_inf",
     "minimizing_xi_p2",
@@ -236,28 +236,20 @@ def _require_polynomial_space(space: PolySpace):
         raise KernelError("higher-order kernels need a polynomial (non-Laurent) basis")
 
 
-def jet_constrained_kernel(
-    space: PolySpace,
-    vanishing: list[MultiIndex],
-    xi: Functional,
-    z,
-    p: float,
-    basis: OrthonormalBasis | None = None,
-) -> KernelEvaluation:
-    """Minimal-norm element with prescribed vanishing jets and (xi . f)(z) = 1.
+def _leading_block(space: PolySpace, k: int) -> int:
+    """Number of orders below k, which lead the graded basis of the space.
 
-    The vanishing orders remove columns of the z-shifted basis; the
-    functional acts on the surviving coefficients as a single affine row.
-    Exact at p = 2, iterative otherwise (Newton steps for p >= 1); the
-    higher-order kernel is the special case vanishing = all orders below
-    deg H.  A ``basis`` from :func:`orthonormal_basis` at z is reused, at
-    every p, instead of a second orthonormalization when the vanishing
-    orders lead the graded order.
+    Raises KernelError when k exceeds the truncation degree or the space
+    misses an order below k (a per-axis truncation can).
     """
-    _require_polynomial_space(space)
-    if p < 1:
-        raise ValueError("jet-constrained kernels require p >= 1")
-    return _constrained_kernel(space, xi, z, p, vanishing, exact=p == 2, basis=basis)
+    if k > space.degree:
+        raise KernelError(
+            f"pairing degree {k} exceeds the truncation degree {space.degree}")
+    orders = enumerate_upto_degree(space.dimension, k - 1)
+    if space.indices[:len(orders)] != orders:
+        missing = next(idx for idx in orders if idx not in space.indices)
+        raise KernelError(f"vanishing order {missing} lies outside the truncated space")
+    return len(orders)
 
 
 def higher_kernel_direct(
@@ -265,28 +257,25 @@ def higher_kernel_direct(
     H: HomogeneousPolynomial,
     z,
     p: float,
-    basis: OrthonormalBasis | None = None,
 ) -> KernelEvaluation:
     """Higher-order kernel by direct constrained minimization.
 
-    The vanishing jets are all orders below deg H, a leading block of the
-    graded order, so a ``basis`` from :func:`orthonormal_basis` at z
-    supplies the factorization at every p.
+    The minimal-norm element with vanishing jets at all orders below
+    deg H and (P f)(z) = 1.  Those orders are the leading block of the
+    graded order, so the solve runs on the trailing block of the basis
+    orthonormalized at z.  Exact at p = 2, Newton steps otherwise.
     """
     _require_polynomial_space(space)
-    k = H.degree
-    if k > space.degree:
-        raise KernelError(
-            f"pairing degree {k} exceeds the truncation degree {space.degree}")
-    vanishing = enumerate_upto_degree(space.dimension, k - 1) if k > 0 else []
-    return jet_constrained_kernel(space, vanishing, H.top_functional(), z, p, basis=basis)
+    low = _leading_block(space, H.degree)
+    if p < 1:
+        raise ValueError("jet-constrained kernels require p >= 1")
+    return _constrained_kernel(space, H.top_functional(), z, p, low, exact=p == 2)
 
 
 def minimizing_xi_p2(
     space: PolySpace,
     H: HomogeneousPolynomial,
     z,
-    basis: OrthonormalBasis | None = None,
 ) -> Functional:
     """Exact minimizing functional of the family at p = 2.
 
@@ -296,28 +285,19 @@ def minimizing_xi_p2(
     holds the nonvanishing leading jets), solved directly.
     """
     _require_polynomial_space(space)
-    if basis is not None:
-        basis.check(space, _as_point(z, space.dimension))
     family = FunctionalFamily(H)
-    free = family.free_indices
-    if not free:
+    if not family.free_indices:
         return family.fixed_member()
-    ob = basis if basis is not None else orthonormal_basis(space, z)
-
-    pos = space.index_position()
-    low = [pos[idx] for idx in free]
     k = H.degree
+    low = _leading_block(space, k)
     top_idx = [j for j, idx in enumerate(space.indices) if idx.degree == k]
-    if not top_idx:
-        raise KernelError(
-            f"pairing degree {k} exceeds the truncation degree {space.degree}")
 
-    T = ob.transform
+    T = orthonormal_basis(space, z).transform
     # pairing coefficient of basis element alpha: c_alpha = sum_beta xi_beta T[beta, alpha]
-    M = T[np.ix_(low, low)].T
+    M = T[:low, :low].T
     fixed = family.H.top_functional()
     fixed_vec = np.array([fixed[space.indices[j]] for j in top_idx], dtype=complex)
-    rhs = -(T[np.ix_(top_idx, low)].T @ fixed_vec)
+    rhs = -(T[top_idx, :low].T @ fixed_vec)
     dmin = float(np.min(np.abs(np.diag(M))))
     if dmin == 0.0:
         raise KernelError("degenerate leading jet in the orthonormal basis")
@@ -325,7 +305,7 @@ def minimizing_xi_p2(
     return family.member(x)
 
 
-def _log_kernel_and_gradient(space, family, z, p, basis, x, warm=None):
+def _log_kernel_and_gradient(space, family, z, p, x, warm=None):
     """log K of the family member at x, with its exact gradient in x.
 
     ``x`` interleaves the real and imaginary parts of the free coefficients.
@@ -338,8 +318,7 @@ def _log_kernel_and_gradient(space, family, z, p, basis, x, warm=None):
     point) and leaves its own there.
     """
     ev = _constrained_kernel(space, family.member(x[0::2] + 1j * x[1::2]), z, p,
-                             exact=p == 2, basis=basis,
-                             start=None if warm is None else warm[0])
+                             exact=p == 2, start=None if warm is None else warm[0])
     if warm is not None:
         warm[0] = ev.diagnostics["coeffs"]
     jets = np.array([ev.minimizer.coefficient(idx) for idx in family.free_indices])
@@ -383,9 +362,7 @@ def higher_kernel_via_inf(
         raise ValueError("outer minimization requires p >= 1")
     family = FunctionalFamily(H)
     free = family.free_indices
-    ob = orthonormal_basis(space, z) if p == 2 or free else None
-
-    direct = higher_kernel_direct(space, H, z, p, basis=ob)
+    direct = higher_kernel_direct(space, H, z, p)
 
     if not free:
         ev = diagonal(space, family.fixed_member(), z, p)
@@ -399,11 +376,11 @@ def higher_kernel_via_inf(
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal calls
         calls += 1
-        return _log_kernel_and_gradient(space, family, z, p, ob, x, warm=warm)
+        return _log_kernel_and_gradient(space, family, z, p, x, warm=warm)
 
     x0 = np.zeros(2 * len(free))
     if p != 2:
-        xi2 = minimizing_xi_p2(space, H, z, basis=ob)
+        xi2 = minimizing_xi_p2(space, H, z)
         for i, idx in enumerate(free):
             x0[2 * i], x0[2 * i + 1] = xi2[idx].real, xi2[idx].imag
 

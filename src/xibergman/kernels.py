@@ -10,7 +10,8 @@ For p = 2 the value comes from an orthonormal-basis pairing in closed form;
 for general p the constrained solver in lpsolve runs on the space's ring
 operator.
 Both engines sit behind one constrained set-up, which also takes the
-vanishing jets of the higher-order kernels.
+vanishing jets of the higher-order kernels: all orders below some k, the
+leading block of the graded basis.
 The module also evaluates the reproducing-formula residual, the symmetrized
 difference quantity H with its two convexity-type integral inequalities,
 and a priori lower/upper bounds for K.
@@ -26,14 +27,8 @@ from scipy.special import gammaln
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import boundary_distance, contains
-from .lpsolve import EPS_FACTOR, EPS_FACTOR_P1, solve_affine_lp
-from .pspace import (
-    OrthonormalBasis,
-    PolySpace,
-    _orthonormal_transform,
-    orthonormal_basis,
-    sup_bound_constant,
-)
+from .lpsolve import _smoothing_factor, solve_affine_lp
+from .pspace import PolySpace, orthonormal_basis, sup_bound_constant
 
 __all__ = [
     "KernelEvaluation",
@@ -152,23 +147,22 @@ def _constrained_kernel(
     xi: Functional,
     z,
     p: float,
-    vanishing=(),
+    low: int = 0,
     exact: bool = False,
-    basis: OrthonormalBasis | None = None,
     seed: int = 42,
     start: np.ndarray | None = None,
 ) -> KernelEvaluation:
-    """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at ``vanishing``.
+    """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at the first ``low`` orders.
 
-    The one constrained solve behind every kernel in the package.  Each
-    vanishing order removes its column of the solve basis (the z-shifted
-    monomials, or the Laurent monomials), and both engines work in the
-    point-adapted orthonormal basis of the kept columns: its transform T
-    to the solve basis and its centred coefficients U come from ``basis``
-    when given (with vanishing jets, its trailing block when they lead the
-    graded order), otherwise from one orthonormalization at z.  There the
-    functional is the single row c = T^T L, K = |c|^2 at p = 2, and
-    u0 = conj(c) / |c|^2 is the p = 2 minimizer.  ``exact`` (p = 2 only)
+    The one constrained solve behind every kernel in the package.  Both
+    engines work in the point-adapted orthonormal basis at z (of the
+    z-shifted monomials, or of the Laurent monomials).  It is built from
+    the top, so its trailing block from position ``low`` on spans the
+    functions whose jets vanish at the ``low`` leading orders of the
+    graded order; T and U are that block's transform to the solve basis
+    and its centred coefficients.  There the functional is the single row
+    c = T^T L, K = |c|^2 at p = 2, and u0 = conj(c) / |c|^2 is the p = 2
+    minimizer.  ``exact`` (p = 2 only)
     stops at u0; otherwise the descent solver of :mod:`xibergman.lpsolve`
     (Newton steps for p >= 1, reweighted least squares for p < 1) starts
     there on the space's ring operator, drawing its p < 1 restarts from
@@ -179,35 +173,9 @@ def _constrained_kernel(
     "coeffs" for such a start.
     """
     zt = _check_inputs(space, xi, z)
-    if basis is not None:
-        basis.check(space, zt)
-    keep = None
-    if vanishing:
-        pos = space.index_position()
-        drop = set()
-        for beta in vanishing:
-            if beta not in pos:
-                raise KernelError(
-                    f"vanishing order {beta} lies outside the truncated space")
-            drop.add(pos[beta])
-        keep = [j for j in range(space.size) if j not in drop]
-        if not keep:
-            raise KernelError("vanishing constraints exhaust the truncated space")
-    L = space.constraint_row(xi, zt)
-    if keep is None:
-        ob = basis if basis is not None else orthonormal_basis(space, zt)
-        T, U = ob.transform, ob.coeffs
-    else:
-        L = L[keep]
-        if basis is not None and keep[0] == space.size - len(keep):
-            # the vanishing orders are a leading block of the graded order,
-            # and the basis is orthonormalized from the top, so its kept
-            # trailing block is the constrained one
-            T, U = basis.transform[np.ix_(keep, keep)], basis.coeffs[:, keep]
-        else:
-            T, U = _orthonormal_transform(space, zt, keep)
-
-    c = T.T @ L
+    ob = orthonormal_basis(space, zt)
+    T, U = ob.transform[low:, low:], ob.coeffs[:, low:]
+    c = T.T @ space.constraint_row(xi, zt)[low:]
     K = float(np.sum(np.abs(c) ** 2))
     if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
         raise ZeroPairingError(_ZERO_PAIRING)
@@ -230,13 +198,8 @@ def _constrained_kernel(
                        "grad_residual": sol.grad_residual,
                        "flags": sol.flags}
     diagnostics["coeffs"] = u
-    sub = T @ u
-
-    if keep is None:
-        full = sub
-    else:
-        full = np.zeros(space.size, dtype=complex)
-        full[keep] = sub
+    full = np.zeros(space.size, dtype=complex)
+    full[low:] = T @ u
     minimizer = space.element(full, center=None if space.laurent else zt)
     diagnostics["constraint_residual"] = abs(
         functional_apply(xi, minimizer, zt) - 1.0)
@@ -249,7 +212,6 @@ def kernel2_diagonal(
     space: PolySpace,
     xi: Functional,
     z,
-    basis: OrthonormalBasis | None = None,
 ) -> KernelEvaluation:
     """Exact kernel value at p = 2 through the orthonormal-basis pairing.
 
@@ -257,7 +219,7 @@ def kernel2_diagonal(
     the basis orthonormalized at z; the minimizer is the coefficient-conjugate
     combination rescaled by 1/K.  Pure linear algebra, no iteration.
     """
-    return _constrained_kernel(space, xi, z, 2.0, exact=True, basis=basis)
+    return _constrained_kernel(space, xi, z, 2.0, exact=True)
 
 
 def kernelp_diagonal(
@@ -316,7 +278,7 @@ def extremal_pairing(
     p = evaluation.p
     absg = np.abs(g)
     if p < 2:
-        eps = (EPS_FACTOR_P1 if p == 1 else EPS_FACTOR) * max(float(absg.max()), 1e-300)
+        eps = _smoothing_factor(p) * max(float(absg.max()), 1e-300)
         rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
     else:
         rho = absg ** (p - 2.0)

@@ -80,6 +80,11 @@ EPS_FACTOR_P1 = 1e-6
 RESTARTS = 8
 
 
+def _smoothing_factor(p: float) -> float:
+    """eps / max_q |f(x_q)| of the smoothed objective at exponent p."""
+    return EPS_FACTOR_P1 if p == 1 else EPS_FACTOR
+
+
 class SolverError(RuntimeError):
     """The supplied start is infeasible."""
 
@@ -147,7 +152,7 @@ def solve_affine_lp(
         )
     M = basis @ Z
 
-    eps_factor = EPS_FACTOR_P1 if p == 1 else EPS_FACTOR
+    eps_factor = _smoothing_factor(p)
 
     if p < 1:
         rng = np.random.default_rng(seed)

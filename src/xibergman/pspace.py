@@ -13,15 +13,19 @@ angles; no Q x N array of node values is kept.  The exact Taylor jets
 
 :func:`orthonormal_basis` produces a basis adapted to a point: sigma_alpha
 has vanishing Taylor jet at the point for every order below alpha (in the
-graded order) and a nonvanishing jet exactly at alpha.  That triangular
-structure is what the degree-constrained functional solvers rely on.
+graded order) and a nonvanishing jet exactly at alpha.  So the functions
+whose jets vanish at all orders below k are spanned by a trailing block of
+the basis: the orders below k lead the graded order.  That triangular
+structure is what the degree-constrained functional solvers rely on.  The
+space keeps the basis of the last point it was asked for, so the routes that
+solve at one point share one orthonormalization.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +91,9 @@ class PolySpace:
     center: tuple[complex, ...]
     laurent: bool = False
     mode: str = "total"
+    # (point, T, U) of the last orthonormal_basis request, arrays read-only;
+    # a tuple, not the basis itself, so the space holds no reference to itself
+    _basis_memo: tuple | None = field(default=None, init=False, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -477,13 +484,6 @@ class OrthonormalBasis:
     def node_values(self) -> np.ndarray:
         return self.space.values(self.coeffs)
 
-    def check(self, space: PolySpace, point: tuple[complex, ...]) -> None:
-        """Raise ValueError unless this basis was built on ``space`` at ``point``."""
-        if self.space is not space or self.point != point:
-            raise ValueError(
-                f"orthonormal basis was built for another space or point "
-                f"({self.point}), not for {point} on this space")
-
 
 def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     """Orthonormalize the space against the quadrature product, adapted to z.
@@ -498,50 +498,50 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     Laurent bases are orthonormalized in the band order without jet
     adaptation; expansion identities that only need orthonormality remain
     valid there.
+
+    The space keeps the last point's basis, with read-only arrays, and
+    returns it again for the same point; another point replaces it.
     """
     point = _as_point(z, space.dimension)
-    return OrthonormalBasis(space, point, *_orthonormal_transform(space, point))
+    memo = space._basis_memo
+    if memo is None or memo[0] != point:
+        T, U = _orthonormal_transform(space, point)
+        T.flags.writeable = U.flags.writeable = False
+        memo = space._basis_memo = (point, T, U)
+    return OrthonormalBasis(space, *memo)
 
 
-def _orthonormal_transform(space: PolySpace, point,
-                           keep: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormal_transform(space: PolySpace, point) -> tuple[np.ndarray, np.ndarray]:
     """Triangular T and centred coefficients U of an orthonormal basis, built from the top.
 
-    Column a of T only involves solve-basis columns b >= a (of ``keep``,
-    all by default), and its leading coefficient T[a, a] is real and
-    positive; processing from the last column to the first keeps the jet
-    flag structure.  With J = jet_map and the ring factor C, the columns
-    of X = C^-H J^H represent the jet functionals at the point in the
-    weighted product, and carry no cancellation.  An N x N QR, X = Q R,
-    with the dropped columns first and their block then discarded, gives
-    both factors: the trailing columns of Q span the functions whose
-    dropped jets vanish, so U = C^-1 Q is orthonormal there, and its jets
-    at the point are T = R^H.  Raises RankLossError when the columns are
+    Column a of T only involves solve-basis columns b >= a, and its
+    leading coefficient T[a, a] is real and positive; processing from the
+    last column to the first keeps the jet flag structure.  With J =
+    jet_map and the ring factor C, the columns of X = C^-H J^H represent
+    the jet functionals at the point in the weighted product, and carry no
+    cancellation.  An N x N QR, X = Q R, gives both factors: U = C^-1 Q
+    is orthonormal, its jets at the point are T = R^H, and for every a
+    its columns from a on span the functions whose jets below a vanish.
+    Raises RankLossError when the columns are
     numerically dependent: the guard reads the same equilibrated diagonal
     as a QR of the node values would, 1 / (T[a, a] ||psi_a||), where
     ||psi_a|| is the norm of column a of T^-1.
     """
-    n = space.size
     # numpy's inverse rather than scipy's triangular solves: scipy's own
     # threaded BLAS leaves its workers spinning against the numpy products
     # of a descent solve that follows (3x slower on two cores)
     C_inv = np.linalg.inv(space.ring.factor)
     X = (space.jet_map(point) @ C_inv).conj().T
-    if keep is not None:
-        kept = set(keep)
-        X = X[:, [j for j in range(n) if j not in kept] + list(keep)]
-    m = n if keep is None else len(keep)
     # equilibrate columns first so monomial scale spread (radius^|alpha| on
     # small domains) does not masquerade as rank loss
     colnorm = np.linalg.norm(X, axis=0)
     Q, R = np.linalg.qr(X / colnorm)
-    Q, R = Q[:, n - m:], R[n - m:, n - m:]
     diag = np.diagonal(R)
     if np.min(np.abs(diag)) == 0:
         raise RankLossError("basis numerically rank deficient at this point")
     # rotate phases so every sigma has a positive leading jet
     phase = diag / np.abs(diag)
-    R = phase.conj()[:, None] * R * colnorm[None, n - m:]
+    R = phase.conj()[:, None] * R * colnorm[None, :]
     # ||psi_a||, the norm of column a of T^-1, is that of row a of R^-1;
     # the upper triangular R inverts without pivoting
     scaled = 1.0 / (np.abs(np.diagonal(R)) * np.linalg.norm(np.linalg.inv(R), axis=1))

@@ -10,12 +10,14 @@ machine output.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import (
     Functional,
@@ -26,7 +28,7 @@ from .algebra import (
     prec_compare,
     taylor_shift,
 )
-from .domains import Domain, UnsupportedShapeError, build_quadrature
+from .domains import Domain, UnsupportedShapeError, build_quadrature, contains
 from .green import (
     GreenModel,
     azukawa_indicatrix,
@@ -227,7 +229,6 @@ def _chk_order(ctx):
         for b in idxs:
             if prec_compare(a, b) != -prec_compare(b, a):
                 return False, f"antisymmetry fails at {a}, {b}", None
-    import itertools
     for a, b, c in itertools.product(idxs, repeat=3):
         if prec_compare(a, b) <= 0 and prec_compare(b, c) <= 0:
             if prec_compare(a, c) > 0:
@@ -363,14 +364,13 @@ def _chk_annulus_norms(ctx):
 
 @_check("quadrature/node-containment", "quadrature")
 def _chk_nodes(ctx):
-    from .domains import contains as dom_contains
     for dom, nr, na in ((Domain.disk(), 16, 32), (Domain.annulus(0.5, 1), 16, 32),
                         (Domain.bidisc(), 6, 12), (Domain.ball(1.0, 2), 8, 16)):
         quad = build_quadrature(dom, nr, na)
         if np.any(quad.weights <= 0):
             return False, f"nonpositive weight on {dom.shape}", None
         for row in quad.nodes[:: max(1, quad.node_count // 97)]:
-            if not dom_contains(dom, tuple(row)):
+            if not contains(dom, tuple(row)):
                 return False, f"node escapes {dom.shape}", None
     return True, "weights positive, sampled nodes strictly inside", None
 
@@ -616,7 +616,6 @@ def _chk_uniqueness(ctx):
     w = space.quadrature.weights
     # random exactly-feasible starts in the orthonormal coordinates: the
     # minimal-norm solution plus a null-space perturbation
-    import scipy.linalg
     Z = scipy.linalg.null_space(c[None, :])
     base = np.conj(c) / np.vdot(c, c).real
     sols = []
@@ -724,7 +723,6 @@ def _chk_sandwich(ctx):
     space = ctx.disk_space()
     H = HomogeneousPolynomial.from_string("z^2: 1")
     family = FunctionalFamily(H)
-    basis_cache = {}
     min_gap = math.inf
     combos = [(z, p) for z in (0j, 0.3 + 0j) for p in (1.5, 2.0)]
     for i in range(50):
@@ -733,12 +731,7 @@ def _chk_sandwich(ctx):
                      for _ in family.free_indices)
         xi = family.member(free)
         direct = higher_kernel_direct(space, H, z, p).K
-        if p == 2:
-            if z not in basis_cache:
-                basis_cache[z] = orthonormal_basis(space, z)
-            kxi = kernel2_diagonal(space, xi, z, basis=basis_cache[z]).K
-        else:
-            kxi = kernelp_diagonal(space, xi, z, p).K
+        kxi = diagonal(space, xi, z, p).K
         min_gap = min(min_gap, kxi - direct)
     ok = min_gap >= -1e-8
     return ok, (f"50 family members, min K_family - K_higher = {min_gap:.3e} "
@@ -801,8 +794,7 @@ def _chk_sublevel(ctx):
     if abs(sublevel_domain(bal, -1.0).radius - math.exp(-1)) > 1e-15:
         return False, "balanced scaling at height -1 is off", None
     for a in default_a_grid():
-        from .domains import contains as dom_contains
-        if not dom_contains(sublevel_domain(mob, a), mob.pole):
+        if not contains(sublevel_domain(mob, a), mob.pole):
             return False, f"pole escapes the sublevel set at a = {a}", None
     return True, "closed-form sublevel sets match at heights 0, log 1/2, -1", err
 

@@ -12,6 +12,7 @@ from xibergman import (
     Functional,
     FunctionalFamily,
     HomogeneousPolynomial,
+    KernelError,
     MultiIndex,
     PolyCoeffs,
     PolySpace,
@@ -22,10 +23,8 @@ from xibergman import (
     enumerate_upto_degree,
     higher_kernel_direct,
     higher_kernel_via_inf,
-    jet_constrained_kernel,
     kernel2_diagonal,
     minimizing_xi_p2,
-    orthonormal_basis,
     taylor_shift,
 )
 
@@ -108,12 +107,6 @@ class TestDirect:
         b = diagonal(disk16, Functional.delta((0,)), 0.3 + 0j, 2.0)
         assert a.K == pytest.approx(b.K, rel=1e-12)
 
-    def test_jet_constraint_drops_directions(self, disk16):
-        # forcing f'(0) = 0 leaves the constant extremal untouched
-        ev = jet_constrained_kernel(disk16, [MultiIndex((1,))],
-                                    Functional.delta((0,)), 0j, 2.0)
-        assert ev.K == pytest.approx(1 / math.pi, rel=1e-10)
-
     def test_p2_routes_share_the_rank_guard(self):
         # four coincident nodes: every non-constant monomial vanishes on the
         # rule, so both exact p = 2 routes must refuse the same way
@@ -153,11 +146,20 @@ class TestMinimizingFunctional:
         direct = higher_kernel_direct(disk16, H, z, 2.0).K
         assert kernel2_diagonal(disk16, xi, z).K == pytest.approx(direct, rel=1e-8)
 
-    def test_basis_from_another_point_rejected(self, disk16):
-        H = HomogeneousPolynomial.from_string("z: 1")
-        with pytest.raises(ValueError):
-            minimizing_xi_p2(disk16, H, 0.3 + 0j,
-                             basis=orthonormal_basis(disk16, 0j))
+    @pytest.mark.parametrize("domain,mode,text,z", [
+        (Domain.disk(), "total", "z^5: 1", 0.1j),
+        (Domain.bidisc(), "tensor", "z1^4: 1", (0.1, 0.2j)),
+    ])
+    def test_orders_outside_the_space_rejected(self, domain, mode, text, z):
+        # degree 2 lacks an order below k: past the truncation degree on
+        # the disk, and z1^3 on the per-axis bidisc although z1^2 z2^2 fits
+        space = PolySpace.build(domain, degree=2, radial_order=6,
+                                angular_order=12, mode=mode)
+        H = HomogeneousPolynomial.from_string(text, dimension=domain.dimension)
+        with pytest.raises(KernelError):
+            minimizing_xi_p2(space, H, z)
+        with pytest.raises(KernelError):
+            higher_kernel_direct(space, H, z, 2.0)
 
 
 class TestViaInf:
@@ -168,12 +170,12 @@ class TestViaInf:
         assert res.K == pytest.approx(direct.K, rel=1e-7)
         assert res.inner_calls >= 2
 
-    def test_p2_factorizes_once(self, disk6, monkeypatch):
+    def test_p2_factorizes_once(self, monkeypatch):
         # the jet-constrained columns are the trailing block of the basis
-        # orthonormalized at z, so the direct value reuses its factor, and
-        # every inner call of the outer minimization solves in that basis
-        from xibergman import kernels, pspace
-        space = disk6
+        # orthonormalized at z, which the space keeps: every route at one
+        # point, and every inner call of the outer minimization, solves in it
+        from xibergman import pspace
+        space = PolySpace.build(Domain.disk(), degree=6, radial_order=12, angular_order=24)
         calls = []
         original = pspace._orthonormal_transform
 
@@ -182,22 +184,15 @@ class TestViaInf:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pspace, "_orthonormal_transform", spy)
-        monkeypatch.setattr(kernels, "_orthonormal_transform", spy)
         H = HomogeneousPolynomial.from_string("z^2: 1")
         z = 0.3 + 0.1j
         for p in (2.0, 1.5):
-            calls.clear()
             res = higher_kernel_via_inf(space, H, z, p)
-            assert len(calls) == 1 and res.inner_calls >= 2
-            ob = orthonormal_basis(space, z)
-            shared = higher_kernel_direct(space, H, z, p, basis=ob)
-            separate = higher_kernel_direct(space, H, z, p)
-            assert len(calls) == 3
-            assert shared.K == pytest.approx(separate.K, rel=1e-13)
-            # a shared basis is the one a fresh call would build: equal bits
-            xi = FunctionalFamily(H).member(res.free_part)
-            assert (kernels._constrained_kernel(space, xi, z, p, exact=p == 2, basis=ob).K
-                    == diagonal(space, xi, z, p).K)
+            assert res.inner_calls >= 2
+            higher_kernel_direct(space, H, z, p)
+            xi = minimizing_xi_p2(space, H, z)
+            kernel2_diagonal(space, xi, z)
+        assert len(calls) == 1
 
     def test_matches_direct_p15(self, disk16):
         H = HomogeneousPolynomial.from_string("z: 1")
@@ -212,15 +207,14 @@ class TestViaInf:
         from xibergman import higher
         family = FunctionalFamily(HomogeneousPolynomial.from_string("z^2: 1"))
         z = 0.3 + 0.2j
-        ob = orthonormal_basis(disk16, z)
         x = np.array([0.4, -0.2, -0.3, 0.5])
-        logK, grad = higher._log_kernel_and_gradient(disk16, family, z, p, ob, x)
+        logK, grad = higher._log_kernel_and_gradient(disk16, family, z, p, x)
         h = 1e-4
         diffs = np.empty(len(x))
         for i in range(len(x)):
             step = h * np.eye(len(x))[i]
-            up = higher._log_kernel_and_gradient(disk16, family, z, p, ob, x + step)[0]
-            down = higher._log_kernel_and_gradient(disk16, family, z, p, ob, x - step)[0]
+            up = higher._log_kernel_and_gradient(disk16, family, z, p, x + step)[0]
+            down = higher._log_kernel_and_gradient(disk16, family, z, p, x - step)[0]
             diffs[i] = (math.exp(up) - math.exp(down)) / (2 * h)
         dK = math.exp(logK) * grad
         assert np.abs(diffs - dK).max() <= 1e-6 * np.abs(dK).max()

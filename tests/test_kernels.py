@@ -58,18 +58,6 @@ class TestClosedForms:
         iterated = kernelp_diagonal(disk16, xi, z, 2.0)
         assert iterated.K == pytest.approx(exact.K, rel=1e-9)
 
-    def test_basis_from_another_point_or_space_rejected(self, disk16):
-        xi = Functional.delta((0,))
-        ob = orthonormal_basis(disk16, 0j)
-        assert kernel2_diagonal(disk16, xi, 0j, basis=ob).K == pytest.approx(
-            1 / math.pi, rel=1e-12)
-        with pytest.raises(ValueError):
-            kernel2_diagonal(disk16, xi, 0.3 + 0j, basis=ob)
-        other = PolySpace.build(Domain.disk(), degree=4, radial_order=8,
-                                angular_order=16)
-        with pytest.raises(ValueError):
-            kernel2_diagonal(other, xi, 0j, basis=ob)
-
     def test_scaled_functional_covariance(self, disk16):
         # K is |c|^p homogeneous in the functional scale
         xi = Functional.delta((1,))

@@ -14,6 +14,7 @@ from xibergman import (
     Quadrature,
     enumerate_upto_degree,
     kernel2_diagonal,
+    kernelp_diagonal,
     lp_norm,
     orthonormal_basis,
     sup_bound_constant,
@@ -81,6 +82,59 @@ class TestOrthonormalBasis:
         w = space.quadrature.weights
         G = V.conj().T @ (w[:, None] * V)
         assert np.max(np.abs(G - np.eye(space.size))) < 1e-8
+
+
+class TestBasisMemo:
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        from xibergman import pspace
+        calls = []
+        original = pspace._orthonormal_transform
+
+        def spy(space, point):
+            calls.append(point)
+            return original(space, point)
+
+        monkeypatch.setattr(pspace, "_orthonormal_transform", spy)
+        return calls
+
+    @staticmethod
+    def _space():
+        return PolySpace.build(Domain.disk(), degree=8, radial_order=12, angular_order=24)
+
+    def test_repeat_point_reuses_the_basis(self, transforms):
+        space = self._space()
+        first = orthonormal_basis(space, 0.3 + 0.1j)
+        again = orthonormal_basis(space, (0.3 + 0.1j,))
+        assert transforms == [(0.3 + 0.1j,)]
+        assert again.transform is first.transform and again.coeffs is first.coeffs
+
+    def test_new_point_replaces_the_entry(self, transforms):
+        space = self._space()
+        orthonormal_basis(space, 0.3 + 0.1j)
+        ob = orthonormal_basis(space, -0.2j)
+        assert space._basis_memo[0] == ob.point == (-0.2j,)
+        orthonormal_basis(space, 0.3 + 0.1j)
+        assert transforms == [(0.3 + 0.1j,), (-0.2j,), (0.3 + 0.1j,)]
+
+    def test_cached_arrays_reject_writes(self):
+        ob = orthonormal_basis(self._space(), 0.3 + 0.1j)
+        with pytest.raises(ValueError):
+            ob.transform[0, 0] = 0
+        with pytest.raises(ValueError):
+            ob.coeffs[0, 0] = 0
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_hit_matches_a_fresh_space(self, transforms, p):
+        xi = Functional.from_string("0: 1; 1: 0.5")
+        z = 0.25 - 0.3j
+        cached = self._space()
+        orthonormal_basis(cached, z)
+        hit = kernelp_diagonal(cached, xi, z, p)
+        fresh = kernelp_diagonal(self._space(), xi, z, p)
+        assert len(transforms) == 2
+        assert hit.K == fresh.K
+        assert hit.minimizer.coeffs == fresh.minimizer.coeffs
 
 
 class TestBergmanSeries:

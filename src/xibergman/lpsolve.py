@@ -41,14 +41,20 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               that reweighted Gram alone.
     p < 1     majorize-minimize (iteratively reweighted least squares):
               d = -(M^H G(w rho) M)^-1 M^H Phi^H(w rho f), always accepted.
+              It majorizes the smoothed objective at the iterate's eps,
+              and eps follows the iterate, so single steps can raise the
+              unsmoothed objective a little; each descent returns the
+              lowest iterate it visited.
 
     stop      relative objective change < OBJ_TOL (1e-11) and stationarity
               residual |M^H Phi^H(w rho f)|_max / F^((p-1)/p) below
               GRAD_TOL (1e-10); capped at MAX_ITER (300) steps.
 
-G and P come from the ring operator's per-ring FFTs, the pairing from its
-adjoint, and node values f(x_q) of an iterate from its per-ring inverse
-FFTs; no Q x N matrix is formed.
+G and P come from the ring operator's per-ring FFTs: G as one K x N x N
+gather over the K rings, P, which depends on a + b alone, as one table over
+the exponent sums, read at a + b.  The pairing comes from its adjoint, and
+node values f(x_q) of an iterate from its per-ring inverse FFTs; no Q x N
+matrix is formed.
 
 For p = 2 the default start u0 is already the minimizer and the iteration
 stays on it.  At p = 1 the smoothing scale is looser
@@ -211,7 +217,10 @@ def _smoothed(a2, p, eps_factor, tiny):
 def _descend(op, M, x0, p, eps_factor, t0):
     """Descent from t0; returns (t, obj, accepted steps, stop flag or None, ...).
 
-    The iterate is f = Phi (x0 + M t) for the centred basis Phi.
+    The iterate is f = Phi (x0 + M t) for the centred basis Phi.  Every
+    iterate is feasible, and the p < 1 step need not lower the unsmoothed
+    objective, so there the lowest iterate visited is returned, with its own
+    residual; the step count is that of the whole descent.
     """
     w = op.weights
     tiny = 1e-300
@@ -239,10 +248,15 @@ def _descend(op, M, x0, p, eps_factor, t0):
     F, rho, inv_s, eps2, pairing, grad_res = stationarity(g, a2, obj)
     rel_step = np.inf
     settled = 0
+    best = (t, obj, grad_res)
+
+    def result(iters, stop):
+        t_out, obj_out, res_out = best if p < 1 else (t, obj, grad_res)
+        return t_out, obj_out, iters, stop, res_out, rel_step
 
     for it in range(1, MAX_ITER + 1):
         if p >= 1:
-            delta = _newton_step(op, M, w * rho, g, inv_s, pairing, p,
+            delta = _newton_step(op, M, w * rho, g, a2, inv_s, pairing, p,
                                  with_pair=grad_res >= GRAD_TOL)
             slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
             # the Hessian is positive definite for p >= 1 (eps > 0), so only
@@ -250,7 +264,7 @@ def _descend(op, M, x0, p, eps_factor, t0):
             # direction; an exactly stationary iterate (zero pairing) takes
             # its zero step
             if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
-                return t, obj, it - 1, "line-search-stall", grad_res, rel_step
+                return result(it - 1, "line-search-stall")
             # Armijo backtracking on the smoothed objective F the step models,
             # at this iterate's eps, with slack for the rounding of the node sum
             lam = 1.0
@@ -262,10 +276,11 @@ def _descend(op, M, x0, p, eps_factor, t0):
                     break
                 lam *= 0.5
             else:
-                return t, obj, it - 1, "line-search-stall", grad_res, rel_step
+                return result(it - 1, "line-search-stall")
         else:
-            # majorize-minimize: the reweighted least-squares step, a
-            # guaranteed descent for p < 1, always accepted
+            # majorize-minimize: the reweighted least-squares step, always
+            # accepted; it descends on the smoothed model, though single
+            # steps can raise the unsmoothed objective a little
             A = M.conj().T @ (op.gram(w * rho) @ M)
             try:
                 t_trial = t + _cholesky_solve(A, -pairing)
@@ -277,9 +292,11 @@ def _descend(op, M, x0, p, eps_factor, t0):
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
         t, g, a2, obj = t_trial, g_trial, a2_trial, obj_trial
         F, rho, inv_s, eps2, pairing, grad_res = stationarity(g, a2, obj)
+        if obj <= best[1]:
+            best = (t, obj, grad_res)
 
         if rel_step < OBJ_TOL and grad_res < GRAD_TOL:
-            return t, obj, it, None, grad_res, rel_step
+            return result(it, None)
         # at p <= 1 the objective is smoothed at scale eps, below which the
         # residual carries no information about the unsmoothed problem; when
         # the minimizer vanishes inside the domain the contraction toward
@@ -289,19 +306,19 @@ def _descend(op, M, x0, p, eps_factor, t0):
         if p <= 1.0 and rel_step < OBJ_TOL and grad_res < eps_factor:
             settled += 1
             if settled >= 5:
-                return t, obj, it, None, grad_res, rel_step
+                return result(it, None)
         else:
             settled = 0
 
-    return t, obj, MAX_ITER, "non-convergence", grad_res, rel_step
+    return result(MAX_ITER, "non-convergence")
 
 
-def _newton_step(op, M, wr, g, inv_s, pairing, p, with_pair):
+def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
     """Newton step d of the smoothed objective, or None when its Hessian does not factor.
 
     Scaled by 2/p, the Newton system A d + conj(C d) = -pairing has
-    A = M^H G(wr (1 + (p/2 - 1) |g|^2 / s)) M and
-    C = (p/2 - 1) M^T P(wr conj(g)^2 / s) M for wr = w rho; as a real
+    A = M^H G(wr + bw |g|^2) M and C = M^T P(bw conj(g)^2) M for
+    wr = w rho and the shared factor bw = (p/2 - 1) wr / s; as a real
     system in (Re d, Im d) it is symmetric, and for p >= 1 positive
     definite, dominating M^H G(wr min(1, ((p - 1) |g|^2 + eps^2) / s)) M
     (at p = 1, M^H G(wr eps^2 / s) M).  At p = 2, where C vanishes
@@ -310,12 +327,12 @@ def _newton_step(op, M, wr, g, inv_s, pairing, p, with_pair):
     iterate the step is rounding, and the pair product would only cost
     time.
     """
-    bend = 0.5 * p - 1.0
     try:
         if p == 2 or not with_pair:
             return _cholesky_solve(M.conj().T @ (op.gram(wr) @ M), -pairing)
-        A = M.conj().T @ (op.gram(wr * (1.0 + bend * np.abs(g) ** 2 * inv_s)) @ M)
-        C = M.T @ (op.pair(bend * wr * np.conj(g) ** 2 * inv_s) @ M)
+        bw = (0.5 * p - 1.0) * wr * inv_s
+        A = M.conj().T @ (op.gram(wr + bw * a2) @ M)
+        C = M.T @ (op.pair(bw * np.conj(g) ** 2) @ M)
         H = np.block([[A.real + C.real, -A.imag - C.imag],
                       [A.imag - C.imag, A.real - C.real]])
         d = _cholesky_solve(H, -np.concatenate([pairing.real, pairing.imag]))

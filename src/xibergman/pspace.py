@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 # refuse spaces whose K x N x N ring gather, the one that RingOperator.gram
-# and RingOperator.pair each form (never both at once), would exceed this
-# many complex entries (~1.6 GB)
+# forms, would exceed this many complex entries (~1.6 GB)
 MAX_CACHE_ENTRIES = 100_000_000
 
 CONDITION_LIMIT = 1e12
@@ -113,9 +112,8 @@ class PolySpace:
         ``|k| <= degree``.  ``degree`` defaults to 16 / 10 / 6 for
         dimensions 1 / 2 / >= 3, and each quadrature order left as None
         to :func:`default_orders`.  The largest array that grows with the
-        degree, the K x N x N gather of :meth:`RingOperator.gram` (and of
-        :meth:`RingOperator.pair`) on K = radial_order^n rings, is sized
-        before any node is built.
+        degree, the K x N x N gather of :meth:`RingOperator.gram` on
+        K = radial_order^n rings, is sized before any node is built.
         """
         if degree is None:
             degree = default_degree(domain.dimension)
@@ -348,12 +346,14 @@ class RingOperator:
             = sum_k conj(b_k^alpha) b_k^beta omega_hat_k(alpha - beta),
 
     where omega_hat_k is the n-dimensional FFT of ring k's weights over its
-    angles (Trefethen & Weideman, SIAM Review 56, 2014); the unconjugated
-    sum_q nu_q phi_alpha phi_beta reads the same FFT at -(alpha + beta).
-    These are the node sums in another order, exact for any weights and
-    coefficients, at K N^2 + Q log a cost instead of Q N^2 and with no
-    Q x N array.  A rule of one angle per ring (a hand-built one) makes
-    them plain node sums.
+    angles (Trefethen & Weideman, SIAM Review 56, 2014).  The unconjugated
+    sum_q nu_q phi_alpha phi_beta reads the same FFT at -(alpha + beta)
+    against b_k^alpha b_k^beta = b_k^(alpha + beta), so it depends on
+    alpha + beta alone: one value per exponent sum.  These are the node
+    sums in another order, exact for any weights and coefficients, and
+    with no Q x N array: the Gram at K N^2 + Q log a cost instead of
+    Q N^2, its twin at K S + Q log a over the S exponent sums.  A rule of
+    one angle per ring (a hand-built one) makes them plain node sums.
     """
 
     def __init__(self, space: PolySpace):
@@ -367,15 +367,13 @@ class RingOperator:
         self._shape = (quad.rings.shape[0],) + torus
         self._flat = (quad.rings.shape[0], a ** space.dimension)
         self._axes = tuple(range(1, space.dimension + 1))
-        # b_k^alpha (K, N); flat FFT bins of alpha, of alpha - beta and of
-        # -(alpha + beta) mod a
+        self._rings, self._exps, self._angles = quad.rings, exps, a
+        # b_k^alpha (K, N); flat FFT bins of alpha and of alpha - beta mod a
         self._powers = np.prod(quad.rings[:, None, :] ** exps[None, :, :], axis=2)
         self._powers_t = np.ascontiguousarray(self._powers.T)
         self._residue = np.ravel_multi_index(tuple((exps % a).T), torus)
         self._difference = np.ravel_multi_index(
             tuple(np.moveaxis((exps[:, None, :] - exps[None, :, :]) % a, -1, 0)), torus)
-        self._sum = np.ravel_multi_index(
-            tuple(np.moveaxis(-(exps[:, None, :] + exps[None, :, :]) % a, -1, 0)), torus)
         # synthesis runs over the exponents grouped by bin: exponents that
         # alias (one angle per ring, or a degree reaching a) share one bin
         self._order = np.argsort(self._residue, kind="stable")
@@ -409,28 +407,47 @@ class RingOperator:
         return self._ring_fft(spectrum, inverse=True).reshape((-1,) + c.shape[1:])
 
     def gram(self, omega: np.ndarray) -> np.ndarray:
-        """sum_q omega_q conj(phi_alpha) phi_beta over the nodes, (N, N)."""
-        return self._contract(omega, self._difference, conjugate=True)
+        """sum_q omega_q conj(phi_alpha) phi_beta over the nodes, (N, N).
+
+        sum_k conj(b_k^alpha) omega_hat_k(alpha - beta) b_k^beta as one
+        K x N x N gather, laid out (N, N, K) so that the ring sum is a batch
+        of matrix-vector products; it is scaled in place, so a call holds
+        one array of that size.
+        """
+        spectrum = np.take(self._ring_fft(np.reshape(omega, self._flat)).T,
+                           self._difference, axis=0)
+        spectrum *= self._powers_t
+        return np.matmul(spectrum, self._powers_t.conj()[:, :, None])[..., 0]
 
     def pair(self, nu: np.ndarray) -> np.ndarray:
         """sum_q nu_q phi_alpha phi_beta over the nodes, (N, N), symmetric.
 
-        The twin of :meth:`gram` without the conjugate: ring k contributes
-        b_k^alpha b_k^beta nu_hat_k(-(alpha + beta)).
+        The twin of :meth:`gram` without the conjugate.  Ring k contributes
+        b_k^alpha b_k^beta nu_hat_k(-(alpha + beta)) = b_k^s nu_hat_k(-s) at
+        s = alpha + beta, so P[alpha, beta] = h(alpha + beta) for
+        h(s) = sum_k b_k^s nu_hat_k(-s mod a), one K x S contraction over
+        the S exponent sums of the space's box, at K S + Q log a cost.
         """
-        return self._contract(nu, self._sum, conjugate=False)
+        powers, bins, position = self._sums
+        spectrum = self._ring_fft(np.reshape(nu, self._flat))[:, bins]
+        return np.einsum("ks,ks->s", powers, spectrum)[position]
 
-    def _contract(self, x: np.ndarray, bins: np.ndarray, conjugate: bool) -> np.ndarray:
-        """sum_k b_k^alpha (conjugated or not) x_hat_k(bins[alpha, beta]) b_k^beta.
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """b_k^s (K, S) and the flat FFT bin of -s mod a over the box of
+        exponent sums s, and the (N, N) position of alpha + beta in it.
 
-        One K x N x N gather, laid out (N, N, K) so that the ring sum is a
-        batch of matrix-vector products; it is scaled in place, so a call
-        holds one array of that size.
+        The box is laid out so that a sum's position is the sum of its
+        terms' offsets e(alpha) + e(beta).  Built on the first :meth:`pair`
+        call, which only the Newton steps at p != 2 make.
         """
-        spectrum = np.take(self._ring_fft(np.reshape(x, self._flat)).T, bins, axis=0)
-        spectrum *= self._powers_t
-        left = self._powers_t.conj() if conjugate else self._powers_t
-        return np.matmul(spectrum, left[:, :, None])[..., 0]
+        low, high = self._exps.min(axis=0), self._exps.max(axis=0)
+        extent = 2 * (high - low) + 1
+        grid = np.indices(extent).reshape(len(extent), -1).T + 2 * low
+        powers = np.prod(self._rings[:, None, :] ** grid[None, :, :], axis=2)
+        bins = np.ravel_multi_index(tuple((-grid % self._angles).T), self._shape[1:])
+        offset = np.ravel_multi_index(tuple((self._exps - low).T), extent)
+        return powers, bins, offset[:, None] + offset[None, :]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """sum_q conj(phi_alpha) v_q over the nodes, (N,)."""

@@ -346,6 +346,16 @@ class TestSolverContract:
         assert ev.diagnostics["iterations"] == 0
         assert ev.flags == ("line-search-stall",)
 
+    def test_p_below_one_keeps_the_lowest_iterate(self):
+        # the majorize-minimize step is not monotone in the unsmoothed
+        # objective: on this annulus case four of the nine descents pass
+        # through iterates below 2.28834e-1 and stop at about 2.28841e-1.
+        # Every iterate is feasible, so the lowest one visited is returned
+        space = PolySpace.build(Domain.annulus(0.4, 1.0))
+        ev = kernelp_diagonal(space, Functional.delta((0,)), 0.5 * np.exp(0.7j), 0.5)
+        assert "nonconvex-best-found" in ev.flags
+        assert 1.0 / ev.K <= 2.28834e-1
+
     def test_null_space_is_orthonormal(self):
         # the Householder columns annihilate the row and are orthonormal,
         # also when the row's first entry is zero and when nothing is left

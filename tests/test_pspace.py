@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xibergman import lpsolve
 from xibergman import (
     Domain,
     Functional,
@@ -206,6 +207,23 @@ class TestRingOperator:
         # the unconjugated twin of the Gram, read at -(alpha + beta)
         assert _rel(space.ring.pair(v), phi.T @ (v[:, None] * phi)) < 1e-12
 
+    def test_pair_holds_no_gather(self):
+        # pair reads one table over the exponent sums alpha + beta, so on the
+        # default bidisc (144 rings, 66 monomials) a call holds node-size
+        # spectra only, not the 10 MB K x N x N gather of gram
+        space = PolySpace.build(Domain.bidisc())
+        rng = np.random.default_rng(5)
+        q = space.quadrature.node_count
+        nu = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        space.ring.pair(nu)  # builds the sum tables
+        tracemalloc.start()
+        try:
+            space.ring.pair(nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     @pytest.mark.parametrize("name", list(RING_SPACES))
     def test_values_equal_the_node_sums(self, name):
         # exponents that alias share a bin: all of them on the hand-built rule
@@ -224,6 +242,41 @@ class TestRingOperator:
         z = tuple(c + 0.2 - 0.1j * j for j, c in enumerate(space.center))
         moved = space.shifted_node_matrix(z) @ space.jet_matrix(z)
         assert _rel(moved, space.shifted_node_matrix(space.center)) < 1e-12
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball:2", "hand-built",
+                                      "aliased disk"])
+    def test_step_solves_the_dense_newton_system(self, name, p):
+        # the step of the ring operator's G and P against the one solved from
+        # node-value products: the real matrix of d -> A d + conj(C d) is
+        # assembled column by column from its action on e_j and i e_j
+        space = RING_SPACES[name]()
+        rng = np.random.default_rng(11)
+        m = space.size
+        ob = orthonormal_basis(space, space.center)
+        Z = lpsolve._null_space(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        M = ob.coeffs @ Z
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        g = space.values(ob.coeffs @ u)
+        a2 = np.abs(g) ** 2
+        _, rho, inv_s, _ = lpsolve._smoothed(a2, p, lpsolve._smoothing_factor(p), 1e-300)
+        wr = space.quadrature.weights * rho
+        pairing = M.conj().T @ space.ring.adjoint(wr * g)
+        d = lpsolve._newton_step(space.ring, M, wr, g, a2, inv_s, pairing, p, with_pair=True)
+
+        V = _dense_values(space) @ M
+        bend = 0.5 * p - 1.0
+        A = V.conj().T @ ((wr * (1.0 + bend * a2 * inv_s))[:, None] * V)
+        C = bend * V.T @ ((wr * np.conj(g) ** 2 * inv_s)[:, None] * V)
+        n = m - 1
+        columns = []
+        for e in np.vstack([np.eye(n), 1j * np.eye(n)]).astype(complex):
+            image = A @ e + np.conj(C @ e)
+            columns.append(np.concatenate([image.real, image.imag]))
+        x = np.linalg.solve(np.array(columns).T, -np.concatenate([pairing.real, pairing.imag]))
+        assert _rel(d, x[:n] + 1j * x[n:]) < 1e-10
 
 
 class TestSpaceStructure:

@@ -279,8 +279,7 @@ def _descend(op, M, x0, p, eps_factor, t0):
                 return result(it - 1, "line-search-stall")
         else:
             # majorize-minimize: the reweighted least-squares step, always
-            # accepted; it descends on the smoothed model, though single
-            # steps can raise the unsmoothed objective a little
+            # accepted (not monotone in the unsmoothed objective, see above)
             A = M.conj().T @ (op.gram(w * rho) @ M)
             try:
                 t_trial = t + _cholesky_solve(A, -pairing)

@@ -9,11 +9,24 @@ Two models carry an explicit logarithmic potential with a pole:
     sublevel set is the pseudohyperbolic disk |z - z0| / |1 - conj(z0) z|
     < e^a, a Euclidean disk with explicit center and radius.
 
-A sweep evaluates the kernel at the pole on every sublevel domain and
-tabulates K, the rescaled column e^((2n + p k) a) K, and log K.  The scaled
-column is the quantity whose monotonicity and limit behavior the
-verification battery checks; for balanced models with a functional
-supported in a single degree it is constant by exact discrete scaling.
+Every sublevel set is an affine image c_a + s_a Omega of the model domain
+Omega, and so is every quadrature rule: the rule on the image is the image
+of the rule on Omega.  The discrete problem therefore obeys the covariance
+law
+
+    K_{c + s Omega}(c + s x; xi) = s^(-2n) K_Omega(x; xi'),
+    xi'_alpha = xi_alpha s^(-|alpha|),
+
+with the vanishing jets of a higher-order target unchanged.  A sweep uses
+it to solve every row on one reference space over Omega, at the preimage
+x_a = (pole - c_a) / s_a of the pole, and reports s_a^(-2n) times that
+value.  The rows at p >= 1, p != 2 start from the previous row's minimizer,
+projected onto the basis at the new point; rows at p = 2 are exact and the
+p < 1 rows keep their seeded multistart.  The sweep tabulates K, the
+rescaled column e^((2n + p k) a) K, and log K.  The scaled column is the
+quantity whose monotonicity and limit behavior the verification battery
+checks; for balanced models with a functional supported in a single
+degree it is constant by exact discrete scaling.
 """
 
 from __future__ import annotations
@@ -25,9 +38,14 @@ import numpy as np
 
 from .algebra import Functional
 from .domains import Domain, UnsupportedShapeError, contains, scale_domain
-from .higher import FunctionalFamily, HomogeneousPolynomial, higher_kernel_direct
-from .kernels import diagonal
-from .pspace import PolySpace, default_degree
+from .higher import (
+    FunctionalFamily,
+    HomogeneousPolynomial,
+    _leading_block,
+    higher_kernel_direct,
+)
+from .kernels import _constrained_kernel, diagonal
+from .pspace import PolySpace, orthonormal_basis
 
 __all__ = [
     "GreenModel",
@@ -72,21 +90,27 @@ class GreenModel:
         return self.domain.dimension
 
 
-def sublevel_domain(model: GreenModel, a: float) -> Domain:
-    """The potential sublevel set at height a <= 0, as a shape domain."""
+def _sublevel_affine(model: GreenModel, a: float) -> tuple[tuple[complex, ...], float]:
+    """Center c and scale s of the sublevel set at height a <= 0 as c + s * model.domain."""
     if a > 0:
         raise ValueError(f"sublevel height must be <= 0, got {a}")
+    s = math.exp(a)
     if model.kind == "balanced":
-        return scale_domain(model.domain, math.exp(a))
+        return (0j,) * model.dimension, s
     if model.kind == "moebius-disk":
-        s = math.exp(a)
         z0 = model.pole[0]
         r2 = abs(z0) ** 2
         denom = 1.0 - s * s * r2
-        center = z0 * (1.0 - s * s) / denom
-        radius = s * (1.0 - r2) / denom
-        return Domain.disk(radius, center)
+        return (z0 * (1.0 - s * s) / denom,), s * (1.0 - r2) / denom
     raise UnsupportedShapeError(model.kind)
+
+
+def sublevel_domain(model: GreenModel, a: float) -> Domain:
+    """The potential sublevel set at height a <= 0, as a shape domain."""
+    center, scale = _sublevel_affine(model, a)
+    if model.kind == "balanced":
+        return scale_domain(model.domain, scale)
+    return Domain.disk(scale, center[0])
 
 
 def azukawa_indicatrix(model: GreenModel) -> Domain:
@@ -194,6 +218,17 @@ class SweepTable:
         }
 
 
+def _checked_grid(a_grid) -> list[float]:
+    grid = [float(a) for a in a_grid]
+    if not grid:
+        raise ValueError("empty sweep grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sweep grid must be strictly increasing")
+    if grid[-1] > 0:
+        raise ValueError("sweep heights must be <= 0")
+    return grid
+
+
 def sweep(
     model: GreenModel,
     target: Functional | HomogeneousPolynomial,
@@ -204,44 +239,61 @@ def sweep(
     angular_order: int | None = None,
     seed: int = 42,
 ) -> SweepTable:
-    """Kernel at the pole across the sublevel family; rows are independent.
+    """Kernel at the pole across the sublevel family, on one reference space.
 
     ``target`` is either a jet functional (plain kernel) or a homogeneous
-    polynomial (higher-order kernel).  The scaled column uses the exponent
-    2n + p k with k the degree of the target.  Orders left as None take
-    the per-dimension defaults of :meth:`PolySpace.build`; ``seed`` feeds
-    the p < 1 restarts of the plain kernel.
+    polynomial (higher-order kernel).  Every row is solved on one space
+    over ``model.domain`` by the covariance law of the module docstring;
+    the rows at p >= 1, p != 2 start warm from the row before.  The scaled
+    column uses the exponent 2n + p k with k the degree of the target.
+    Orders left as None take the per-dimension defaults of
+    :meth:`PolySpace.build`; ``seed`` feeds the p < 1 restarts of the
+    plain kernel.
     """
-    grid = [float(a) for a in a_grid]
-    if not grid:
-        raise ValueError("empty sweep grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("sweep grid must be strictly increasing")
-    if grid[-1] > 0:
-        raise ValueError("sweep heights must be <= 0")
+    grid = _checked_grid(a_grid)
+    space = PolySpace.build(model.domain, degree=degree,
+                            radial_order=radial_order,
+                            angular_order=angular_order)
+    return _sweep_on(space, model, target, p, grid, seed)
 
+
+def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
+              grid: list[float], seed: int = 42) -> SweepTable:
+    """The sweep's rows, solved on ``space``, a space over ``model.domain``."""
     n = model.dimension
-    if degree is None:
-        degree = default_degree(n)
+    if isinstance(target, HomogeneousPolynomial):
+        if p < 1:
+            raise ValueError("jet-constrained kernels require p >= 1")
+        top, low = target.top_functional(), _leading_block(space, target.degree)
+    else:
+        top, low = target, 0
     k = target.degree
     exponent = 2 * n + p * k
+    warm = p >= 1 and p != 2
+    # centred coefficients of the previous row's minimizer, for a warm start
+    previous = None
 
-    def run_row(a: float) -> SweepRow:
-        dom = sublevel_domain(model, a)
-        if not contains(dom, model.pole):
+    rows = []
+    for a in grid:
+        center, scale = _sublevel_affine(model, a)
+        x = tuple((z - c) / scale for z, c in zip(model.pole, center))
+        if not contains(model.domain, x):
             raise ValueError(
                 f"pole leaves the sublevel domain at a = {a}")
-        space = PolySpace.build(dom, degree=degree,
-                                radial_order=radial_order,
-                                angular_order=angular_order)
-        if isinstance(target, HomogeneousPolynomial):
-            ev = higher_kernel_direct(space, target, model.pole, p)
-        else:
-            ev = diagonal(space, target, model.pole, p, seed)
-        return SweepRow(a=a, K=ev.K, scaled=math.exp(exponent * a) * ev.K,
-                        logK=math.log(ev.K), flags=ev.flags)
-
-    rows = [run_row(a) for a in grid]
+        xi = Functional(n, {idx: c * scale ** -idx.degree
+                            for idx, c in top.terms.items()})
+        block = orthonormal_basis(space, x).coeffs[:, low:]
+        # the block is orthonormal in the base Gram, so this projects the
+        # previous minimizer onto it; the solve rescales it to be feasible
+        start = None if previous is None else (
+            block.conj().T @ (space.ring.base_gram @ previous))
+        ev = _constrained_kernel(space, xi, x, p, low, exact=p == 2,
+                                 seed=seed, start=start)
+        if warm:
+            previous = block @ ev.diagnostics["coeffs"]
+        K = scale ** (-2 * n) * ev.K
+        rows.append(SweepRow(a=a, K=K, scaled=math.exp(exponent * a) * K,
+                             logK=math.log(K), flags=ev.flags))
 
     if isinstance(target, HomogeneousPolynomial):
         target_text = str(target)
@@ -250,7 +302,7 @@ def sweep(
     meta = {
         "p": p, "k": k, "n": n, "kind": model.kind,
         "pole": model.pole,
-        "degree": degree,
+        "degree": space.degree,
         "target": target_text,
     }
     return SweepTable(rows=rows, metadata=meta)
@@ -294,24 +346,23 @@ def limit_chain_check(
     elif not family.contains(xi):
         raise ValueError("functional does not share the top part of H")
 
-    space_full = PolySpace.build(model.domain, degree=degree,
-                                 radial_order=radial_order,
-                                 angular_order=angular_order)
-    lhs = diagonal(space_full, xi, model.pole, p).K
+    grid = _checked_grid(a_grid)
+    # the indicatrix of a balanced model is the domain itself (see
+    # azukawa_indicatrix), so one space carries the whole-domain kernel,
+    # the sweep and the indicatrix kernel
+    space = PolySpace.build(model.domain, degree=degree,
+                            radial_order=radial_order,
+                            angular_order=angular_order)
+    lhs = diagonal(space, xi, model.pole, p).K
 
-    table = sweep(model, xi, p, a_grid, degree=degree,
-                  radial_order=radial_order, angular_order=angular_order)
+    table = _sweep_on(space, model, xi, p, grid)
     limit = table.rows[0].scaled
     if len(table.rows) > 1:
         stabilization = abs(table.rows[1].scaled - limit) / abs(limit)
     else:
         stabilization = 0.0
 
-    indicatrix = azukawa_indicatrix(model)
-    space_ind = PolySpace.build(indicatrix, degree=degree,
-                                radial_order=radial_order,
-                                angular_order=angular_order)
-    rhs = higher_kernel_direct(space_ind, H, model.pole, p).K
+    rhs = higher_kernel_direct(space, H, model.pole, p).K
 
     slack = LIMIT_CHAIN_TOL * max(abs(lhs), abs(limit), abs(rhs))
     passed = lhs - limit >= -slack and limit - rhs >= -slack

@@ -904,5 +904,17 @@ def _chk_scaling(ctx):
                 space_t = ctx.space(Domain.disk(t), degree=16)
                 kt = diagonal(space_t, xi, 0j, p).K
                 worst = max(worst, _rel(kt * t ** (2 + p * k), base))
-    return worst <= 1e-9, (f"dilation covariance K_t t^(2+pk) = K, "
-                           f"max rel err {worst:.3e} (tol 1e-9)"), worst
+    # affine covariance: the sweep solves on the unit disk, the check on
+    # spaces built on the pseudohyperbolic disks themselves
+    model = GreenModel.moebius_disk(0.5)
+    heights = (-2.0, -1.0, 0.0)
+    for k in (0, 1):
+        xi = Functional.delta(MultiIndex((k,)))
+        for p in (1.5, 2.0):
+            rows = sweep(model, xi, p, heights, degree=16).rows
+            for a, row in zip(heights, rows):
+                space_a = ctx.space(sublevel_domain(model, a), degree=16)
+                worst = max(worst, _rel(row.K, diagonal(space_a, xi, model.pole, p).K))
+    return worst <= 1e-9, (f"dilation covariance K_t t^(2+pk) = K and Moebius "
+                           f"sweep rows on their own disks, max rel err {worst:.3e} "
+                           f"(tol 1e-9)"), worst

@@ -1,23 +1,34 @@
 """Green sublevel geometry, sweeps, and the kernel limit chain."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import xibergman.kernels as kernels
 from xibergman import (
     Domain,
     Functional,
     GreenModel,
     HomogeneousPolynomial,
+    PolySpace,
     UnsupportedShapeError,
     azukawa_indicatrix,
     contains,
     default_a_grid,
+    diagonal,
+    higher_kernel_direct,
     limit_chain_check,
+    scale_domain,
     sublevel_domain,
     sweep,
 )
+
+MOEBIUS = GreenModel.moebius_disk(0.5 * np.exp(0.7j))
+MIXED = Functional.from_string("0: 1; 1: 0.5+0.2j; 2: 0.3")
+SMALL_2D = {"degree": 6, "radial_order": 8, "angular_order": 16}
 
 
 class TestSublevelGeometry:
@@ -151,6 +162,127 @@ class TestLimitChain:
             limit_chain_check(model, H, 3.0, default_a_grid(-2, 0, 5))
 
 
+def _per_row(model, target, p, grid, **kw):
+    """K along the sweep with a fresh space built on each sublevel domain."""
+    out = []
+    for a in grid:
+        space = PolySpace.build(sublevel_domain(model, a), **kw)
+        if isinstance(target, HomogeneousPolynomial):
+            out.append(higher_kernel_direct(space, target, model.pole, p).K)
+        else:
+            out.append(diagonal(space, target, model.pole, p).K)
+    return np.array(out)
+
+
+def _assert_matches_per_row(model, target, p, grid, **kw):
+    got = np.array([r.K for r in sweep(model, target, p, grid, **kw).rows])
+    ref = _per_row(model, target, p, grid, **kw)
+    if p < 1:
+        # best-found minima of a nonconvex problem: the objective 1/K may
+        # not be worse than the per-row multistart's
+        assert np.all(1.0 / got <= (1.0 / ref) * (1 + 1e-9))
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-12 if p == 2 else 1e-9, atol=0)
+
+
+class TestReferenceSpace:
+    """Rows solved on one reference space match a fresh space per row."""
+
+    @pytest.mark.parametrize("p", [2.0, 1.5, 1.0, 0.8])
+    @pytest.mark.parametrize("xi", [Functional.delta((0,)), Functional.delta((1,)), MIXED],
+                             ids=["delta0", "delta1", "mixed"])
+    def test_moebius(self, xi, p):
+        grid = default_a_grid(-3, 0, 3 if p < 1 else 5)
+        _assert_matches_per_row(MOEBIUS, xi, p, grid, degree=12)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    @pytest.mark.parametrize("domain", [Domain.bidisc(), Domain.ball(dimension=2)],
+                             ids=["bidisc", "ball2"])
+    def test_balanced_product_domains(self, domain, p):
+        xi = Functional.from_string("1,0: 1; 0,1: 0.5j; 0,0: 0.25", 2)
+        _assert_matches_per_row(GreenModel.balanced(domain), xi, p,
+                                default_a_grid(-2, 0, 4), **SMALL_2D)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_higher_target(self, p):
+        _assert_matches_per_row(GreenModel.balanced(Domain.disk()),
+                                HomogeneousPolynomial.from_string("z: 1"), p,
+                                default_a_grid(-3, 0, 5), degree=12)
+
+
+class TestSweepWork:
+    """One space per sweep; warm starts exactly on the p >= 1, p != 2 rows."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        raw = PolySpace.__dict__["build"].__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return raw(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PolySpace, "build", classmethod(counting))
+        return calls
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        seen = []
+        raw = kernels.solve_affine_lp
+
+        def recording(op, basis, row, p, start=None, seed=42):
+            seen.append(start)
+            return raw(op, basis, row, p, start=start, seed=seed)
+
+        monkeypatch.setattr(kernels, "solve_affine_lp", recording)
+        return seen
+
+    @pytest.mark.parametrize("model, xi", [
+        (MOEBIUS, Functional.delta((1,))),
+        (GreenModel.balanced(Domain.bidisc()), Functional.delta((0, 0))),
+    ], ids=["moebius", "bidisc"])
+    def test_one_space_per_sweep(self, builds, model, xi):
+        kw = {"degree": 12} if model.dimension == 1 else SMALL_2D
+        sweep(model, xi, 2.0, default_a_grid(-3, 0, 5), **kw)
+        assert len(builds) == 1
+
+    def test_one_space_per_limit_chain(self, builds):
+        # the whole domain, the sweep and the indicatrix share the space
+        limit_chain_check(GreenModel.balanced(Domain.disk()),
+                          HomogeneousPolynomial.from_string("z: 1"), 1.5,
+                          default_a_grid(-3, 0, 4), degree=12)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("p", [1.5, 1.0, 3.0])
+    def test_rows_after_the_first_start_warm(self, starts, p):
+        sweep(MOEBIUS, MIXED, p, default_a_grid(-3, 0, 5), degree=12)
+        assert len(starts) == 5
+        assert starts[0] is None
+        assert all(s is not None for s in starts[1:])
+
+    def test_higher_target_starts_warm(self, starts):
+        sweep(GreenModel.balanced(Domain.disk()), HomogeneousPolynomial.from_string("z: 1"),
+              1.5, default_a_grid(-2, 0, 3), degree=12)
+        assert len(starts) == 3 and starts[0] is None
+        assert all(s is not None for s in starts[1:])
+
+    @pytest.mark.parametrize("p", [2.0, 0.8])
+    def test_exact_and_multistart_rows_start_cold(self, starts, p):
+        sweep(MOEBIUS, Functional.delta((0,)), p, default_a_grid(-3, 0, 3), degree=8)
+        assert all(s is None for s in starts)
+        # the p = 2 rows are exact and never call the solver
+        assert len(starts) == (0 if p == 2 else 3)
+
+
+@functools.cache
+def _unit_disk_space():
+    return PolySpace.build(Domain.disk(), degree=12)
+
+
+def _rescaled(xi, t):
+    return Functional(xi.dimension, {idx: c * t ** -idx.degree for idx, c in xi.terms.items()})
+
+
 class TestScalingLaw:
     def test_dilation_covariance(self):
         # K on the t-scaled disk at the origin carries t^(-(2 + p k))
@@ -161,3 +293,30 @@ class TestScalingLaw:
         shrunk = diagonal(PolySpace.build(scale_domain(Domain.disk(), t),
                                           degree=12), xi, 0j, p).K
         assert shrunk * t ** (2 + p * k) == pytest.approx(base, rel=1e-9)
+
+    # affine covariance, K_{c + t D}(c + t z; xi) = t^(-2n) K_D(z; xi'),
+    # xi'_alpha = xi_alpha t^(-|alpha|), for mixed-degree xi, each side on
+    # its own space: the law the sweep's reference space rests on
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(t=st.floats(0.2, 1.0),
+           r=st.floats(0.0, 0.6), theta=st.floats(0.0, 2 * math.pi),
+           cr=st.floats(0.0, 2.0), ctheta=st.floats(0.0, 2 * math.pi),
+           p=st.sampled_from([2.0, 1.5]))
+    def test_affine_covariance_disk(self, t, r, theta, cr, ctheta, p):
+        z, c = r * np.exp(1j * theta), cr * np.exp(1j * ctheta)
+        moved = PolySpace.build(Domain.disk(t, c), degree=12)
+        lhs = diagonal(moved, MIXED, c + t * z, p).K
+        rhs = t ** -2 * diagonal(_unit_disk_space(), _rescaled(MIXED, t), z, p).K
+        assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    @pytest.mark.parametrize("domain", [Domain.bidisc(), Domain.ball(dimension=2)],
+                             ids=["bidisc", "ball2"])
+    def test_dilation_product_domains(self, domain, p):
+        xi = Functional.from_string("1,0: 1; 0,1: 0.5j; 0,0: 0.25", 2)
+        z, t = (0.3 * np.exp(0.4j), 0.2 * np.exp(-1.1j)), 0.4
+        base = PolySpace.build(domain, **SMALL_2D)
+        shrunk = PolySpace.build(scale_domain(domain, t), **SMALL_2D)
+        lhs = diagonal(shrunk, xi, tuple(t * w for w in z), p).K
+        rhs = t ** -4 * diagonal(base, _rescaled(xi, t), z, p).K
+        assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -181,10 +181,6 @@ class Functional:
         dim = dimension if dimension is not None else alpha.dimension
         return cls(dim, {alpha: coeff})
 
-    @classmethod
-    def zero_functional(cls, dimension: int) -> "Functional":
-        return cls(dimension, {})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -21,12 +21,13 @@ with the vanishing jets of a higher-order target unchanged.  A sweep uses
 it to solve every row on one reference space over Omega, at the preimage
 x_a = (pole - c_a) / s_a of the pole, and reports s_a^(-2n) times that
 value.  The rows at p >= 1, p != 2 start from the previous row's minimizer,
-projected onto the basis at the new point; rows at p = 2 are exact and the
-p < 1 rows keep their seeded multistart.  The sweep tabulates K, the
-rescaled column e^((2n + p k) a) K, and log K.  The scaled column is the
-quantity whose monotonicity and limit behavior the verification battery
-checks; for balanced models with a functional supported in a single
-degree it is constant by exact discrete scaling.
+passed on in the space's centred basis (its ``coeffs``), which the
+constrained solve projects onto the basis at the new point; rows at p = 2
+are exact and the p < 1 rows keep their seeded multistart.  The sweep
+tabulates K, the rescaled column e^((2n + p k) a) K, and log K.  The
+scaled column is the quantity whose monotonicity and limit behavior the
+verification battery checks; for balanced models with a functional
+supported in a single degree it is constant by exact discrete scaling.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .higher import (
     higher_kernel_direct,
 )
 from .kernels import _constrained_kernel, diagonal
-from .pspace import PolySpace, orthonormal_basis
+from .pspace import PolySpace
 
 __all__ = [
     "GreenModel",
@@ -270,8 +271,8 @@ def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
     k = target.degree
     exponent = 2 * n + p * k
     warm = p >= 1 and p != 2
-    # centred coefficients of the previous row's minimizer, for a warm start
-    previous = None
+    # the previous row's minimizer in the space's centred basis
+    start = None
 
     rows = []
     for a in grid:
@@ -282,15 +283,10 @@ def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
                 f"pole leaves the sublevel domain at a = {a}")
         xi = Functional(n, {idx: c * scale ** -idx.degree
                             for idx, c in top.terms.items()})
-        block = orthonormal_basis(space, x).coeffs[:, low:]
-        # the block is orthonormal in the base Gram, so this projects the
-        # previous minimizer onto it; the solve rescales it to be feasible
-        start = None if previous is None else (
-            block.conj().T @ (space.ring.base_gram @ previous))
         ev = _constrained_kernel(space, xi, x, p, low, exact=p == 2,
                                  seed=seed, start=start)
         if warm:
-            previous = block @ ev.diagnostics["coeffs"]
+            start = ev.coeffs
         K = scale ** (-2 * n) * ev.K
         rows.append(SweepRow(a=a, K=K, scaled=math.exp(exponent * a) * K,
                              logK=math.log(K), flags=ev.flags))

@@ -313,14 +313,14 @@ def _log_kernel_and_gradient(space, family, z, p, x, warm=None):
     d log K = p Re sum_alpha d xi_alpha a_alpha, where a_alpha is the centred
     coefficient of f* at the free index alpha (its free jet, (T u)_alpha):
     the derivative costs no solve beyond the value.  ``warm``, a one-entry
-    list, carries the solve-basis coefficients u of the last inner minimizer
-    from call to call: the inner solve starts from them (None: the p = 2
-    point) and leaves its own there.
+    list, carries the last inner minimizer in the space's centred basis
+    (its ``coeffs``) from call to call: the inner solve starts from it
+    (None: the p = 2 point) and leaves its own there.
     """
     ev = _constrained_kernel(space, family.member(x[0::2] + 1j * x[1::2]), z, p,
                              exact=p == 2, start=None if warm is None else warm[0])
     if warm is not None:
-        warm[0] = ev.diagnostics["coeffs"]
+        warm[0] = ev.coeffs
     jets = np.array([ev.minimizer.coefficient(idx) for idx in family.free_indices])
     grad = np.empty(len(x))
     grad[0::2] = p * jets.real

@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import boundary_distance, contains
-from .lpsolve import _smoothing_factor, solve_affine_lp
+from .lpsolve import _smoothed, solve_affine_lp
 from .pspace import PolySpace, orthonormal_basis, sup_bound_constant
 
 __all__ = [
@@ -64,7 +63,12 @@ class ZeroPairingError(KernelError):
 
 @dataclass
 class KernelEvaluation:
-    """One diagonal kernel value with its minimizer and solve diagnostics."""
+    """One diagonal kernel value with its minimizer and solve diagnostics.
+
+    ``minimizer`` is centred at z (at 0 on a Laurent space); ``coeffs``
+    holds the same function in the space's centred basis, the form a
+    warm start of another solve on the space takes.
+    """
 
     p: float
     z: tuple[complex, ...]
@@ -73,6 +77,7 @@ class KernelEvaluation:
     minimizer: PolyCoeffs
     xi: Functional
     degree: int
+    coeffs: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -166,11 +171,12 @@ def _constrained_kernel(
     stops at u0; otherwise the descent solver of :mod:`xibergman.lpsolve`
     (Newton steps for p >= 1, reweighted least squares for p < 1) starts
     there on the space's ring operator, drawing its p < 1 restarts from
-    ``seed``.  A ``start`` u from an earlier solve in the same basis (a
-    neighbouring functional) replaces u0 by u / (c . u), which is feasible;
-    u0 stays when c . u is tiny against |c| |u|.  The minimizer's
-    solve-basis coefficients are T u; the diagnostics keep u under
-    "coeffs" for such a start.
+    ``seed``.  The minimizer's solve-basis coefficients are T u, and its
+    centred ones U u are returned as ``coeffs``.  A ``start`` is such a
+    centred vector from an earlier solve on the space, at any point and
+    for any functional: its projection u = U^H G start onto the block (G
+    the base Gram, in which U is orthonormal) replaces u0 by u / (c . u),
+    which is feasible; u0 stays when c . u is tiny against |c| |u|.
     """
     zt = _check_inputs(space, xi, z)
     ob = orthonormal_basis(space, zt)
@@ -186,18 +192,18 @@ def _constrained_kernel(
                        "final_rel_step": 0.0, "flags": ()}
     else:
         if start is not None:
+            start = U.conj().T @ (space.ring.base_gram @ start)
             scale = c @ start
             tiny = abs(scale) <= 1e-6 * np.linalg.norm(c) * np.linalg.norm(start)
             start = None if tiny else start / scale
         sol = solve_affine_lp(space.ring, U, c, p, start=start, seed=seed)
         K = 1.0 / sol.objective
-        m = sol.m
+        m = sol.objective ** (1.0 / p)
         u = sol.coeffs
         diagnostics = {"method": sol.method, "iterations": sol.iterations,
                        "final_rel_step": sol.final_rel_step,
                        "grad_residual": sol.grad_residual,
                        "flags": sol.flags}
-    diagnostics["coeffs"] = u
     full = np.zeros(space.size, dtype=complex)
     full[low:] = T @ u
     minimizer = space.element(full, center=None if space.laurent else zt)
@@ -205,7 +211,7 @@ def _constrained_kernel(
         functional_apply(xi, minimizer, zt) - 1.0)
     return KernelEvaluation(
         p=float(p), z=zt, m=m, K=K, minimizer=minimizer, xi=xi,
-        degree=space.degree, diagnostics=diagnostics)
+        degree=space.degree, coeffs=U @ u, diagnostics=diagnostics)
 
 
 def kernel2_diagonal(
@@ -269,19 +275,14 @@ def extremal_pairing(
 
     This is the integral that vanishes against functions annihilated by the
     functional at the pole, and reproduces (xi . f) after scaling by K.
-    Nodes where the minimizer nearly vanishes are regularized with the same
-    floor the solver uses.
+    The weights |m_q|^(p-2) are the solver's smoothed ones at every p, so
+    nodes where the minimizer nearly vanishes are regularized as in the
+    solve.
     """
     w = space.quadrature.weights
     g = space.values(space.coeff_vector(evaluation.minimizer))
     fvals = space.values(space.coeff_vector(f))
-    p = evaluation.p
-    absg = np.abs(g)
-    if p < 2:
-        eps = _smoothing_factor(p) * max(float(absg.max()), 1e-300)
-        rho = (absg**2 + eps**2) ** (0.5 * p - 1.0)
-    else:
-        rho = absg ** (p - 2.0)
+    _, rho, _, _ = _smoothed(g.real**2 + g.imag**2, evaluation.p)
     return complex(np.sum(w * rho * np.conj(g) * fvals))
 
 
@@ -356,8 +357,8 @@ def ball_monomial_lp_integral(radius: float, dimension: int,
     gam = [0.5 * p * a for a in alpha.entries]
     log_val = (dimension * math.log(math.pi)
                + (2 * dimension + p * alpha.degree) * math.log(radius)
-               + sum(gammaln(g + 1.0) for g in gam)
-               - gammaln(dimension + sum(gam) + 1.0))
+               + sum(math.lgamma(g + 1.0) for g in gam)
+               - math.lgamma(dimension + sum(gam) + 1.0))
     return math.exp(log_val)
 
 

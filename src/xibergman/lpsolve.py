@@ -32,20 +32,23 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               p rho ((p - 1) |f|^2 + eps^2) / s along it, so the Hessian
               dominates (p/2) M^H G(w rho min(1, ((p - 1) |f|^2 + eps^2)
               / s)) M, which at p = 1 is (1/2) M^H G(w rho eps^2 / s) M,
-              positive definite because eps > 0.  A Hessian with no
-              Cholesky factor, a step with slope 2 Re(b^H d) >= 0 or one
-              that no halving makes a descent of F stops the loop,
-              flagged line-search-stall.  At p = 2, where C vanishes
-              and A is (p/2) M^H G(w rho) M, and at an already stationary
-              iterate, where the step is rounding, the step solves with
-              that reweighted Gram alone.
-    p < 1     majorize-minimize (iteratively reweighted least squares):
-              d = -(M^H G(w rho) M)^-1 M^H Phi^H(w rho f), always accepted.
+              positive definite because eps > 0.  At p = 2, where C
+              vanishes and A is (p/2) M^H G(w rho) M, and at an already
+              stationary iterate, where the step is rounding, the step
+              solves with that reweighted Gram alone.
+    p < 1     majorize-minimize (iteratively reweighted least squares;
+              Daubechies, DeVore, Fornasier & Gunturk, CPAM 63, 2010):
+              the same reweighted-Gram step,
+              d = -(M^H G(w rho) M)^-1 M^H Phi^H(w rho f), taken whole.
               It majorizes the smoothed objective at the iterate's eps,
               and eps follows the iterate, so single steps can raise the
               unsmoothed objective a little; each descent returns the
               lowest iterate it visited.
 
+    stall     every step passes one slope test: a step matrix with no
+              Cholesky factor, a step with slope 2 Re(b^H d) >= 0 or, for
+              p >= 1, one that no halving makes a descent of F stops the
+              descent, flagged line-search-stall.
     stop      relative objective change < OBJ_TOL (1e-11) and stationarity
               residual |M^H Phi^H(w rho f)|_max / F^((p-1)/p) below
               GRAD_TOL (1e-10); capped at MAX_ITER (300) steps.
@@ -61,9 +64,9 @@ stays on it.  At p = 1 the smoothing scale is looser
 (EPS_FACTOR_P1, 1e-6).  For p <= 1 the residual is only meaningful down to
 the smoothing scale, so stationarity is accepted there once the objective
 has settled; results carry a documented 1e-3 relative accuracy contract.
-For p < 1 the problem is nonconvex; we restart from RESTARTS (8) random
-feasible points drawn from ``seed`` and keep the best, flagging the result
-as such.
+For p < 1 the problem is nonconvex; the descent also runs from RESTARTS (8)
+random feasible points drawn from ``seed``, the lowest of all starts is
+kept, and the result is flagged as such.
 
 These constants are the numerical policy behind the README accuracy
 contract; only the restart seed is an input.
@@ -99,8 +102,6 @@ class SolverError(RuntimeError):
 class LpSolution:
     coeffs: np.ndarray
     objective: float           # sum_q w_q |f(x_q)|^p
-    m: float                   # objective ** (1/p)
-    p: float
     iterations: int
     grad_residual: float
     final_rel_step: float
@@ -152,40 +153,26 @@ def solve_affine_lp(
     if Z.shape[1] == 0:
         obj = float(np.sum(op.weights * np.abs(op.values(x0)) ** p))
         return LpSolution(
-            coeffs=u0, objective=obj, m=obj ** (1.0 / p), p=p,
-            iterations=0, grad_residual=0.0,
+            coeffs=u0, objective=obj, iterations=0, grad_residual=0.0,
             final_rel_step=0.0, method="determined",
         )
     M = basis @ Z
 
-    eps_factor = _smoothing_factor(p)
-
+    # the start u0 (t = 0), and below p = 1, where the problem is nonconvex,
+    # seeded random feasible points too; the lowest descent wins
+    starts = [np.zeros(Z.shape[1], dtype=complex)]
     if p < 1:
         rng = np.random.default_rng(seed)
-        best = None
         scale = max(1.0, float(np.linalg.norm(u0)))
-        for trial in range(RESTARTS + 1):
-            t0 = np.zeros(Z.shape[1], dtype=complex)
-            if trial > 0:
-                t0 = scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
-            sol = _descend(op, M, x0, p, eps_factor, t0)
-            if best is None or sol[1] < best[1]:
-                best = sol
-        t, obj, iters, stop, grad_res, last_step = best
-        flags = ("nonconvex-best-found",) + ((stop,) if stop else ())
-        return LpSolution(
-            coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
-            iterations=iters, grad_residual=grad_res,
-            final_rel_step=last_step, method="multistart", flags=flags,
-        )
-
-    t0 = np.zeros(Z.shape[1], dtype=complex)
-    t, obj, iters, stop, grad_res, last_step = _descend(op, M, x0, p, eps_factor, t0)
+        starts += [scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
+                   for _ in range(RESTARTS)]
+    t, obj, iters, stop, grad_res, last_step = min(
+        (_descend(op, M, x0, p, t0) for t0 in starts), key=lambda sol: sol[1])
+    flags = (("nonconvex-best-found",) if p < 1 else ()) + ((stop,) if stop else ())
     return LpSolution(
-        coeffs=u0 + Z @ t, objective=obj, m=obj ** (1.0 / p), p=p,
-        iterations=iters, grad_residual=grad_res,
-        final_rel_step=last_step, method="newton",
-        flags=(stop,) if stop else (),
+        coeffs=u0 + Z @ t, objective=obj, iterations=iters,
+        grad_residual=grad_res, final_rel_step=last_step,
+        method="multistart" if p < 1 else "newton", flags=flags,
     )
 
 
@@ -205,16 +192,19 @@ def _null_space(row: np.ndarray) -> np.ndarray:
         v, v[1:].conj() * (2.0 / np.vdot(v, v).real))
 
 
-def _smoothed(a2, p, eps_factor, tiny):
-    """s^(p/2), rho = s^((p-2)/2), 1 / s and eps^2 for s = a2 + eps^2, a2 = |g|^2 at the nodes."""
-    eps2 = (eps_factor * max(float(np.sqrt(a2.max())), tiny)) ** 2
+def _smoothed(a2, p):
+    """s^(p/2), rho = s^((p-2)/2), 1 / s and eps^2 for s = a2 + eps^2, a2 = |g|^2 at the nodes.
+
+    eps is the smoothing scale of exponent p times max_q |g_q|.
+    """
+    eps2 = (_smoothing_factor(p) * max(float(np.sqrt(a2.max())), 1e-300)) ** 2
     s = a2 + eps2
     inv_s = 1.0 / s
     sp = s ** (0.5 * p)
     return sp, sp * inv_s, inv_s, eps2
 
 
-def _descend(op, M, x0, p, eps_factor, t0):
+def _descend(op, M, x0, p, t0):
     """Descent from t0; returns (t, obj, accepted steps, stop flag or None, ...).
 
     The iterate is f = Phi (x0 + M t) for the centred basis Phi.  Every
@@ -237,7 +227,7 @@ def _descend(op, M, x0, p, eps_factor, t0):
         # the smoothed objective and weights and the stationarity pairing of
         # an iterate, computed once: the stop test after a step and the next
         # step share them
-        sp, rho, inv_s, eps2 = _smoothed(a2, p, eps_factor, tiny)
+        sp, rho, inv_s, eps2 = _smoothed(a2, p)
         pairing = M.conj().T @ op.adjoint(w * rho * g)
         grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
         return float(np.sum(w * sp)), rho, inv_s, eps2, pairing, grad_res
@@ -255,37 +245,31 @@ def _descend(op, M, x0, p, eps_factor, t0):
         return t_out, obj_out, iters, stop, res_out, rel_step
 
     for it in range(1, MAX_ITER + 1):
-        if p >= 1:
-            delta = _newton_step(op, M, w * rho, g, a2, inv_s, pairing, p,
-                                 with_pair=grad_res >= GRAD_TOL)
-            slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
-            # the Hessian is positive definite for p >= 1 (eps > 0), so only
-            # a broken operator fails to factor it or to give a descent
-            # direction; an exactly stationary iterate (zero pairing) takes
-            # its zero step
-            if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
-                return result(it - 1, "line-search-stall")
-            # Armijo backtracking on the smoothed objective F the step models,
-            # at this iterate's eps, with slack for the rounding of the node sum
-            lam = 1.0
-            for _ in range(20):
-                t_trial = t + lam * delta
-                g_trial, a2_trial = evaluate(t_trial)
-                F_trial = float(np.sum(w * (a2_trial + eps2) ** (0.5 * p)))
-                if F_trial <= F + 1e-4 * lam * slope + 1e-15 * F:
-                    break
-                lam *= 0.5
-            else:
-                return result(it - 1, "line-search-stall")
-        else:
-            # majorize-minimize: the reweighted least-squares step, always
-            # accepted (not monotone in the unsmoothed objective, see above)
-            A = M.conj().T @ (op.gram(w * rho) @ M)
-            try:
-                t_trial = t + _cholesky_solve(A, -pairing)
-            except scipy.linalg.LinAlgError:
-                t_trial = t + np.linalg.lstsq(A, -pairing, rcond=None)[0]
+        # below p = 1 the step is the majorize-minimize one, the reweighted
+        # Gram alone, since the full Hessian need not be definite there
+        delta = _newton_step(op, M, w * rho, g, a2, inv_s, pairing, p,
+                             with_pair=p >= 1 and grad_res >= GRAD_TOL)
+        slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
+        # both step matrices are positive definite (eps > 0), so only a
+        # broken operator fails to factor them or to give a descent
+        # direction; an exactly stationary iterate (zero pairing) takes its
+        # zero step
+        if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
+            return result(it - 1, "line-search-stall")
+        # Armijo backtracking on the smoothed objective F the step models, at
+        # this iterate's eps, with slack for the rounding of the node sum;
+        # the p < 1 step is taken whole (not monotone in the unsmoothed
+        # objective, see above)
+        lam = 1.0
+        for _ in range(20):
+            t_trial = t + lam * delta
             g_trial, a2_trial = evaluate(t_trial)
+            if p < 1 or (float(np.sum(w * (a2_trial + eps2) ** (0.5 * p)))
+                         <= F + 1e-4 * lam * slope + 1e-15 * F):
+                break
+            lam *= 0.5
+        else:
+            return result(it - 1, "line-search-stall")
 
         obj_trial = objective(a2_trial)
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
@@ -302,7 +286,7 @@ def _descend(op, M, x0, p, eps_factor, t0):
         # exact stationarity can be slow (linear for the p < 1 steps), so
         # once the objective has settled and the residual sits at the
         # smoothing scale we are done
-        if p <= 1.0 and rel_step < OBJ_TOL and grad_res < eps_factor:
+        if p <= 1.0 and rel_step < OBJ_TOL and grad_res < _smoothing_factor(p):
             settled += 1
             if settled >= 5:
                 return result(it, None)
@@ -313,7 +297,7 @@ def _descend(op, M, x0, p, eps_factor, t0):
 
 
 def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
-    """Newton step d of the smoothed objective, or None when its Hessian does not factor.
+    """Newton step d of the smoothed objective, or None when its step matrix does not factor.
 
     Scaled by 2/p, the Newton system A d + conj(C d) = -pairing has
     A = M^H G(wr + bw |g|^2) M and C = M^T P(bw conj(g)^2) M for
@@ -322,9 +306,11 @@ def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
     definite, dominating M^H G(wr min(1, ((p - 1) |g|^2 + eps^2) / s)) M
     (at p = 1, M^H G(wr eps^2 / s) M).  At p = 2, where C vanishes
     and A is the reweighted Gram M^H G(wr) M, and unless ``with_pair``,
-    the step solves with that Gram alone: at an already stationary
-    iterate the step is rounding, and the pair product would only cost
-    time.
+    the step solves with that Gram alone.  Without the pair it is the
+    majorize-minimize step of reweighted least squares, the whole step
+    below p = 1, where the Newton matrix need not be definite; for p >= 1
+    the descent drops the pair only at an already stationary iterate,
+    where the step is rounding and the pair product would only cost time.
     """
     try:
         if p == 2 or not with_pair:

@@ -495,12 +495,6 @@ class OrthonormalBasis:
     transform: np.ndarray
     coeffs: np.ndarray
 
-    def sigma(self, position: int) -> PolyCoeffs:
-        return self.space.element(self.transform[:, position], center=self.point)
-
-    def node_values(self) -> np.ndarray:
-        return self.space.values(self.coeffs)
-
 
 def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     """Orthonormalize the space against the quadrature product, adapted to z.

@@ -86,7 +86,7 @@ class TestFunctional:
         assert back.to_json_dict() == xi.to_json_dict()
 
     def test_zero_functional(self):
-        assert Functional.zero_functional(1).is_zero
+        assert Functional(1, {}).is_zero
 
     def test_mismatched_dimension_rejected(self):
         xi = Functional.delta((1,))

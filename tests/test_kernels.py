@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xibergman import lpsolve
+from xibergman import kernels, lpsolve
 from xibergman import (
     Domain,
     Functional,
     GreenModel,
+    HomogeneousPolynomial,
     KernelEvaluation,
     MultiIndex,
     PolyCoeffs,
@@ -22,6 +23,7 @@ from xibergman import (
     enumerate_upto_degree,
     extremal_pairing,
     h_quantity,
+    higher_kernel_direct,
     kernel2_diagonal,
     kernelp_diagonal,
     off_diagonal,
@@ -197,6 +199,40 @@ class TestMinimizer:
         assert max(sols) - min(sols) <= 1e-8 * max(sols)
 
 
+class TestCentredCoefficients:
+    @pytest.mark.parametrize("case", ["disk", "annulus", "bidisc", "higher"])
+    def test_coeffs_are_the_minimizer(self, disk16, case):
+        # KernelEvaluation.coeffs is the minimizer in the space's centred
+        # basis: the same node values as the re-centred minimizer
+        if case == "disk":
+            space, ev = disk16, diagonal(disk16, Functional.from_string("0: 1; 1: 0.5", 1),
+                                         0.4 * np.exp(0.3j), 1.5)
+        elif case == "annulus":
+            space = PolySpace.build(Domain.annulus(0.5, 1.0), degree=10)
+            ev = diagonal(space, Functional.delta((1,)), 0.75 * np.exp(0.4j), 1.5)
+        elif case == "bidisc":
+            space = PolySpace.build(Domain.bidisc(), degree=6, radial_order=8,
+                                    angular_order=16)
+            ev = diagonal(space, Functional.delta((1, 0)), (0.3j, -0.2 + 0.1j), 2.0)
+        else:
+            space = disk16
+            ev = higher_kernel_direct(space, HomogeneousPolynomial.from_string("z^2: 1"),
+                                      0.3 - 0.2j, 1.5)
+        ref = space.values(space.coeff_vector(ev.minimizer))
+        assert np.abs(space.values(ev.coeffs) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_start_from_another_point(self, disk16):
+        # a solve started from another point's coeffs, projected onto the
+        # new point's basis, reaches the cold solve's value
+        xi = Functional.from_string("0: 1; 1: 0.5", 1)
+        other = diagonal(disk16, xi, 0.5 * np.exp(1.1j), 1.5)
+        z = 0.3 - 0.4j
+        warm = kernels._constrained_kernel(disk16, xi, z, 1.5, start=other.coeffs)
+        cold = diagonal(disk16, xi, z, 1.5)
+        assert not warm.flags
+        assert warm.K == pytest.approx(cold.K, rel=1e-9)
+
+
 class TestOffDiagonal:
     def test_point_functional_section(self, disk16):
         section = off_diagonal(disk16, Functional.delta((0,)), 0j, 2.0)
@@ -266,7 +302,7 @@ class TestBatchAndFlags:
 
     def test_zero_functional_rejected(self, disk16):
         with pytest.raises(ValueError):
-            diagonal(disk16, Functional.zero_functional(1), 0j, 2.0)
+            diagonal(disk16, Functional(1, {}), 0j, 2.0)
 
     def test_outside_point_rejected(self, disk16):
         with pytest.raises(ValueError):
@@ -332,19 +368,33 @@ class TestSolverContract:
                     assert not diagonal(disk16, Functional.delta((k,)), z, p).flags
 
     def test_line_search_stall_reports_accepted_steps(self, monkeypatch):
-        # a Gram scaled by 1j leaves the Newton matrix without a Cholesky
+        # a Gram scaled by 1j leaves the step matrix without a Cholesky
         # factor, hence without a descent direction, so the loop stops
-        # before its first accepted step
+        # before its first accepted step: the Newton step at p = 3 and the
+        # reweighted least-squares step of every p < 1 start alike
         space = PolySpace.build(Domain.disk(), degree=8, radial_order=12,
                                 angular_order=24)
         ring = space.ring
         ring.factor  # cache the factor, which the orthonormal basis reads, unscaled
         gram = ring.gram
         monkeypatch.setattr(ring, "gram", lambda omega: 1j * gram(omega))
-        ev = kernelp_diagonal(space, Functional.from_string("0: 1; 1: 0.5", 1),
-                              0.3 + 0.1j, 3.0)
-        assert ev.diagnostics["iterations"] == 0
-        assert ev.flags == ("line-search-stall",)
+        xi = Functional.from_string("0: 1; 1: 0.5", 1)
+        for p, flags in ((3.0, ("line-search-stall",)),
+                         (0.8, ("nonconvex-best-found", "line-search-stall"))):
+            ev = kernelp_diagonal(space, xi, 0.3 + 0.1j, p)
+            assert ev.diagnostics["iterations"] == 0, p
+            assert ev.flags == flags, p
+
+    def test_p_below_one_beats_the_stationary_start(self, disk16):
+        # at the centre the start z^k of delta_k is stationary but not
+        # minimal at p < 1; its value is (p k + 2) / (2 pi), and only the
+        # seeded restarts of the multistart get below it (measured +0.33%
+        # for k = 1 and +5.2% for k = 2)
+        p = 0.8
+        for k in (1, 2):
+            ev = kernelp_diagonal(disk16, Functional.delta((k,)), 0j, p)
+            assert "nonconvex-best-found" in ev.flags
+            assert ev.K >= (1 + 1e-3) * (p * k + 2) / (2 * math.pi), k
 
     def test_p_below_one_keeps_the_lowest_iterate(self):
         # the majorize-minimize step is not monotone in the unsmoothed

@@ -11,11 +11,15 @@ The pairing convention is
     (xi . f)(z0) = sum_alpha  xi_alpha * f^(alpha)(z0) / alpha!
 
 i.e. ``xi`` acts on the Taylor *coefficients* of ``f`` at ``z0``, not on the
-raw derivatives.
+raw derivatives.  One scalar routine, :meth:`PolyCoeffs.jet`, computes those
+coefficients, for polynomial and Laurent data alike: the pairing
+:func:`functional_apply`, the re-centring :func:`taylor_shift` and, through
+the pairing, the homogeneous derivatives of ``higher`` all read it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -112,16 +116,13 @@ def prec_compare(a: MultiIndex, b: MultiIndex) -> int:
     Lower total degree comes first.  Within a degree, entries are compared
     from the last coordinate down to the first, and the first coordinate
     that differs decides: the index with the smaller entry there is the
-    smaller one.  In dimension one this is plain degree order.
+    smaller one.  In dimension one this is plain degree order.  The order
+    is that of :meth:`MultiIndex.sort_key`.
     """
     if a.dimension != b.dimension:
         raise AlgebraError("cannot compare indices of different dimension")
-    if a.degree != b.degree:
-        return -1 if a.degree < b.degree else 1
-    for x, y in zip(reversed(a.entries), reversed(b.entries)):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
+    ka, kb = a.sort_key(), b.sort_key()
+    return (ka > kb) - (ka < kb)
 
 
 def enumerate_upto_degree(dimension: int, degree: int) -> list[MultiIndex]:
@@ -417,7 +418,7 @@ def _as_point(z, dimension: int) -> tuple[complex, ...]:
 
 
 def taylor_shift(f: PolyCoeffs, new_center) -> PolyCoeffs:
-    """Re-center a polynomial: the exact binomial transport of coefficients.
+    """Re-center a polynomial: its jets at the new center are its coefficients.
 
     Raises for Laurent data, whose expansion around a shifted center is an
     infinite series.
@@ -427,41 +428,19 @@ def taylor_shift(f: PolyCoeffs, new_center) -> PolyCoeffs:
     target = _as_point(new_center, f.dimension)
     if target == f.center:
         return PolyCoeffs(f.dimension, f.center, dict(f.coeffs))
-    delta = tuple(t - c for t, c in zip(target, f.center))
-    out: dict[MultiIndex, complex] = {}
-    for beta, c in f.coeffs.items():
-        # (w - c)^beta = ((w - c') + (c' - c))^beta expanded coordinatewise
-        per_axis: list[list[tuple[int, complex]]] = []
-        for j in range(f.dimension):
-            b = beta.entries[j]
-            axis = []
-            for g in range(b + 1):
-                axis.append((g, math.comb(b, g) * (delta[j] ** (b - g) if b > g else 1.0)))
-            per_axis.append(axis)
-        stack = [((), c)]
-        for axis in per_axis:
-            stack = [
-                (exps + (g,), coeff * w)
-                for exps, coeff in stack
-                for g, w in axis
-            ]
-        for exps, coeff in stack:
-            idx = MultiIndex(exps)
-            out[idx] = out.get(idx, 0j) + coeff
-    return PolyCoeffs(f.dimension, target, out)
+    # only orders below some exponent of f can have a nonzero jet
+    orders = {MultiIndex(beta) for alpha in f.coeffs
+              for beta in itertools.product(*(range(e + 1) for e in alpha))}
+    return PolyCoeffs(f.dimension, target,
+                      {beta: f.jet(beta, target)
+                       for beta in sorted(orders, key=MultiIndex.sort_key)})
 
 
 def functional_apply(xi: Functional, f: PolyCoeffs, z) -> complex:
-    """Pair a jet functional with a polynomial at the point ``z``.
+    """Pair a jet functional with a polynomial or Laurent polynomial at ``z``.
 
-    Computes ``sum_alpha xi_alpha f^(alpha)(z)/alpha!``.  Polynomials are
-    re-centered at ``z`` exactly; Laurent data uses direct jet extraction.
+    Computes ``sum_alpha xi_alpha f^(alpha)(z)/alpha!`` from the jets of f.
     """
     if xi.dimension != f.dimension:
         raise AlgebraError("functional and polynomial dimensions differ")
-    if xi.is_zero:
-        return 0j
-    if f.is_laurent:
-        return sum((c * f.jet(alpha, z) for alpha, c in xi.terms.items()), 0j)
-    shifted = taylor_shift(f, z)
-    return sum((c * shifted.coefficient(alpha) for alpha, c in xi.terms.items()), 0j)
+    return sum((c * f.jet(alpha, z) for alpha, c in xi.terms.items()), 0j)

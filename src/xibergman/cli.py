@@ -241,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             model = GreenModel.balanced(domain)
     except ValueError as exc:
-        raise ConfigError("pole" if pole else "domain", str(exc)) from exc
+        raise ConfigError("domain" if at_origin else "pole", str(exc)) from exc
     table = sweep(model, target, p, grid, degree=args.degree,
                   radial_order=args.radial_order,
                   angular_order=args.angular_order,
@@ -261,11 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ctx = VerifyContext(seed=args.seed)
     results = run_suite(args.suite, ctx, budget=args.budget)
     print(format_table(results))
-    text = _dump_json(results_to_json_dict(results, args.suite, args.seed))
-    if args.out:
-        _emit(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _emit(_dump_json(results_to_json_dict(results, args.suite, args.seed)), args.out)
     return 0 if all(r.passed for r in results) else 2
 
 

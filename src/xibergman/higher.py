@@ -37,6 +37,7 @@ from .algebra import (
     MultiIndex,
     PolyCoeffs,
     enumerate_upto_degree,
+    functional_apply,
 )
 from .kernels import (
     KernelError,
@@ -84,19 +85,13 @@ class HomogeneousPolynomial:
     coeffs: Mapping[MultiIndex, complex]
 
     def __post_init__(self):
-        cleaned = {}
-        for idx, c in self.coeffs.items():
-            if not isinstance(idx, MultiIndex):
-                idx = MultiIndex(tuple(idx))
-            if idx.dimension != self.dimension:
-                raise AlgebraError(f"index {idx} has wrong dimension")
+        cleaned = Functional(self.dimension, self.coeffs).terms
+        if not cleaned:
+            raise AlgebraError("homogeneous polynomial needs a nonzero coefficient")
+        for idx in cleaned:
             if idx.degree != self.degree:
                 raise AlgebraError(
                     f"index {idx} has degree {idx.degree}, expected {self.degree}")
-            if complex(c) != 0:
-                cleaned[idx] = complex(c)
-        if not cleaned:
-            raise AlgebraError("homogeneous polynomial needs a nonzero coefficient")
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
@@ -142,6 +137,8 @@ class HomogeneousPolynomial:
         if not raw:
             raise AlgebraError("empty polynomial string")
         dim = dimension if dimension is not None else max_var
+        if max_var > dim:
+            raise AlgebraError(f"coordinate z{max_var} exceeds the dimension {dim}")
         terms: dict[MultiIndex, complex] = {}
         for powers, coeff in raw:
             entries = tuple(powers.get(j + 1, 0) for j in range(dim))
@@ -169,10 +166,9 @@ class HomogeneousPolynomial:
 
 
 def apply_homogeneous(H: HomogeneousPolynomial, f: PolyCoeffs, z) -> complex:
-    """(P f)(z) = sum a_alpha (D^alpha f)(z); plain evaluation when degree 0."""
-    if f.dimension != H.dimension:
-        raise AlgebraError("dimension mismatch")
-    return sum(c * idx.factorial() * f.jet(idx, z) for idx, c in H.coeffs.items())
+    """(P f)(z) = sum a_alpha (D^alpha f)(z), the pairing of H's top functional;
+    plain evaluation when degree 0."""
+    return functional_apply(H.top_functional(), f, z)
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,7 +67,8 @@ class KernelEvaluation:
 
     ``minimizer`` is centred at z (at 0 on a Laurent space); ``coeffs``
     holds the same function in the space's centred basis, the form a
-    warm start of another solve on the space takes.
+    warm start of another solve on the space takes and the form its node
+    values are computed from.
     """
 
     p: float
@@ -280,7 +281,7 @@ def extremal_pairing(
     solve.
     """
     w = space.quadrature.weights
-    g = space.values(space.coeff_vector(evaluation.minimizer))
+    g = space.values(evaluation.coeffs)
     fvals = space.values(space.coeff_vector(f))
     _, rho, _, _ = _smoothed(g.real**2 + g.imag**2, evaluation.p)
     return complex(np.sum(w * rho * np.conj(g) * fvals))
@@ -327,8 +328,8 @@ def h_quantity(
     h = ev_z.K + ev_w.K - float(np.real(cross_wz + cross_zw))
 
     wq = space.quadrature.weights
-    gz = space.values(space.coeff_vector(ev_z.minimizer))
-    gw = space.values(space.coeff_vector(ev_w.minimizer))
+    gz = space.values(ev_z.coeffs)
+    gw = space.values(ev_w.coeffs)
     diff2 = np.abs(gz - gw) ** 2
 
     if p <= 2:

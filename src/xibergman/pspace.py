@@ -38,9 +38,9 @@ from .algebra import (
     MultiIndex,
     PolyCoeffs,
     enumerate_upto_degree,
+    functional_apply,
     taylor_shift,
     _as_point,
-    _gen_binom,
 )
 from .domains import Domain, Quadrature, build_quadrature
 
@@ -89,7 +89,6 @@ class PolySpace:
     indices: list[MultiIndex]
     center: tuple[complex, ...]
     laurent: bool = False
-    mode: str = "total"
     # (point, T, U) of the last orthonormal_basis request, arrays read-only;
     # a tuple, not the basis itself, so the space holds no reference to itself
     _basis_memo: tuple | None = field(default=None, init=False, repr=False)
@@ -129,7 +128,7 @@ class PolySpace:
         if laurent:
             ks = sorted(range(-degree, degree + 1), key=lambda k: (abs(k), k))
             indices = [MultiIndex((k,)) for k in ks]
-            ctr, mode = (0j,), "laurent"
+            ctr = (0j,)
         else:
             ctr = domain.center
             if mode == "total":
@@ -150,7 +149,7 @@ class PolySpace:
             raise RankLossError(
                 f"quadrature has {quad.node_count} nodes for {len(indices)} "
                 "basis functions; raise the orders or lower the degree")
-        return cls(domain, quad, indices, ctr, laurent=laurent, mode=mode)
+        return cls(domain, quad, indices, ctr, laurent=laurent)
 
     # -- basic data -----------------------------------------------------
 
@@ -240,23 +239,14 @@ class PolySpace:
 
         For polynomial spaces the solve basis is the z-shifted monomial
         basis, so L is just xi restricted to the index set.  For Laurent
-        bases the entries are exact jet pairings of z^k at z.
+        bases the entries are the pairings of xi with z^k at z.
         """
         if xi.dimension != self.dimension:
             raise AlgebraError("functional dimension mismatch")
-        L = np.zeros(self.size, dtype=complex)
         if self.laurent:
-            z0 = complex(_as_point(z, 1)[0])
-            for j, idx in enumerate(self.indices):
-                k = idx.entries[0]
-                total = 0j
-                for alpha, c in xi.terms.items():
-                    a = alpha.entries[0]
-                    g = _gen_binom(k, a)
-                    if g != 0:
-                        total += c * g * z0 ** (k - a)
-                L[j] = total
-            return L
+            return np.array([functional_apply(xi, PolyCoeffs.monomial(idx, 0j), z)
+                             for idx in self.indices])
+        L = np.zeros(self.size, dtype=complex)
         pos = self.index_position()
         for alpha, c in xi.terms.items():
             j = pos.get(alpha)

@@ -163,10 +163,6 @@ def format_table(results: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def results_to_json_dict(results: list[CheckResult], suite: str, seed: int) -> dict:
     """Machine-readable summary; deliberately excludes wall-clock times."""
     return {
@@ -179,7 +175,7 @@ def results_to_json_dict(results: list[CheckResult], suite: str, seed: int) -> d
                 "suite": r.suite,
                 "passed": r.passed,
                 "detail": r.detail,
-                "value": None if r.value is None else _sig12(r.value),
+                "value": r.value,
             }
             for r in results
         ],

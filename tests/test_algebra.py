@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from xibergman import (
     AlgebraError,
+    Domain,
     Functional,
     MultiIndex,
     PolyCoeffs,
+    PolySpace,
     enumerate_upto_degree,
     functional_apply,
     prec_compare,
@@ -166,3 +168,47 @@ class TestShift:
         g = taylor_shift(f, 0.25 + 0.25j)
         pts = np.array([0.1 + 0j, 0.6 - 0.3j])
         assert np.allclose(g.evaluate(pts), f.evaluate(pts), rtol=0, atol=1e-13)
+
+
+class TestJetRoutes:
+    """PolyCoeffs.jet against routes that do not go through it."""
+
+    @pytest.mark.parametrize("domain,mode,degree,z", [
+        (Domain.polydisc((1.0, 0.8), center=(0.1j, -0.2)), "total", 6,
+         (0.3 - 0.2j, -0.5 + 0.3j)),
+        (Domain.bidisc(), "tensor", 4, (-0.4 + 0.1j, 0.2 + 0.5j)),
+        (Domain.ball(dimension=3), "total", 4, (0.3j, -0.2 + 0.1j, 0.25)),
+    ])
+    def test_jets_match_the_jet_matrix(self, domain, mode, degree, z):
+        space = PolySpace.build(domain, degree=degree, mode=mode,
+                                radial_order=4, angular_order=8)
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+        ref = space.jet_matrix(z) @ c
+        f = space.element(c)
+        shifted = taylor_shift(f, z)
+        jets = np.array([f.jet(beta, z) for beta in space.indices])
+        coeffs = np.array([shifted.coefficient(beta) for beta in space.indices])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(jets - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(coeffs - ref)) <= 1e-12 * scale
+
+    @staticmethod
+    def _cauchy_pairing(xi, f, z, radius, nodes=64):
+        # f^(a)(z)/a! = (1/2 pi i) oint f(w) (w - z)^(-a-1) dw, trapezoid rule
+        steps = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        vals = f.evaluate(z + steps)
+        return sum(c * np.mean(vals * steps ** -alpha[0]) for alpha, c in xi.terms.items())
+
+    @pytest.mark.parametrize("f,z,radius", [
+        (PolyCoeffs(1, (0.2j,), {(k,): (0.5 - 0.3j) ** k + 1 for k in range(9)}),
+         0.3 - 0.4j, 0.2),
+        # a Laurent element of the annulus 0.4 < |z| < 1, circle kept inside it
+        (PolyCoeffs(1, (0j,), {(k,): 1 / (1 + abs(k)) + 0.5j * k for k in range(-5, 6)}),
+         0.7 * np.exp(0.9j), 0.1),
+    ])
+    def test_pairing_matches_cauchy_integral(self, f, z, radius):
+        xi = Functional(1, {(0,): 0.7, (1,): -1.2 + 0.4j, (2,): 0.3j, (4,): 0.25})
+        got = functional_apply(xi, f, z)
+        ref = self._cauchy_pairing(xi, f, z, radius)
+        assert abs(got - ref) <= 1e-12 * abs(ref)

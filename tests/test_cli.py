@@ -94,6 +94,12 @@ class TestValidation:
           "--radial-order", "0"), "radial-order"),
         (("compute", "--domain", "disk", "--xi", "0,x: 1", "--p", "2", "--z", "0"), "xi"),
         (("compute", "--domain", "disk", "--xi", "{", "--p", "2", "--z", "0"), "xi"),
+        # z2 does not exist on the disk; it must not be read as the constant 1
+        (("compute", "--domain", "disk", "--H", "z2: 1", "--p", "2", "--z", "0"), "H"),
+        # a pole at the origin leaves only the domain to blame
+        (("sweep", "--domain",
+          '{"shape": "polydisc", "radii": [1, 1], "center": [[0.5, 0], [0, 0]]}',
+          "--xi", "0,0: 1", "--p", "2", "--pole", "0,0", "--a-grid=-1:0:3"), "domain"),
     ])
     def test_field_named_in_error(self, capsys, argv, field):
         code, _, err = run(capsys, *argv)

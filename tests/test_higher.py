@@ -54,6 +54,11 @@ class TestHomogeneous:
         assert H.degree == 2
         assert H.dimension == 2
 
+    @pytest.mark.parametrize("text,dimension", [("z2: 1", 1), ("z1 z3^2: 1", 2)])
+    def test_coordinate_beyond_dimension_rejected(self, text, dimension):
+        with pytest.raises(AlgebraError, match="exceeds"):
+            HomogeneousPolynomial.from_string(text, dimension=dimension)
+
     def test_pairing_is_scaled_derivative(self):
         # degree-k pairing applies a_alpha alpha! to the Taylor data, i.e.
         # the plain derivative d^2 f at z for H = z^2

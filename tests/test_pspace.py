@@ -287,7 +287,6 @@ class TestSpaceStructure:
                               radial_order=8, angular_order=16)
         assert tot.size == 15   # C(4+2, 2)
         assert ten.size == 25   # (4+1)^2
-        assert ten.mode == "tensor"
 
     def test_library_defaults_fit_on_the_bidisc(self):
         space = PolySpace.build(Domain.bidisc())

@@ -177,7 +177,10 @@ def _constrained_kernel(
     centred vector from an earlier solve on the space, at any point and
     for any functional: its projection u = U^H G start onto the block (G
     the base Gram, in which U is orthonormal) replaces u0 by u / (c . u),
-    which is feasible; u0 stays when c . u is tiny against |c| |u|.
+    which is feasible; u0 stays when c . u is tiny against |c| |u|, and the
+    solver keeps u0 when the start's objective is the larger.  Below p = 1
+    the diagnostics carry ``start_spread``, (max - min) / min of the seeded
+    starts' final objectives.
     """
     zt = _check_inputs(space, xi, z)
     ob = orthonormal_basis(space, zt)
@@ -205,6 +208,8 @@ def _constrained_kernel(
                        "final_rel_step": sol.final_rel_step,
                        "grad_residual": sol.grad_residual,
                        "flags": sol.flags}
+        if sol.start_spread is not None:
+            diagnostics["start_spread"] = sol.start_spread
     full = np.zeros(space.size, dtype=complex)
     full[low:] = T @ u
     minimizer = space.element(full, center=None if space.laurent else zt)
@@ -423,8 +428,9 @@ def evaluation_to_dict(ev: KernelEvaluation) -> dict:
         "constraint_residual": ev.diagnostics.get("constraint_residual"),
         "flags": list(ev.flags),
     }
-    if "grad_residual" in ev.diagnostics:
-        diag["grad_residual"] = ev.diagnostics["grad_residual"]
+    for key in ("grad_residual", "start_spread"):
+        if key in ev.diagnostics:
+            diag[key] = ev.diagnostics[key]
     return {
         "p": ev.p,
         "z": [[c.real, c.imag] for c in ev.z],

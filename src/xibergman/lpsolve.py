@@ -36,19 +36,34 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               vanishes and A is (p/2) M^H G(w rho) M, and at an already
               stationary iterate, where the step is rounding, the step
               solves with that reweighted Gram alone.
-    p < 1     majorize-minimize (iteratively reweighted least squares;
-              Daubechies, DeVore, Fornasier & Gunturk, CPAM 63, 2010):
-              the same reweighted-Gram step,
+    p < 1     Newton where it is taken whole, else majorize-minimize.
+              The Newton matrix is definite only near a strict local
+              minimizer (the curvature along f, p rho ((p - 1) |f|^2 +
+              eps^2) / s, is negative where |f| >> eps), so each step
+              first tries the full Newton step and takes it when its step
+              matrix factors, it is a descent direction and it passes
+              Armijo on F at once (Nocedal & Wright, Numerical
+              Optimization, 2nd ed., 3.4) and shrinks no node's
+              s = |f|^2 + eps^2 by more than SHRINK_LIMIT (1e-2).  The
+              Newton model of s^(p/2) at a node holds only while s changes
+              by a bounded factor, and a step that collapses a node's |f|
+              tends to land in a well of the discrete problem, a local
+              minimizer with a zero on that node.  Otherwise the step is
+              refused, at the cost of no extra node evaluation, and is the
+              majorize-minimize one of iteratively reweighted least squares
+              (Daubechies, DeVore, Fornasier & Gunturk, CPAM 63, 2010):
               d = -(M^H G(w rho) M)^-1 M^H Phi^H(w rho f), taken whole.
-              It majorizes the smoothed objective at the iterate's eps,
-              and eps follows the iterate, so single steps can raise the
-              unsmoothed objective a little; each descent returns the
+              That step majorizes the smoothed objective at the iterate's
+              eps, and eps follows the iterate, so single steps can raise
+              the unsmoothed objective a little; each descent returns the
               lowest iterate it visited.
 
-    stall     every step passes one slope test: a step matrix with no
-              Cholesky factor, a step with slope 2 Re(b^H d) >= 0 or, for
-              p >= 1, one that no halving makes a descent of F stops the
-              descent, flagged line-search-stall.
+    stall     every step that is taken passes one slope test: a step
+              matrix with no Cholesky factor, a step with slope
+              2 Re(b^H d) >= 0 or, for p >= 1, one that no halving makes a
+              descent of F stops the descent, flagged line-search-stall.
+              Below p = 1 this applies to the majorize-minimize step; a
+              refused Newton step only hands over to it.
     stop      relative objective change < OBJ_TOL (1e-11) and stationarity
               residual |M^H Phi^H(w rho f)|_max / F^((p-1)/p) below
               GRAD_TOL (1e-10); capped at MAX_ITER (300) steps.
@@ -66,7 +81,8 @@ the smoothing scale, so stationarity is accepted there once the objective
 has settled; results carry a documented 1e-3 relative accuracy contract.
 For p < 1 the problem is nonconvex; the descent also runs from RESTARTS (8)
 random feasible points drawn from ``seed``, the lowest of all starts is
-kept, and the result is flagged as such.
+kept, and the result is flagged as such; ``start_spread`` reports how far
+apart the starts ended.
 
 These constants are the numerical policy behind the README accuracy
 contract; only the restart seed is an input.
@@ -87,6 +103,7 @@ GRAD_TOL = 1e-10
 EPS_FACTOR = 1e-7
 EPS_FACTOR_P1 = 1e-6
 RESTARTS = 8
+SHRINK_LIMIT = 1e-2
 
 
 def _smoothing_factor(p: float) -> float:
@@ -107,6 +124,8 @@ class LpSolution:
     final_rel_step: float
     method: str
     flags: tuple[str, ...] = ()
+    # (max - min) / min of the starts' final objectives; p < 1 only
+    start_spread: float | None = None
 
 
 def solve_affine_lp(
@@ -126,8 +145,9 @@ def solve_affine_lp(
     basis : (Nc, m) centred coefficients of m weighted-orthonormal functions.
     row : (m,) constraint row, not zero.
     p : exponent, p > 0.
-    start : optional feasible u used as the initial point; by default the
-        minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer.
+    start : optional feasible u used as the initial point in place of the
+        minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer,
+        when its objective is no larger than that point's.
     seed : seed of the random restarts, drawn only for p < 1.
 
     The returned coefficients are u, in the given basis.
@@ -137,23 +157,25 @@ def solve_affine_lp(
     row = np.asarray(row, dtype=complex)
     if basis.shape[1] != row.shape[0]:
         raise ValueError("constraint row and basis sizes differ")
-    if start is not None:
-        u0 = np.asarray(start, dtype=complex)
-        if abs(row @ u0 - 1.0) > 1e-8:
-            raise SolverError("supplied start violates the constraint")
-    else:
-        u0 = np.conj(row) / np.vdot(row, row).real
-
+    u0 = np.conj(row) / np.vdot(row, row).real
     x0 = basis @ u0
+    if start is not None:
+        start = np.asarray(start, dtype=complex)
+        if abs(row @ start - 1.0) > 1e-8:
+            raise SolverError("supplied start violates the constraint")
+        # a start from far away can cost many more steps than u0 does, so it
+        # replaces u0 only when its objective is no larger
+        x_start = basis @ start
+        if _objective(op, x_start, p) <= _objective(op, x0, p):
+            u0, x0 = start, x_start
     # the basis is weighted-orthonormal, so the free directions M along the
     # orthonormal null space of the row are too: the normal equations stay
     # well conditioned, and the stationarity residual scales like the
     # orthogonality pairings it is meant to control
     Z = _null_space(row)
     if Z.shape[1] == 0:
-        obj = float(np.sum(op.weights * np.abs(op.values(x0)) ** p))
         return LpSolution(
-            coeffs=u0, objective=obj, iterations=0, grad_residual=0.0,
+            coeffs=u0, objective=_objective(op, x0, p), iterations=0, grad_residual=0.0,
             final_rel_step=0.0, method="determined",
         )
     M = basis @ Z
@@ -166,13 +188,14 @@ def solve_affine_lp(
         scale = max(1.0, float(np.linalg.norm(u0)))
         starts += [scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
                    for _ in range(RESTARTS)]
-    t, obj, iters, stop, grad_res, last_step = min(
-        (_descend(op, M, x0, p, t0) for t0 in starts), key=lambda sol: sol[1])
+    descents = [_descend(op, M, x0, p, t0) for t0 in starts]
+    t, obj, iters, stop, grad_res, last_step = min(descents, key=lambda sol: sol[1])
     flags = (("nonconvex-best-found",) if p < 1 else ()) + ((stop,) if stop else ())
     return LpSolution(
         coeffs=u0 + Z @ t, objective=obj, iterations=iters,
         grad_residual=grad_res, final_rel_step=last_step,
         method="multistart" if p < 1 else "newton", flags=flags,
+        start_spread=(max(sol[1] for sol in descents) - obj) / obj if p < 1 else None,
     )
 
 
@@ -190,6 +213,11 @@ def _null_space(row: np.ndarray) -> np.ndarray:
     v[0] += np.exp(1j * np.angle(r[0]))
     return np.eye(len(r), dtype=complex)[:, 1:] - np.outer(
         v, v[1:].conj() * (2.0 / np.vdot(v, v).real))
+
+
+def _objective(op, x, p):
+    """sum_q w_q |f(x_q)|^p for f with centred coefficients x."""
+    return float(np.sum(op.weights * np.abs(op.values(x)) ** p))
 
 
 def _smoothed(a2, p):
@@ -244,32 +272,59 @@ def _descend(op, M, x0, p, t0):
         t_out, obj_out, res_out = best if p < 1 else (t, obj, grad_res)
         return t_out, obj_out, iters, stop, res_out, rel_step
 
-    for it in range(1, MAX_ITER + 1):
-        # below p = 1 the step is the majorize-minimize one, the reweighted
-        # Gram alone, since the full Hessian need not be definite there
-        delta = _newton_step(op, M, w * rho, g, a2, inv_s, pairing, p,
-                             with_pair=p >= 1 and grad_res >= GRAD_TOL)
-        slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
-        # both step matrices are positive definite (eps > 0), so only a
-        # broken operator fails to factor them or to give a descent
-        # direction; an exactly stationary iterate (zero pairing) takes its
-        # zero step
-        if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
-            return result(it - 1, "line-search-stall")
+    def armijo(delta, slope, halvings):
         # Armijo backtracking on the smoothed objective F the step models, at
         # this iterate's eps, with slack for the rounding of the node sum;
-        # the p < 1 step is taken whole (not monotone in the unsmoothed
-        # objective, see above)
+        # None when no step of the first ``halvings`` passes
         lam = 1.0
-        for _ in range(20):
+        for _ in range(halvings):
             t_trial = t + lam * delta
             g_trial, a2_trial = evaluate(t_trial)
-            if p < 1 or (float(np.sum(w * (a2_trial + eps2) ** (0.5 * p)))
-                         <= F + 1e-4 * lam * slope + 1e-15 * F):
-                break
+            if (float(np.sum(w * (a2_trial + eps2) ** (0.5 * p)))
+                    <= F + 1e-4 * lam * slope + 1e-15 * F):
+                return t_trial, g_trial, a2_trial
             lam *= 0.5
-        else:
-            return result(it - 1, "line-search-stall")
+        return None
+
+    for it in range(1, MAX_ITER + 1):
+        wr, newton = w * rho, grad_res >= GRAD_TOL
+        trial = None
+        if p < 1 and newton:
+            # below p = 1 the full Newton step is taken where its matrix
+            # factors, it descends, it passes Armijo at once and it shrinks
+            # no node's s by more than SHRINK_LIMIT; a refused one costs no
+            # node evaluation beyond that one trial
+            delta = _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair=True)
+            if delta is not None:
+                slope = p * float(np.vdot(pairing, delta).real)
+                if slope < 0.0:
+                    trial = armijo(delta, slope, 1)
+                    if trial is not None and np.any(
+                            trial[2] + eps2 < SHRINK_LIMIT * (a2 + eps2)):
+                        trial = None
+        if trial is None:
+            # the Newton step for p >= 1 (the reweighted Gram alone at an
+            # already stationary iterate), and below p = 1 the
+            # majorize-minimize step, the reweighted Gram alone
+            delta = _newton_step(op, M, wr, g, a2, inv_s, pairing, p,
+                                 with_pair=p >= 1 and newton)
+            slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
+            # both step matrices are positive definite (eps > 0), so only a
+            # broken operator fails to factor them or to give a descent
+            # direction; an exactly stationary iterate (zero pairing) takes
+            # its zero step
+            if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
+                return result(it - 1, "line-search-stall")
+            if p < 1:
+                # the majorize-minimize step is taken whole (not monotone in
+                # the unsmoothed objective, see above)
+                t_trial = t + delta
+                trial = (t_trial, *evaluate(t_trial))
+            else:
+                trial = armijo(delta, slope, 20)
+                if trial is None:
+                    return result(it - 1, "line-search-stall")
+        t_trial, g_trial, a2_trial = trial
 
         obj_trial = objective(a2_trial)
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
@@ -307,10 +362,12 @@ def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
     (at p = 1, M^H G(wr eps^2 / s) M).  At p = 2, where C vanishes
     and A is the reweighted Gram M^H G(wr) M, and unless ``with_pair``,
     the step solves with that Gram alone.  Without the pair it is the
-    majorize-minimize step of reweighted least squares, the whole step
-    below p = 1, where the Newton matrix need not be definite; for p >= 1
-    the descent drops the pair only at an already stationary iterate,
-    where the step is rounding and the pair product would only cost time.
+    majorize-minimize step of reweighted least squares.  Below p = 1 the
+    Newton matrix is definite only near a strict local minimizer, so there
+    None is an expected outcome, and the descent then falls back to the
+    Gram alone; at every p the descent drops the pair at an already
+    stationary iterate, where the step is rounding and the pair product
+    would only cost time.
     """
     try:
         if p == 2 or not with_pair:

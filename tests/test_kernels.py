@@ -32,6 +32,7 @@ from xibergman import (
     solve_affine_lp,
     sublevel_domain,
     sup_bound_constant,
+    sweep,
 )
 
 
@@ -232,6 +233,18 @@ class TestCentredCoefficients:
         assert not warm.flags
         assert warm.K == pytest.approx(cold.K, rel=1e-9)
 
+    def test_start_across_a_jump_costs_no_more_than_the_cold_start(self, disk16):
+        # the start projected from 0.5 e^{1.1i} has a larger objective at
+        # 0.3 - 0.4i than the p = 2 point u0, which it would replace (90
+        # Newton steps against 4), so u0 is kept
+        xi = Functional.from_string("0: 1; 1: 0.5", 1)
+        other = diagonal(disk16, xi, 0.5 * np.exp(1.1j), 1.5)
+        z = 0.3 - 0.4j
+        warm = kernels._constrained_kernel(disk16, xi, z, 1.5, start=other.coeffs)
+        cold = diagonal(disk16, xi, z, 1.5)
+        assert warm.diagnostics["iterations"] <= cold.diagnostics["iterations"]
+        assert warm.K == pytest.approx(cold.K, rel=1e-12)
+
 
 class TestOffDiagonal:
     def test_point_functional_section(self, disk16):
@@ -406,6 +419,38 @@ class TestSolverContract:
         assert "nonconvex-best-found" in ev.flags
         assert 1.0 / ev.K <= 2.28834e-1
 
+    def test_p_below_one_sweep_takes_few_descent_steps(self, monkeypatch):
+        # the 7-row p = 0.8 delta_0 sweep of the bench's Moebius disk, over
+        # all nine starts of every row: 2,417 majorize-minimize steps before
+        # Newton steps were taken below p = 1, 816 with them
+        steps = []
+        descend = lpsolve._descend
+
+        def spy(*args):
+            sol = descend(*args)
+            steps.append(sol[2])
+            return sol
+
+        monkeypatch.setattr(lpsolve, "_descend", spy)
+        sweep(GreenModel.moebius_disk(0.5 * np.exp(1.234j)), Functional.delta((0,)), 0.8,
+              [-3 + 0.5 * i for i in range(7)], degree=24)
+        assert len(steps) == 7 * (lpsolve.RESTARTS + 1)
+        assert sum(steps) <= 1200
+
+    def test_start_spread_below_one_only(self, disk16):
+        # (max - min) / min over the seeded starts' final objectives: at the
+        # centre the start z of delta_1 is stationary but not minimal, so
+        # the starts end apart; p >= 1 has one start and reports nothing
+        ev = kernelp_diagonal(disk16, Functional.delta((1,)), 0j, 0.8)
+        spread = ev.diagnostics["start_spread"]
+        assert kernels.evaluation_to_dict(ev)["diagnostics"]["start_spread"] == spread
+        # the t = 0 descent stays at z, 0.33% above the best start's value
+        assert 1e-3 < spread < 1e-2
+        for p in (1.0, 1.5, 2.0):
+            ev = kernelp_diagonal(disk16, Functional.delta((1,)), 0.3j, p)
+            assert "start_spread" not in ev.diagnostics
+            assert "start_spread" not in kernels.evaluation_to_dict(ev)["diagnostics"]
+
     def test_null_space_is_orthonormal(self):
         # the Householder columns annihilate the row and are orthonormal,
         # also when the row's first entry is zero and when nothing is left
@@ -486,6 +531,68 @@ def _duality_gap(space, xi, z, p):
     g = g + np.conj(space.values(ob.coeffs @ np.conj(r)))
     q = p / (p - 1)
     return float(np.sum(w * np.abs(g) ** q) ** (p / q) * obj - 1)
+
+
+def _mm_multistart(space, xi, z, p, seed=42):
+    """Best objective of a majorize-minimize multistart, written out on node values.
+
+    The p < 1 rule of reweighted least squares alone: from the p = 2 point
+    and from the solver's seeded feasible starts, each step solves the
+    reweighted normal equations of dense node values, is taken whole, and
+    the lowest objective visited wins.  A descent stops on the solver's
+    rules: relative change below OBJ_TOL with the stationarity residual
+    below GRAD_TOL, five such steps with the residual at the smoothing
+    scale, or MAX_ITER steps.
+    """
+    ob = orthonormal_basis(space, z)
+    c = ob.transform.T @ space.constraint_row(xi, ob.point)
+    u0 = np.conj(c) / np.vdot(c, c).real
+    Z = lpsolve._null_space(c)
+    w = space.quadrature.weights
+    f0, V = space.values(ob.coeffs @ u0), space.values(ob.coeffs @ Z)
+    rng = np.random.default_rng(seed)
+    scale = max(1.0, float(np.linalg.norm(u0)))
+    starts = [np.zeros(Z.shape[1], dtype=complex)]
+    starts += [scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
+               for _ in range(lpsolve.RESTARTS)]
+    best = np.inf
+    for t in starts:
+        previous, settled = None, 0
+        for _ in range(lpsolve.MAX_ITER + 1):
+            f = f0 + V @ t
+            a2 = np.abs(f) ** 2
+            obj = float(np.sum(w * a2 ** (0.5 * p)))
+            best = min(best, obj)
+            wr = w * (a2 + (lpsolve.EPS_FACTOR ** 2) * a2.max()) ** (0.5 * p - 1.0)
+            pairing = V.conj().T @ (wr * f)
+            if previous is not None and abs(previous - obj) < lpsolve.OBJ_TOL * obj:
+                residual = np.abs(pairing).max() / obj ** ((p - 1.0) / p)
+                if residual < lpsolve.GRAD_TOL:
+                    break
+                settled = settled + 1 if residual < lpsolve.EPS_FACTOR else 0
+                if settled >= 5:
+                    break
+            else:
+                settled = 0
+            t = t - np.linalg.solve(V.conj().T @ (wr[:, None] * V), pairing)
+            previous = obj
+    return best
+
+
+class TestMultistartReference:
+    @pytest.mark.parametrize("p", [0.5, 0.8])
+    def test_no_worse_than_majorize_minimize(self, disk16, p):
+        # the solver's best objective against the reweighted least-squares
+        # multistart from the same starts, which Newton steps replace where
+        # they are taken whole
+        cases = [(disk16, Functional.delta((k,)), r * np.exp(0.7j))
+                 for k in (0, 1, 2) for r in (0.0, 0.6)]
+        cases.append((PolySpace.build(Domain.annulus(0.4, 1.0)), Functional.delta((1,)),
+                      0.7 * np.exp(0.7j)))
+        for space, xi, z in cases:
+            ev = kernelp_diagonal(space, xi, z, p)
+            reference = _mm_multistart(space, xi, z, p)
+            assert 1.0 / ev.K <= (1 + 1e-8) * reference, (xi, z)
 
 
 class TestDualityBracket:

@@ -50,7 +50,12 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               tends to land in a well of the discrete problem, a local
               minimizer with a zero on that node.  Otherwise the step is
               refused, at the cost of no extra node evaluation, and is the
-              majorize-minimize one of iteratively reweighted least squares
+              majorize-minimize one.  After r refused attempts in a row the
+              next min(2^r - 1, NEWTON_WAIT (8)) steps skip the attempt, so
+              iterates where the Newton matrix stays indefinite, such as
+              the rotation-symmetric ones at a disk's centre, pay for few
+              attempts.  The majorize-minimize step is that of
+              iteratively reweighted least squares
               (Daubechies, DeVore, Fornasier & Gunturk, CPAM 63, 2010):
               d = -(M^H G(w rho) M)^-1 M^H Phi^H(w rho f), taken whole.
               That step majorizes the smoothed objective at the iterate's
@@ -104,6 +109,7 @@ EPS_FACTOR = 1e-7
 EPS_FACTOR_P1 = 1e-6
 RESTARTS = 8
 SHRINK_LIMIT = 1e-2
+NEWTON_WAIT = 8
 
 
 def _smoothing_factor(p: float) -> float:
@@ -286,22 +292,34 @@ def _descend(op, M, x0, p, t0):
             lam *= 0.5
         return None
 
+    def newton_trial(wr):
+        # the full Newton step below p = 1, or None when it is refused: its
+        # matrix has no Cholesky factor, it does not descend, it fails
+        # Armijo at once or it shrinks some node's s by more than
+        # SHRINK_LIMIT; a refused step costs no node evaluation beyond the
+        # one trial
+        delta = _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair=True)
+        if delta is None:
+            return None
+        slope = p * float(np.vdot(pairing, delta).real)
+        trial = armijo(delta, slope, 1) if slope < 0.0 else None
+        if trial is None or np.any(trial[2] + eps2 < SHRINK_LIMIT * (a2 + eps2)):
+            return None
+        return trial
+
+    refused = wait = 0
     for it in range(1, MAX_ITER + 1):
         wr, newton = w * rho, grad_res >= GRAD_TOL
         trial = None
         if p < 1 and newton:
-            # below p = 1 the full Newton step is taken where its matrix
-            # factors, it descends, it passes Armijo at once and it shrinks
-            # no node's s by more than SHRINK_LIMIT; a refused one costs no
-            # node evaluation beyond that one trial
-            delta = _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair=True)
-            if delta is not None:
-                slope = p * float(np.vdot(pairing, delta).real)
-                if slope < 0.0:
-                    trial = armijo(delta, slope, 1)
-                    if trial is not None and np.any(
-                            trial[2] + eps2 < SHRINK_LIMIT * (a2 + eps2)):
-                        trial = None
+            if wait:
+                wait -= 1
+            else:
+                trial = newton_trial(wr)
+                # r refused attempts in a row skip the attempt on the next
+                # min(2^r - 1, NEWTON_WAIT) steps
+                refused = 0 if trial is not None else refused + 1
+                wait = min(2 ** refused - 1, NEWTON_WAIT)
         if trial is None:
             # the Newton step for p >= 1 (the reweighted Gram alone at an
             # already stationary iterate), and below p = 1 the

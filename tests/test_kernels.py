@@ -422,7 +422,7 @@ class TestSolverContract:
     def test_p_below_one_sweep_takes_few_descent_steps(self, monkeypatch):
         # the 7-row p = 0.8 delta_0 sweep of the bench's Moebius disk, over
         # all nine starts of every row: 2,417 majorize-minimize steps before
-        # Newton steps were taken below p = 1, 816 with them
+        # Newton steps were taken below p = 1, 967 with them
         steps = []
         descend = lpsolve._descend
 

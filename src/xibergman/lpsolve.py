@@ -141,6 +141,7 @@ def solve_affine_lp(
     p: float,
     start: np.ndarray | None = None,
     seed: int = 42,
+    force_start: bool = False,
 ) -> LpSolution:
     """Minimize the weighted node L^p norm of ``basis @ u`` subject to ``row @ u = 1``.
 
@@ -153,8 +154,11 @@ def solve_affine_lp(
     p : exponent, p > 0.
     start : optional feasible u used as the initial point in place of the
         minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer,
-        when its objective is no larger than that point's.
+        when its objective is no larger than that point's: a warm start
+        from far away then costs no more steps than a cold solve.
     seed : seed of the random restarts, drawn only for p < 1.
+    force_start : start from ``start`` whatever its objective, for checks
+        that descend from given points.
 
     The returned coefficients are u, in the given basis.
     """
@@ -172,7 +176,7 @@ def solve_affine_lp(
         # a start from far away can cost many more steps than u0 does, so it
         # replaces u0 only when its objective is no larger
         x_start = basis @ start
-        if _objective(op, x_start, p) <= _objective(op, x0, p):
+        if force_start or _objective(op, x_start, p) <= _objective(op, x0, p):
             u0, x0 = start, x_start
     # the basis is weighted-orthonormal, so the free directions M along the
     # orthonormal null space of the row are too: the normal equations stay

@@ -617,7 +617,8 @@ def _chk_uniqueness(ctx):
     sols = []
     for _ in range(5):
         t = rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1])
-        sol = solve_affine_lp(space.ring, ob.coeffs, c, p, start=base + Z @ t)
+        sol = solve_affine_lp(space.ring, ob.coeffs, c, p, start=base + Z @ t,
+                              force_start=True)
         sols.append(space.values(ob.coeffs @ sol.coeffs))
     worst = 0.0
     for i in range(len(sols)):

@@ -170,7 +170,8 @@ def _constrained_kernel(
     c = T^T L, K = |c|^2 at p = 2, and u0 = conj(c) / |c|^2 is the p = 2
     minimizer.  ``exact`` (p = 2 only)
     stops at u0; otherwise the descent solver of :mod:`xibergman.lpsolve`
-    (Newton steps for p >= 1, reweighted least squares for p < 1) starts
+    (Newton steps; for p < 1, reweighted least squares where a full Newton
+    step is refused) starts
     there on the space's ring operator, drawing its p < 1 restarts from
     ``seed``.  The minimizer's solve-basis coefficients are T u, and its
     centred ones U u are returned as ``coeffs``.  A ``start`` is such a

@@ -91,7 +91,7 @@ def _parse_point(value, dimension: int, field_name: str):
         coords = tuple(complex(part.strip().replace(" ", "")) for part in parts)
     except ValueError as exc:
         raise ConfigError(field_name, f"bad coordinate in {value!r}") from exc
-    return coords[0] if dimension == 1 else coords
+    return coords
 
 
 def _parse_a_grid(value) -> list[float]:
@@ -203,8 +203,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         w = _parse_point(args.pole, n, "pole")
         section = off_diagonal(space, xi, w, p)
         ev = section.base
-        wt = (w,) if n == 1 else w
-        payload["pole"] = [[c.real, c.imag] for c in wt]
+        payload["pole"] = [[c.real, c.imag] for c in w]
         value = section.values(z)
         payload["section_value_at_z"] = [value.real, value.imag]
         payload["pole_identity_residual"] = section.pole_identity_residual()
@@ -230,14 +229,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_orders(args)
     grid = _parse_a_grid(args.a_grid)
     pole = _parse_point(args.pole, n, "pole") if args.pole is not None else None
-    at_origin = pole is None or (
-        pole == 0 if n == 1 else all(c == 0 for c in pole))
+    at_origin = pole is None or not any(pole)
     try:
         if not at_origin:
             if domain != Domain.disk():
                 raise ConfigError("pole",
                                   "off-center poles are only supported on the unit disk")
-            model = GreenModel.moebius_disk(pole)
+            model = GreenModel.moebius_disk(pole[0])
         else:
             model = GreenModel.balanced(domain)
     except ValueError as exc:

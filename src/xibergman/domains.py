@@ -190,35 +190,39 @@ def domain_from_spec(spec: dict) -> Domain:
 # ---------------------------------------------------------------------------
 
 
+def _boundary_gap(domain: Domain, pts: np.ndarray) -> np.ndarray:
+    """Signed Euclidean gap to the boundary of each point of ``pts`` (m, n).
+
+    Positive inside, where it is the distance to the boundary; zero or
+    negative on and outside it.
+    """
+    d = np.abs(pts - np.asarray(domain.center))
+    if domain.shape == "disk":
+        return domain.radius - d[:, 0]
+    if domain.shape == "polydisc":
+        return np.min(np.asarray(domain.radii) - d, axis=1)
+    if domain.shape == "ball":
+        return domain.radius - np.sqrt(np.sum(d**2, axis=1))
+    if domain.shape == "annulus":
+        return np.minimum(domain.r_outer - d[:, 0], d[:, 0] - domain.r_inner)
+    raise UnsupportedShapeError(domain.shape)
+
+
+def _gap_at(domain: Domain, z) -> float:
+    return float(_boundary_gap(domain, np.array([_as_point(z, domain.dimension)]))[0])
+
+
 def contains(domain: Domain, z) -> bool:
     """Strict interior membership test."""
-    pt = _as_point(z, domain.dimension)
-    if domain.shape == "disk":
-        return abs(pt[0] - domain.center[0]) < domain.radius
-    if domain.shape == "polydisc":
-        return all(abs(pt[j] - domain.center[j]) < domain.radii[j] for j in range(domain.dimension))
-    if domain.shape == "ball":
-        return math.sqrt(sum(abs(pt[j] - domain.center[j]) ** 2 for j in range(domain.dimension))) < domain.radius
-    if domain.shape == "annulus":
-        return domain.r_inner < abs(pt[0]) < domain.r_outer
-    raise UnsupportedShapeError(domain.shape)
+    return _gap_at(domain, z) > 0
 
 
 def boundary_distance(domain: Domain, z) -> float:
     """Euclidean distance from an interior point to the boundary."""
-    pt = _as_point(z, domain.dimension)
-    if not contains(domain, pt):
-        raise ValueError(f"point {pt} is not inside the domain")
-    if domain.shape == "disk":
-        return domain.radius - abs(pt[0] - domain.center[0])
-    if domain.shape == "polydisc":
-        return min(domain.radii[j] - abs(pt[j] - domain.center[j]) for j in range(domain.dimension))
-    if domain.shape == "ball":
-        return domain.radius - math.sqrt(sum(abs(pt[j] - domain.center[j]) ** 2 for j in range(domain.dimension)))
-    if domain.shape == "annulus":
-        r = abs(pt[0])
-        return min(domain.r_outer - r, r - domain.r_inner)
-    raise UnsupportedShapeError(f"boundary distance undefined for {domain.shape}")
+    gap = _gap_at(domain, z)
+    if not gap > 0:
+        raise ValueError(f"point {_as_point(z, domain.dimension)} is not inside the domain")
+    return gap
 
 
 def scale_domain(domain: Domain, t: float) -> Domain:
@@ -414,19 +418,5 @@ def _validate(quad: Quadrature) -> None:
     got = quad.volume()
     if abs(got - vol) > 1e-3 * vol:
         raise QuadratureError(f"quadrature volume {got} vs analytic {vol}")
-    d = quad.domain
-    pts = quad.nodes
-    if d.shape == "disk":
-        inside = np.abs(pts[:, 0] - d.center[0]) < d.radius
-    elif d.shape == "polydisc":
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for j in range(d.dimension):
-            inside &= np.abs(pts[:, j] - d.center[j]) < d.radii[j]
-    elif d.shape == "ball":
-        ctr = np.asarray(d.center)
-        inside = np.linalg.norm(pts - ctr, axis=1) < d.radius
-    else:  # annulus
-        r = np.abs(pts[:, 0])
-        inside = (r > d.r_inner) & (r < d.r_outer)
-    if not bool(inside.all()):
+    if not bool(np.all(_boundary_gap(quad.domain, quad.nodes) > 0)):
         raise QuadratureError("quadrature nodes escaped the domain")

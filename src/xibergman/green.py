@@ -20,10 +20,10 @@ law
 with the vanishing jets of a higher-order target unchanged.  A sweep uses
 it to solve every row on one reference space over Omega, at the preimage
 x_a = (pole - c_a) / s_a of the pole, and reports s_a^(-2n) times that
-value.  The rows at p >= 1, p != 2 start from the previous row's minimizer,
-passed on in the space's centred basis (its ``coeffs``), which the
-constrained solve projects onto the basis at the new point; rows at p = 2
-are exact and the p < 1 rows keep their seeded multistart.  The sweep
+value.  Every row after the first hands the constrained solve the previous
+row's minimizer in the space's centred basis (its ``coeffs``); the solve
+decides whether to start there, so the rows at p = 2 stay exact and the
+p < 1 rows keep their seeded multistart.  The sweep
 tabulates K, the rescaled column e^((2n + p k) a) K, and log K.  The
 scaled column is the quantity whose monotonicity and limit behavior the
 verification battery checks; for balanced models with a functional
@@ -245,7 +245,7 @@ def sweep(
     ``target`` is either a jet functional (plain kernel) or a homogeneous
     polynomial (higher-order kernel).  Every row is solved on one space
     over ``model.domain`` by the covariance law of the module docstring;
-    the rows at p >= 1, p != 2 start warm from the row before.  The scaled
+    each row after the first is handed the row before as its start.  The scaled
     column uses the exponent 2n + p k with k the degree of the target.
     Orders left as None take the per-dimension defaults of
     :meth:`PolySpace.build`; ``seed`` feeds the p < 1 restarts of the
@@ -270,7 +270,6 @@ def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
         top, low = target, 0
     k = target.degree
     exponent = 2 * n + p * k
-    warm = p >= 1 and p != 2
     # the previous row's minimizer in the space's centred basis
     start = None
 
@@ -283,10 +282,8 @@ def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
                 f"pole leaves the sublevel domain at a = {a}")
         xi = Functional(n, {idx: c * scale ** -idx.degree
                             for idx, c in top.terms.items()})
-        ev = _constrained_kernel(space, xi, x, p, low, exact=p == 2,
-                                 seed=seed, start=start)
-        if warm:
-            start = ev.coeffs
+        ev = _constrained_kernel(space, xi, x, p, low, seed=seed, start=start)
+        start = ev.coeffs
         K = scale ** (-2 * n) * ev.K
         rows.append(SweepRow(a=a, K=K, scaled=math.exp(exponent * a) * K,
                              logK=math.log(K), flags=ev.flags))

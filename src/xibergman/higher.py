@@ -265,7 +265,7 @@ def higher_kernel_direct(
     low = _leading_block(space, H.degree)
     if p < 1:
         raise ValueError("jet-constrained kernels require p >= 1")
-    return _constrained_kernel(space, H.top_functional(), z, p, low, exact=p == 2)
+    return _constrained_kernel(space, H.top_functional(), z, p, low)
 
 
 def minimizing_xi_p2(
@@ -314,7 +314,7 @@ def _log_kernel_and_gradient(space, family, z, p, x, warm=None):
     (None: the p = 2 point) and leaves its own there.
     """
     ev = _constrained_kernel(space, family.member(x[0::2] + 1j * x[1::2]), z, p,
-                             exact=p == 2, start=None if warm is None else warm[0])
+                             start=None if warm is None else warm[0])
     if warm is not None:
         warm[0] = ev.coeffs
     jets = np.array([ev.minimizer.coefficient(idx) for idx in family.free_indices])

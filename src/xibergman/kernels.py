@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import boundary_distance, contains
-from .lpsolve import _smoothed, solve_affine_lp
+from .lpsolve import _objective, _smoothed, solve_affine_lp
 from .pspace import PolySpace, orthonormal_basis, sup_bound_constant
 
 __all__ = [
@@ -154,9 +154,9 @@ def _constrained_kernel(
     z,
     p: float,
     low: int = 0,
-    exact: bool = False,
     seed: int = 42,
     start: np.ndarray | None = None,
+    descend: bool = False,
 ) -> KernelEvaluation:
     """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at the first ``low`` orders.
 
@@ -168,20 +168,18 @@ def _constrained_kernel(
     graded order; T and U are that block's transform to the solve basis
     and its centred coefficients.  There the functional is the single row
     c = T^T L, K = |c|^2 at p = 2, and u0 = conj(c) / |c|^2 is the p = 2
-    minimizer.  ``exact`` (p = 2 only)
-    stops at u0; otherwise the descent solver of :mod:`xibergman.lpsolve`
-    (Newton steps; for p < 1, reweighted least squares where a full Newton
-    step is refused) starts
-    there on the space's ring operator, drawing its p < 1 restarts from
+    minimizer.  At p = 2 the solve stops at u0 unless ``descend``; otherwise
+    the descent solver of :mod:`xibergman.lpsolve` (Newton steps; for
+    p < 1, reweighted least squares where a full Newton step is refused)
+    runs on the space's ring operator, drawing its p < 1 restarts from
     ``seed``.  The minimizer's solve-basis coefficients are T u, and its
     centred ones U u are returned as ``coeffs``.  A ``start`` is such a
     centred vector from an earlier solve on the space, at any point and
-    for any functional: its projection u = U^H G start onto the block (G
-    the base Gram, in which U is orthonormal) replaces u0 by u / (c . u),
-    which is feasible; u0 stays when c . u is tiny against |c| |u|, and the
-    solver keeps u0 when the start's objective is the larger.  Below p = 1
-    the diagnostics carry ``start_spread``, (max - min) / min of the seeded
-    starts' final objectives.
+    for any functional; this function alone decides whether the descent
+    starts there (see :func:`_warm_start`).  The closed form and the
+    p < 1 multistart ignore it, so their values never depend on call
+    history.  Below p = 1 the diagnostics carry ``start_spread``,
+    (max - min) / min of the seeded starts' final objectives.
     """
     zt = _check_inputs(space, xi, z)
     ob = orthonormal_basis(space, zt)
@@ -190,18 +188,14 @@ def _constrained_kernel(
     K = float(np.sum(np.abs(c) ** 2))
     if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
         raise ZeroPairingError(_ZERO_PAIRING)
-    if exact:
+    if p == 2 and not descend:
         u = np.conj(c) / K
         m = K ** -0.5
         diagnostics = {"method": "exact-2", "iterations": 0,
                        "final_rel_step": 0.0, "flags": ()}
     else:
-        if start is not None:
-            start = U.conj().T @ (space.ring.base_gram @ start)
-            scale = c @ start
-            tiny = abs(scale) <= 1e-6 * np.linalg.norm(c) * np.linalg.norm(start)
-            start = None if tiny else start / scale
-        sol = solve_affine_lp(space.ring, U, c, p, start=start, seed=seed)
+        sol = solve_affine_lp(space.ring, U, c, p, start=_warm_start(space, U, c, p, start),
+                              seed=seed)
         K = 1.0 / sol.objective
         m = sol.objective ** (1.0 / p)
         u = sol.coeffs
@@ -221,6 +215,28 @@ def _constrained_kernel(
         degree=space.degree, coeffs=U @ u, diagnostics=diagnostics)
 
 
+def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float,
+                start: np.ndarray | None) -> np.ndarray | None:
+    """The feasible start the descent takes from a centred ``start``, or None for u0.
+
+    Below p = 1 there is none: the multistart stays seeded from u0.  Else
+    the start's projection u = U^H G start onto the block (G the base Gram,
+    in which U is orthonormal) is rescaled to u / (c . u), which is
+    feasible; there is none when c . u is tiny against |c| |u|, or when
+    sum_q w_q |f(x_q)|^p is larger there than at u0: a start from far away
+    can cost many more steps than u0 does.
+    """
+    if start is None or p < 1:
+        return None
+    u = U.conj().T @ (space.ring.base_gram @ start)
+    scale = c @ u
+    if abs(scale) <= 1e-6 * np.linalg.norm(c) * np.linalg.norm(u):
+        return None
+    u = u / scale
+    u0 = np.conj(c) / np.vdot(c, c).real
+    return u if _objective(space.ring, U @ u, p) <= _objective(space.ring, U @ u0, p) else None
+
+
 def kernel2_diagonal(
     space: PolySpace,
     xi: Functional,
@@ -232,7 +248,7 @@ def kernel2_diagonal(
     the basis orthonormalized at z; the minimizer is the coefficient-conjugate
     combination rescaled by 1/K.  Pure linear algebra, no iteration.
     """
-    return _constrained_kernel(space, xi, z, 2.0, exact=True)
+    return _constrained_kernel(space, xi, z, 2.0)
 
 
 def kernelp_diagonal(
@@ -246,11 +262,13 @@ def kernelp_diagonal(
 
     Convex and reliable for p >= 1.  For p in (0, 1) the objective is
     nonconvex; a multistart heuristic seeded by ``seed`` runs and the
-    result carries the "nonconvex-best-found" flag.
+    result carries the "nonconvex-best-found" flag.  At p = 2 it iterates
+    too, as the reference the closed form of :func:`kernel2_diagonal` is
+    checked against.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    return _constrained_kernel(space, xi, z, p, seed=seed)
+    return _constrained_kernel(space, xi, z, p, seed=seed, descend=True)
 
 
 def diagonal(space, xi, z, p, seed: int = 42) -> KernelEvaluation:

@@ -141,7 +141,6 @@ def solve_affine_lp(
     p: float,
     start: np.ndarray | None = None,
     seed: int = 42,
-    force_start: bool = False,
 ) -> LpSolution:
     """Minimize the weighted node L^p norm of ``basis @ u`` subject to ``row @ u = 1``.
 
@@ -152,13 +151,12 @@ def solve_affine_lp(
     basis : (Nc, m) centred coefficients of m weighted-orthonormal functions.
     row : (m,) constraint row, not zero.
     p : exponent, p > 0.
-    start : optional feasible u used as the initial point in place of the
-        minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer,
-        when its objective is no larger than that point's: a warm start
-        from far away then costs no more steps than a cold solve.
+    start : optional feasible u, the initial point in place of the
+        minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer.
+        A start far from the minimizer can cost many more steps and, at
+        p >= 1, end flagged ``non-convergence``; whether to pass one is the
+        caller's decision.
     seed : seed of the random restarts, drawn only for p < 1.
-    force_start : start from ``start`` whatever its objective, for checks
-        that descend from given points.
 
     The returned coefficients are u, in the given basis.
     """
@@ -168,16 +166,11 @@ def solve_affine_lp(
     if basis.shape[1] != row.shape[0]:
         raise ValueError("constraint row and basis sizes differ")
     u0 = np.conj(row) / np.vdot(row, row).real
-    x0 = basis @ u0
     if start is not None:
-        start = np.asarray(start, dtype=complex)
-        if abs(row @ start - 1.0) > 1e-8:
+        u0 = np.asarray(start, dtype=complex)
+        if abs(row @ u0 - 1.0) > 1e-8:
             raise SolverError("supplied start violates the constraint")
-        # a start from far away can cost many more steps than u0 does, so it
-        # replaces u0 only when its objective is no larger
-        x_start = basis @ start
-        if force_start or _objective(op, x_start, p) <= _objective(op, x0, p):
-            u0, x0 = start, x_start
+    x0 = basis @ u0
     # the basis is weighted-orthonormal, so the free directions M along the
     # orthonormal null space of the row are too: the normal equations stay
     # well conditioned, and the stationarity residual scales like the

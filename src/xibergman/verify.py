@@ -617,8 +617,7 @@ def _chk_uniqueness(ctx):
     sols = []
     for _ in range(5):
         t = rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1])
-        sol = solve_affine_lp(space.ring, ob.coeffs, c, p, start=base + Z @ t,
-                              force_start=True)
+        sol = solve_affine_lp(space.ring, ob.coeffs, c, p, start=base + Z @ t)
         sols.append(space.values(ob.coeffs @ sol.coeffs))
     worst = 0.0
     for i in range(len(sols)):

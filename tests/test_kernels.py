@@ -195,7 +195,7 @@ class TestMinimizer:
             start = c.conj() / np.vdot(c, c) + null @ (
                 0.5 * (rng.standard_normal(disk16.size)
                        + 1j * rng.standard_normal(disk16.size)))
-            sol = solve_affine_lp(disk16.ring, ob.coeffs, c, p, start=start, force_start=True)
+            sol = solve_affine_lp(disk16.ring, ob.coeffs, c, p, start=start)
             sols.append(sol.objective)
         assert max(sols) - min(sols) <= 1e-8 * max(sols)
 
@@ -443,25 +443,40 @@ class TestSolverContract:
             assert "start_spread" not in kernels.evaluation_to_dict(ev)["diagnostics"]
 
     def test_supplied_start_kept_only_when_no_worse(self, disk16):
-        # a supplied feasible start replaces the p = 2 point u0 only when its
-        # objective is no larger, unless forced: the minimizer itself is
+        # the constrained solve takes a start only when its objective is no
+        # larger than that of the p = 2 point u0: the minimizer itself is
         # kept, a point far along the null space is not and the cold descent
-        # runs unchanged
+        # runs unchanged; the solver itself descends from any start it is given
         xi = Functional.from_string("0: 1; 1: 0.5", 1)
-        ob = orthonormal_basis(disk16, 0.3 - 0.4j)
+        z = 0.3 - 0.4j
+        cold = kernels._constrained_kernel(disk16, xi, z, 1.5)
+        near = kernels._constrained_kernel(disk16, xi, z, 1.5, start=cold.coeffs)
+        assert near.diagnostics["iterations"] < cold.diagnostics["iterations"]
+        assert near.K == pytest.approx(cold.K, rel=1e-12)
+        ob = orthonormal_basis(disk16, z)
         c = ob.transform.T @ disk16.constraint_row(xi, ob.point)
-        cold = solve_affine_lp(disk16.ring, ob.coeffs, c, 1.5)
-        near = solve_affine_lp(disk16.ring, ob.coeffs, c, 1.5, start=cold.coeffs)
-        assert near.iterations < cold.iterations
-        assert near.objective == pytest.approx(cold.objective, rel=1e-12)
         rng = np.random.default_rng(4)
         Z = lpsolve._null_space(c)
         far = np.conj(c) / np.vdot(c, c).real + 0.3 * Z @ rng.standard_normal(Z.shape[1])
-        warm = solve_affine_lp(disk16.ring, ob.coeffs, c, 1.5, start=far)
-        assert (warm.iterations, warm.objective) == (cold.iterations, cold.objective)
-        forced = solve_affine_lp(disk16.ring, ob.coeffs, c, 1.5, start=far, force_start=True)
-        assert forced.iterations > cold.iterations
-        assert forced.objective == pytest.approx(cold.objective, rel=1e-12)
+        warm = kernels._constrained_kernel(disk16, xi, z, 1.5, start=ob.coeffs @ far)
+        assert ((warm.diagnostics["iterations"], warm.K)
+                == (cold.diagnostics["iterations"], cold.K))
+        from_far = solve_affine_lp(disk16.ring, ob.coeffs, c, 1.5, start=far)
+        assert from_far.iterations > cold.diagnostics["iterations"]
+        assert from_far.objective == pytest.approx(1.0 / cold.K, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 0.8])
+    def test_closed_form_and_multistart_ignore_a_start(self, disk16, p):
+        # the p = 2 closed form and the seeded p < 1 multistart never read a
+        # start, so their values do not depend on call history
+        xi = Functional.from_string("0: 1; 1: 0.5", 1)
+        z = 0.3 - 0.4j
+        cold = kernels._constrained_kernel(disk16, xi, z, p)
+        warm = kernels._constrained_kernel(disk16, xi, z, p, start=cold.coeffs)
+        assert warm.K == cold.K
+        assert warm.diagnostics == cold.diagnostics
+        assert ("start_spread" in cold.diagnostics) == (p < 1)
+        assert np.array_equal(warm.coeffs, cold.coeffs)
 
     def test_null_space_is_orthonormal(self):
         # the Householder columns annihilate the row and are orthonormal,

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraError,
@@ -297,7 +296,9 @@ def minimizing_xi_p2(
     dmin = float(np.min(np.abs(np.diag(M))))
     if dmin == 0.0:
         raise KernelError("degenerate leading jet in the orthonormal basis")
-    x = scipy.linalg.solve_triangular(M, rhs, lower=False)
+    # M is upper triangular with a nonzero diagonal, so the partial pivoting
+    # of a general solve swaps no rows
+    x = np.linalg.solve(M, rhs)
     return family.member(x)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import boundary_distance, contains
-from .lpsolve import _objective, _smoothed, solve_affine_lp
+from .lpsolve import _minimal_norm, _objective, _smoothed, solve_affine_lp
 from .pspace import PolySpace, orthonormal_basis, sup_bound_constant
 
 __all__ = [
@@ -185,11 +185,11 @@ def _constrained_kernel(
     ob = orthonormal_basis(space, zt)
     T, U = ob.transform[low:, low:], ob.coeffs[:, low:]
     c = T.T @ space.constraint_row(xi, zt)[low:]
-    K = float(np.sum(np.abs(c) ** 2))
+    K = float(np.vdot(c, c).real)
     if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
         raise ZeroPairingError(_ZERO_PAIRING)
     if p == 2 and not descend:
-        u = np.conj(c) / K
+        u = _minimal_norm(c)
         m = K ** -0.5
         diagnostics = {"method": "exact-2", "iterations": 0,
                        "final_rel_step": 0.0, "flags": ()}
@@ -233,7 +233,7 @@ def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float,
     if abs(scale) <= 1e-6 * np.linalg.norm(c) * np.linalg.norm(u):
         return None
     u = u / scale
-    u0 = np.conj(c) / np.vdot(c, c).real
+    u0 = _minimal_norm(c)
     return u if _objective(space.ring, U @ u, p) <= _objective(space.ring, U @ u0, p) else None
 
 

@@ -25,7 +25,8 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               G(omega) the weighted Gram sum_q omega_q conj(phi_a) phi_b
               and P(nu) its unconjugated twin sum_q nu_q phi_a phi_b.  The
               step d solves A d + conj(C d) = -b, as a real 2(m - 1)
-              system by Cholesky, and is backtracked by Armijo on the
+              system that a Cholesky factorization first tests for
+              definiteness, and is backtracked by Armijo on the
               smoothed objective F it models, at the current iterate's
               eps.  The Hessian is positive definite: at each node the
               curvature of s^(p/2) is p rho across f and
@@ -98,7 +99,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["LpSolution", "SolverError", "solve_affine_lp"]
 
@@ -165,7 +165,7 @@ def solve_affine_lp(
     row = np.asarray(row, dtype=complex)
     if basis.shape[1] != row.shape[0]:
         raise ValueError("constraint row and basis sizes differ")
-    u0 = np.conj(row) / np.vdot(row, row).real
+    u0 = _minimal_norm(row)
     if start is not None:
         u0 = np.asarray(start, dtype=complex)
         if abs(row @ u0 - 1.0) > 1e-8:
@@ -200,6 +200,16 @@ def solve_affine_lp(
         method="multistart" if p < 1 else "newton", flags=flags,
         start_spread=(max(sol[1] for sol in descents) - obj) / obj if p < 1 else None,
     )
+
+
+def _minimal_norm(row: np.ndarray) -> np.ndarray:
+    """The minimal-norm solution u0 = conj(row) / |row|^2 of row . u = 1.
+
+    In an orthonormal basis u0 is the p = 2 minimizer, and the p = 2
+    closed form, every descent start and verify share this one rounding;
+    |row|^2 is np.vdot(row, row).real wherever it is read.
+    """
+    return np.conj(row) / np.vdot(row, row).real
 
 
 def _null_space(row: np.ndarray) -> np.ndarray:
@@ -393,13 +403,18 @@ def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
         H = np.block([[A.real + C.real, -A.imag - C.imag],
                       [A.imag - C.imag, A.real - C.real]])
         d = _cholesky_solve(H, -np.concatenate([pairing.real, pairing.imag]))
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         return None
     n = len(pairing)
     return d[:n] + 1j * d[n:]
 
 
 def _cholesky_solve(A, rhs):
-    """A^-1 rhs for a Hermitian positive definite A; LinAlgError when it is not one."""
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, check_finite=False), rhs,
-                                  check_finite=False)
+    """A^-1 rhs for a Hermitian positive definite A; LinAlgError when it is not one.
+
+    The Cholesky factorization is the definiteness test; the solve itself
+    is numpy's LU, which on these small systems keeps the descent on numpy
+    alone.
+    """
+    np.linalg.cholesky(A)
+    return np.linalg.solve(A, rhs)

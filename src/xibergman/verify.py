@@ -17,7 +17,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     Functional,
@@ -56,7 +55,7 @@ from .kernels import (
     off_diagonal,
     reproducing_residual,
 )
-from .lpsolve import solve_affine_lp
+from .lpsolve import _minimal_norm, solve_affine_lp
 from .pspace import PolySpace, lp_norm, orthonormal_basis
 
 __all__ = [
@@ -602,6 +601,10 @@ def _chk_blowup(ctx):
 
 @_check("kernels/uniqueness", "kernels")
 def _chk_uniqueness(ctx):
+    # scipy's SVD null space fixes this check's random starts; only this
+    # check pays for the import
+    import scipy.linalg
+
     rng = ctx.rng("kernels/uniqueness")
     space = ctx.disk_space()
     xi = Functional(1, {MultiIndex((0,)): 1.0, MultiIndex((1,)): 0.3})
@@ -613,7 +616,7 @@ def _chk_uniqueness(ctx):
     # random exactly-feasible starts in the orthonormal coordinates: the
     # minimal-norm solution plus a null-space perturbation
     Z = scipy.linalg.null_space(c[None, :])
-    base = np.conj(c) / np.vdot(c, c).real
+    base = _minimal_norm(c)
     sols = []
     for _ in range(5):
         t = rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1])

@@ -457,7 +457,7 @@ class TestSolverContract:
         c = ob.transform.T @ disk16.constraint_row(xi, ob.point)
         rng = np.random.default_rng(4)
         Z = lpsolve._null_space(c)
-        far = np.conj(c) / np.vdot(c, c).real + 0.3 * Z @ rng.standard_normal(Z.shape[1])
+        far = lpsolve._minimal_norm(c) + 0.3 * Z @ rng.standard_normal(Z.shape[1])
         warm = kernels._constrained_kernel(disk16, xi, z, 1.5, start=ob.coeffs @ far)
         assert ((warm.diagnostics["iterations"], warm.K)
                 == (cold.diagnostics["iterations"], cold.K))
@@ -477,6 +477,19 @@ class TestSolverContract:
         assert warm.diagnostics == cold.diagnostics
         assert ("start_spread" in cold.diagnostics) == (p < 1)
         assert np.array_equal(warm.coeffs, cold.coeffs)
+
+    def test_closed_form_is_the_descent_start(self, disk16):
+        # the p = 2 minimizer is the solver's default start u0, bit for bit,
+        # and its value |c|^2 the divisor of u0
+        xi = Functional.from_string("0: 1; 1: 0.5; 2: -0.25j")
+        z = 0.3 - 0.2j
+        ob = orthonormal_basis(disk16, z)
+        c = ob.transform.T @ disk16.constraint_row(xi, ob.point)
+        u0 = lpsolve._minimal_norm(c)
+        exact = kernel2_diagonal(disk16, xi, z)
+        assert exact.K == np.vdot(c, c).real
+        assert np.array_equal(exact.coeffs, ob.coeffs @ u0)
+        assert abs(c @ u0 - 1.0) < 1e-15
 
     def test_null_space_is_orthonormal(self):
         # the Householder columns annihilate the row and are orthonormal,

@@ -224,6 +224,27 @@ class TestRingOperator:
             tracemalloc.stop()
         assert peak < 3e6
 
+    @pytest.mark.parametrize("name", ["disk", "annulus", "aliased disk"])
+    def test_one_variable_fft_is_scipys(self, name):
+        # on a 1-D torus numpy.fft runs along the angles, with the output of
+        # the scipy.fft transform used on n >= 2 tori, bit for bit
+        import scipy.fft
+
+        ring = RING_SPACES[name]().ring
+        rng = np.random.default_rng(6)
+        for shape in (ring._flat, ring._flat + (3,)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(ring._ring_fft(x), scipy.fft.fftn(x, axes=(1,)))
+            assert np.array_equal(ring._ring_fft(x, inverse=True),
+                                  scipy.fft.ifftn(x, axes=(1,), norm="forward"))
+
+    def test_factor_is_the_upper_cholesky_factor(self):
+        ring = PolySpace.build(Domain.disk(), degree=24).ring
+        C = ring.factor
+        assert np.array_equal(C, np.triu(C))
+        assert np.all(C.diagonal().imag == 0) and np.all(C.diagonal().real > 0)
+        assert _rel(C.conj().T @ C, ring.base_gram) < 1e-14
+
     @pytest.mark.parametrize("name", list(RING_SPACES))
     def test_values_equal_the_node_sums(self, name):
         # exponents that alias share a bin: all of them on the hand-built rule
@@ -288,6 +309,26 @@ class TestNewtonStep:
         # times the rounding unit
         tol = 1e-10 if p >= 1 else 1e-15 * np.linalg.cond(H)
         assert _rel(d, x[:n] + 1j * x[n:]) < tol
+
+    def test_cholesky_solve_tests_definiteness(self):
+        # a real 2n x 2n Newton-sized system and a complex Hermitian one:
+        # the positive definite ones solve as numpy's general solve does,
+        # an indefinite symmetric one raises numpy's LinAlgError
+        rng = np.random.default_rng(12)
+        n = 6
+        real = rng.standard_normal((2 * n, 2 * n))
+        cplx = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for B in (real, cplx):
+            rhs = rng.standard_normal(len(B)) + (1j * rng.standard_normal(len(B))
+                                                 if np.iscomplexobj(B) else 0.0)
+            spd = B.conj().T @ B + np.eye(len(B))
+            x = lpsolve._cholesky_solve(spd, rhs)
+            assert _rel(x, np.linalg.solve(spd, rhs)) < 1e-14
+            assert _rel(spd @ x, rhs) < 1e-13
+            eigvals, vecs = np.linalg.eigh(spd)
+            indefinite = (vecs * np.where(np.arange(len(B)) % 2, eigvals, -eigvals)) @ vecs.conj().T
+            with pytest.raises(np.linalg.LinAlgError):
+                lpsolve._cholesky_solve(indefinite, rhs)
 
 
 class TestSpaceStructure:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import xibergman
@@ -130,12 +131,43 @@ def test_bench_lookup_points_resolve():
     assert not missing, missing
 
 
-def test_cli_import_skips_scipy_optimize():
-    # only the infimum route minimizes, so a one-shot CLI run never pays for
-    # importing scipy.optimize
+def test_modules_import_scipy_lazily():
+    # scipy is imported inside the functions that need it (n >= 2 FFTs, the
+    # BFGS outer loop, one verify check), never at module level
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name == "scipy" or name.startswith("scipy.")]
+    assert not offenders, offenders
+
+
+def test_cli_runs_one_variable_solves_without_scipy():
+    # the import and a one-variable compute and Moebius sweep run on numpy
+    # alone, so a one-shot CLI run never pays for importing scipy
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, xibergman.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import xibergman.cli as cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        print(loaded())
+        runs = [["compute", "--domain", "disk", "--xi", "1: 1", "--p", "1.5", "--z", "0.3j"],
+                ["sweep", "--domain", "disk", "--xi", "0: 1", "--p", "0.8",
+                 "--pole", "0.5", "--a-grid=-1:0:3"]]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            print(code, loaded())
+        """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split("\n")[:3] == ["[]", "0 []", "2 []"], out.stdout

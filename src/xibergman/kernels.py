@@ -304,11 +304,15 @@ def extremal_pairing(
     nodes where the minimizer nearly vanishes are regularized as in the
     solve.
     """
-    w = space.quadrature.weights
-    g = space.values(evaluation.coeffs)
     fvals = space.values(space.coeff_vector(f))
+    return complex(np.sum(np.conj(_pairing_density(space, evaluation)) * fvals))
+
+
+def _pairing_density(space: PolySpace, evaluation: KernelEvaluation) -> np.ndarray:
+    """w_q rho_q m_q at the nodes, whose conjugate pairs in :func:`extremal_pairing`."""
+    g = space.values(evaluation.coeffs)
     _, rho, _, _ = _smoothed(g.real**2 + g.imag**2, evaluation.p)
-    return complex(np.sum(w * rho * np.conj(g) * fvals))
+    return space.quadrature.weights * rho * g
 
 
 def reproducing_residual(

@@ -204,9 +204,24 @@ class PolySpace:
         shift-invariant index sets always contain.  Laurent bases are not
         shiftable.
         """
+        return self._binomial_shift(np.asarray(_as_point(z, self.dimension))
+                                    - np.asarray(self.center))
+
+    def shift_matrix(self, z) -> np.ndarray:
+        """Centred coefficients of the z-shifted monomials, the inverse of
+        :meth:`jet_matrix`.
+
+        S[gamma, alpha] is the coefficient of ``(w - center)^gamma`` in
+        ``(w - z)^alpha``: the jet matrix with the offset reversed, exact
+        with no solve.  Laurent bases are not shiftable.
+        """
+        return self._binomial_shift(np.asarray(self.center)
+                                    - np.asarray(_as_point(z, self.dimension)))
+
+    def _binomial_shift(self, offset: np.ndarray) -> np.ndarray:
+        """prod_j C(alpha_j, beta_j) offset_j^(alpha_j - beta_j), rows beta, columns alpha."""
         if self.laurent:
             raise AlgebraError("Laurent bases cannot be re-centered")
-        offset = np.asarray(_as_point(z, self.dimension)) - np.asarray(self.center)
         J = np.ones((self.size, self.size), dtype=complex)
         for j, (binom, gap) in enumerate(self._shift_tables):
             powers = np.cumprod(np.concatenate(([1.0 + 0j], np.full(gap.max(initial=0), offset[j]))))

@@ -691,26 +691,39 @@ def _chk_higher_closed(ctx):
 
 @_check("higher/three-way", "higher")
 def _chk_three_way(ctx):
+    # the direct K_H, the plain K at the closed-form minimizing member and,
+    # at p = 2, the exact member of minimizing_xi_p2; then small seeded
+    # steps off the closed-form member must not lower K
     t0 = time.perf_counter()
+    rng = ctx.rng("higher/three-way")
     space = ctx.disk_space()
     worst2 = 0.0
     worst15 = 0.0
+    rise = math.inf
     for text in ("z: 1", "z^2: 1"):
         H = HomogeneousPolynomial.from_string(text)
+        family = FunctionalFamily(H)
         for z in (0j, 0.3 + 0j):
             direct2 = higher_kernel_direct(space, H, z, 2.0).K
-            inf2 = higher_kernel_via_inf(space, H, z, 2.0).K
+            inf2 = higher_kernel_via_inf(space, H, z, 2.0)
             xistar = minimizing_xi_p2(space, H, z)
             viaxi = kernel2_diagonal(space, xistar, z).K
-            for a, b in ((direct2, inf2), (direct2, viaxi), (inf2, viaxi)):
+            for a, b in ((direct2, inf2.K), (direct2, viaxi), (inf2.K, viaxi)):
                 worst2 = max(worst2, _rel(a, b))
             direct15 = higher_kernel_direct(space, H, z, 1.5).K
-            inf15 = higher_kernel_via_inf(space, H, z, 1.5).K
-            worst15 = max(worst15, _rel(direct15, inf15))
+            inf15 = higher_kernel_via_inf(space, H, z, 1.5)
+            worst15 = max(worst15, _rel(direct15, inf15.K))
+            for p, res in ((2.0, inf2), (1.5, inf15)):
+                for _ in range(3):
+                    delta = 1e-3 * (rng.standard_normal(len(res.free_part))
+                                    + 1j * rng.standard_normal(len(res.free_part)))
+                    moved = diagonal(space, family.member(np.add(res.free_part, delta)), z, p).K
+                    rise = min(rise, (moved - res.K) / res.K)
     elapsed = time.perf_counter() - t0
-    ok = worst2 <= 1e-7 and worst15 <= 1e-4 and elapsed < 120
+    ok = worst2 <= 1e-7 and worst15 <= 1e-4 and rise >= -1e-12 and elapsed < 120
     detail = (f"p=2 three-route max split {worst2:.3e} (tol 1e-7), "
-              f"p=1.5 two-route {worst15:.3e} (tol 1e-4)")
+              f"p=1.5 two-route {worst15:.3e} (tol 1e-4), "
+              f"K 24 steps off xi* rises by >= {rise:.3e} relative (tol -1e-12)")
     if elapsed >= 120:
         detail += f"; too slow: {elapsed:.0f}s"
     return ok, detail, max(worst2, worst15)

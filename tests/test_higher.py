@@ -1,4 +1,4 @@
-"""Higher-order kernels: jet constraints, functional families, outer inf."""
+"""Higher-order kernels: jet constraints, functional families, the family minimum."""
 
 import math
 
@@ -178,7 +178,7 @@ class TestViaInf:
     def test_p2_factorizes_once(self, monkeypatch):
         # the jet-constrained columns are the trailing block of the basis
         # orthonormalized at z, which the space keeps: every route at one
-        # point, and every inner call of the outer minimization, solves in it
+        # point, and both solves of the infimum route, solves in it
         from xibergman import pspace
         space = PolySpace.build(Domain.disk(), degree=6, radial_order=12, angular_order=24)
         calls = []
@@ -208,20 +208,26 @@ class TestViaInf:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_envelope_gradient_matches_differences(self, disk16, p):
-        # d log K / d xi_alpha is p times the inner minimizer's free jet
-        from xibergman import higher
+        # d log K / d xi_alpha is p times the minimizer's free jets: the
+        # first-order condition the closed-form member satisfies with zero jets
+        from xibergman.kernels import _constrained_kernel
         family = FunctionalFamily(HomogeneousPolynomial.from_string("z^2: 1"))
         z = 0.3 + 0.2j
-        x = np.array([0.4, -0.2, -0.3, 0.5])
-        logK, grad = higher._log_kernel_and_gradient(disk16, family, z, p, x)
+        x = np.array([0.4 - 0.2j, -0.3 + 0.5j])
+
+        def K(free):
+            return _constrained_kernel(disk16, family.member(free), z, p).K
+
+        ev = _constrained_kernel(disk16, family.member(x), z, p)
+        jets = np.array([ev.minimizer.coefficient(idx) for idx in family.free_indices])
         h = 1e-4
-        diffs = np.empty(len(x))
+        diffs, dK = [], []
         for i in range(len(x)):
-            step = h * np.eye(len(x))[i]
-            up = higher._log_kernel_and_gradient(disk16, family, z, p, x + step)[0]
-            down = higher._log_kernel_and_gradient(disk16, family, z, p, x - step)[0]
-            diffs[i] = (math.exp(up) - math.exp(down)) / (2 * h)
-        dK = math.exp(logK) * grad
+            for step, d in ((h, p * jets[i].real), (1j * h, -p * jets[i].imag)):
+                e = step * np.eye(len(x))[i]
+                diffs.append((K(x + e) - K(x - e)) / (2 * h))
+                dK.append(ev.K * d)
+        diffs, dK = np.array(diffs), np.array(dK)
         assert np.abs(diffs - dK).max() <= 1e-6 * np.abs(dK).max()
 
     @pytest.mark.parametrize("text", ["z: 1", "z^2: 1", "z^3: 1"])
@@ -234,51 +240,6 @@ class TestViaInf:
                 direct = higher_kernel_direct(disk6, H, z, p)
                 assert not res.flags
                 assert res.K == pytest.approx(direct.K, rel=1e-10)
-
-    def test_inner_solves_start_warm(self, disk16, monkeypatch):
-        # every inner solve after the first starts from the last minimizer
-        from xibergman import kernels
-        starts = []
-        original = kernels.solve_affine_lp
-
-        def spy(*args, **kwargs):
-            starts.append(kwargs.get("start"))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "solve_affine_lp", spy)
-        H = HomogeneousPolynomial.from_string("z^2: 1")
-        res = higher_kernel_via_inf(disk16, H, 0.4 * np.exp(0.9j), 1.5)
-        # the direct value, then the inner calls
-        assert len(starts) == res.inner_calls + 1 and res.inner_calls >= 3
-        assert starts[0] is None and starts[1] is None
-        assert all(start is not None for start in starts[2:])
-        assert len(res.starts) == 1
-        assert not res.flags
-
-    @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_one_run_from_the_p2_minimizer(self, disk16, monkeypatch, p):
-        # one BFGS run, from the exact p = 2 minimizer off p = 2 and from
-        # zero at p = 2, where that minimizer would leave nothing to search
-        from xibergman import higher
-        points = []
-        original = higher._log_kernel_and_gradient
-
-        def spy(*args, **kwargs):
-            points.append(args[-1].copy())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(higher, "_log_kernel_and_gradient", spy)
-        H = HomogeneousPolynomial.from_string("z^3: 1")
-        z = 0.3 + 0.2j
-        res = higher_kernel_via_inf(disk16, H, z, p)
-        xi2 = minimizing_xi_p2(disk16, H, z)
-        free = FunctionalFamily(H).free_indices
-        expected = np.zeros(2 * len(free))
-        if p != 2:
-            expected[0::2] = [xi2[idx].real for idx in free]
-            expected[1::2] = [xi2[idx].imag for idx in free]
-        assert np.array_equal(points[0], expected)
-        assert len(res.starts) == 1 and res.inner_calls == len(points)
 
     @given(k=st.integers(1, 3),
            r=st.floats(0.0, 0.5), theta=st.floats(0.0, 2 * math.pi),
@@ -293,50 +254,71 @@ class TestViaInf:
         assert not res.flags
         assert res.K == pytest.approx(direct.K, rel=1e-10)
 
-    def test_precision_loss_at_the_floor_converges(self, disk6, monkeypatch):
-        # rounding of 1e-12 in log K, below the OBJ_TOL the inner solve
-        # resolves, makes the line search fail next to the minimum; such a
-        # stop is converged, not a stall
-        import scipy.optimize
-        from xibergman import higher
-        original = higher._log_kernel_and_gradient
-
-        def rounded(*args, **kwargs):
-            logK, grad = original(*args, **kwargs)
-            return logK + 1e-12 * float(np.sin(1e9 * args[-1]).sum()), grad
-
-        statuses = []
-        minimize = scipy.optimize.minimize
-
-        def spy(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            statuses.append(res.status)
-            return res
-
-        monkeypatch.setattr(higher, "_log_kernel_and_gradient", rounded)
-        monkeypatch.setattr(scipy.optimize, "minimize", spy)
-        H = HomogeneousPolynomial.from_string("z^2: 1")
-        res = higher_kernel_via_inf(disk6, H, 0.3 + 0.2j, 3.0)
-        assert statuses == [2]
+    def test_stop_at_p1_is_exact(self, disk16):
+        # z^3 far off the centre at p = 1 read as a stalled search before the
+        # closed form: the member named by the direct minimizer attains K_H
+        H = HomogeneousPolynomial.from_string("z^3: 1")
+        z = 0.58 * np.exp(0.9j)
+        res = higher_kernel_via_inf(disk16, H, z, 1.0)
+        direct = higher_kernel_direct(disk16, H, z, 1.0)
         assert not res.flags
-        direct = higher_kernel_direct(disk6, H, 0.3 + 0.2j, 3.0)
-        assert res.K == pytest.approx(direct.K, rel=1e-10)
+        assert abs(res.K - direct.K) <= 1e-12 * direct.K
+        assert res.inner_calls == 2 and res.starts == ((res.K, res.free_part),)
 
-    def test_stall_is_flagged(self, disk6, monkeypatch):
-        # a gradient of the wrong sign makes every line search fail far
-        # from the minimum, which must not pass for convergence
+    @pytest.mark.parametrize("domain,text,z", [
+        (Domain.disk(), "z: 1", 0.58 * np.exp(0.9j)),
+        (Domain.disk(), "z^3: 1", 0.3 + 0.2j),
+        (Domain.bidisc(), "z1 z2: 1, z1^2: 0.5",
+         (0.3 * np.exp(0.7j), 0.2 * np.exp(-1.1j))),
+    ])
+    def test_closed_form_is_the_p2_minimizer(self, domain, text, z):
+        # at p = 2 the pairing formula and the triangular system of
+        # minimizing_xi_p2 are independent routes to one member
+        space = PolySpace.build(domain, degree=16 if domain.dimension == 1 else 6,
+                                radial_order=None if domain.dimension == 1 else 8,
+                                angular_order=None if domain.dimension == 1 else 16)
+        H = HomogeneousPolynomial.from_string(text, dimension=domain.dimension)
+        res = higher_kernel_via_inf(space, H, z, 2.0)
+        xi2 = minimizing_xi_p2(space, H, z)
+        free = FunctionalFamily(H).free_indices
+        assert max(abs(res.xi_star[idx] - xi2[idx]) for idx in free) <= 1e-12
+        assert not res.flags
+
+    def test_perturbed_member_is_flagged(self, disk16, monkeypatch):
+        # a member off the minimizing one has K above K_H, which the plain
+        # solve at it exposes
         from xibergman import higher
-        original = higher._log_kernel_and_gradient
+        original = higher._pairing_vector
 
-        def uphill(*args, **kwargs):
-            logK, grad = original(*args, **kwargs)
-            return logK, -grad
+        def perturbed(*args, **kwargs):
+            pairing = original(*args, **kwargs)
+            pairing[0] *= 1.01
+            return pairing
 
-        monkeypatch.setattr(higher, "_log_kernel_and_gradient", uphill)
+        monkeypatch.setattr(higher, "_pairing_vector", perturbed)
         H = HomogeneousPolynomial.from_string("z^2: 1")
-        res = higher_kernel_via_inf(disk6, H, 0.3 + 0.2j, 1.5)
-        assert res.flags == ("outer-non-convergence",)
-        assert res.K >= higher_kernel_direct(disk6, H, 0.3 + 0.2j, 1.5).K
+        z = 0.3 + 0.2j
+        res = higher_kernel_via_inf(disk16, H, z, 1.5)
+        direct = higher_kernel_direct(disk16, H, z, 1.5)
+        assert res.flags == ("inf-not-attained",)
+        assert res.K > direct.K
+
+    def test_member_is_solved_from_scratch(self, disk16, monkeypatch):
+        # the direct solve, then one plain solve at xi* with no start and
+        # no vanishing jets, so the certificate does not lean on the first
+        from xibergman import higher
+        calls = []
+        original = higher._constrained_kernel
+
+        def spy(space, xi, z, p, low=0, **kwargs):
+            calls.append((low, kwargs.get("start")))
+            return original(space, xi, z, p, low, **kwargs)
+
+        monkeypatch.setattr(higher, "_constrained_kernel", spy)
+        H = HomogeneousPolynomial.from_string("z^2: 1")
+        res = higher_kernel_via_inf(disk16, H, 0.4 * np.exp(0.9j), 1.5)
+        assert calls == [(2, None), (0, None)]
+        assert res.inner_calls == 2 and not res.flags
 
     def test_degree_zero_shortcut(self, disk16):
         H = HomogeneousPolynomial.constant(1.0)

@@ -263,6 +263,10 @@ class TestRingOperator:
         z = tuple(c + 0.2 - 0.1j * j for j, c in enumerate(space.center))
         moved = space.shifted_node_matrix(z) @ space.jet_matrix(z)
         assert _rel(moved, space.shifted_node_matrix(space.center)) < 1e-12
+        # and the shift matrix carries the centred ones to the shifted ones
+        back = space.shifted_node_matrix(space.center) @ space.shift_matrix(z)
+        assert _rel(back, space.shifted_node_matrix(z)) < 1e-12
+        assert _rel(space.shift_matrix(z) @ space.jet_matrix(z), np.eye(space.size)) < 1e-12
 
 
 class TestNewtonStep:

@@ -132,8 +132,8 @@ def test_bench_lookup_points_resolve():
 
 
 def test_modules_import_scipy_lazily():
-    # scipy is imported inside the functions that need it (n >= 2 FFTs, the
-    # BFGS outer loop, one verify check), never at module level
+    # scipy is imported inside the functions that need it (n >= 2 FFTs and
+    # one verify check), never at module level
     offenders = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -149,8 +149,9 @@ def test_modules_import_scipy_lazily():
 
 
 def test_cli_runs_one_variable_solves_without_scipy():
-    # the import and a one-variable compute and Moebius sweep run on numpy
-    # alone, so a one-shot CLI run never pays for importing scipy
+    # the import, a one-variable compute and Moebius sweep, and the infimum
+    # route on the disk run on numpy alone, so none of them pays for
+    # importing scipy
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     script = textwrap.dedent("""
         import contextlib, io, sys
@@ -167,7 +168,13 @@ def test_cli_runs_one_variable_solves_without_scipy():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
             print(code, loaded())
+
+        from xibergman import Domain, HomogeneousPolynomial, PolySpace, higher_kernel_via_inf
+        space = PolySpace.build(Domain.disk(), degree=8)
+        H = HomogeneousPolynomial.from_string("z^2: 1")
+        for p in (1.5, 2.0):
+            print(higher_kernel_via_inf(space, H, 0.3 + 0.2j, p).flags, loaded())
         """)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split("\n")[:3] == ["[]", "0 []", "2 []"], out.stdout
+    assert out.stdout.split("\n")[:5] == ["[]", "0 []", "2 []", "() []", "() []"], out.stdout

@@ -209,27 +209,7 @@ def _boundary_gap(domain: Domain, pts: np.ndarray) -> np.ndarray:
 
 
 def _gap_at(domain: Domain, z) -> float:
-    """:func:`_boundary_gap` at one point in plain floats, with no array per call.
-
-    Bit for bit the array formula: the moduli come from one call of
-    numpy's absolute ufunc on a list (Python's abs and numpy's scalar abs
-    round differently in the last bit), and the ball's squares are summed
-    in coordinate order, as numpy sums a row this short.
-    """
-    d = np.absolute([c - ctr for c, ctr in zip(_as_point(z, domain.dimension),
-                                               domain.center)]).tolist()
-    if domain.shape == "disk":
-        return domain.radius - d[0]
-    if domain.shape == "polydisc":
-        return min(r - dj for r, dj in zip(domain.radii, d))
-    if domain.shape == "ball":
-        total = 0.0
-        for dj in d:
-            total += dj * dj
-        return domain.radius - math.sqrt(total)
-    if domain.shape == "annulus":
-        return min(domain.r_outer - d[0], d[0] - domain.r_inner)
-    raise UnsupportedShapeError(domain.shape)
+    return float(_boundary_gap(domain, np.array([_as_point(z, domain.dimension)]))[0])
 
 
 def contains(domain: Domain, z) -> bool:

@@ -72,38 +72,6 @@ class TestMembership:
         assert contains(dom, (1.2 + 0j,))
         assert not contains(dom, (0.4 + 0j,))
 
-    @pytest.mark.parametrize("dom", [
-        Domain.disk(0.5, center=1.0 + 0.5j), Domain.annulus(0.4, 1.0),
-        Domain.polydisc((1.0, 0.5), center=(0.1j, -0.2)), Domain.ball(dimension=2),
-        Domain.ball(0.7, dimension=3, center=(0.1, 0.2j, -0.3))])
-    def test_scalar_point_matches_the_node_gap(self, dom):
-        # one point takes a float path, node arrays the vectorised one: they
-        # agree bit for bit, on the boundary too, where membership flips
-        from xibergman.domains import _boundary_gap, _gap_at
-        rng = np.random.default_rng(7)
-        ctr = np.array(dom.center)
-        n = dom.dimension
-        pts = ctr + rng.uniform(-1.2, 1.2, (40, n)) + 1j * rng.uniform(-1.2, 1.2, (40, n))
-        # exact boundary points: one coordinate moved from the center onto
-        # a bounding circle of its axis
-        if dom.shape == "annulus":
-            radii = [(dom.r_inner, dom.r_outer)]
-        elif dom.shape == "polydisc":
-            radii = [(r,) for r in dom.radii]
-        else:
-            radii = [(dom.radius,)] * n
-        for j in range(n):
-            for r in radii[j]:
-                pt = ctr.copy()
-                pt[j] += r
-                pts = np.vstack([pts, pt])
-        gaps = _boundary_gap(dom, pts)
-        assert np.any(gaps == 0)
-        for pt, gap in zip(pts, gaps):
-            z = complex(pt[0]) if n == 1 else tuple(pt)
-            assert _gap_at(dom, z) == gap
-            assert contains(dom, z) is bool(gap > 0)
-
 
 class TestGeometry:
     def test_boundary_distance_disk(self):

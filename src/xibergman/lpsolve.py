@@ -74,10 +74,11 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               residual |M^H Phi^H(w rho f)|_max / F^((p-1)/p) below
               GRAD_TOL (1e-10); capped at MAX_ITER (300) steps.
 
-G and P come from the ring operator's per-ring FFTs: G as one K x N x N
-gather over the K rings, P, which depends on a + b alone, as one table over
+G and P come from the ring operator's per-ring discrete Fourier
+transforms: G, Hermitian for the real weights, from its half box of
+exponent differences, P, which depends on a + b alone, as one table over
 the exponent sums, read at a + b.  The pairing comes from its adjoint, and
-node values f(x_q) of an iterate from its per-ring inverse FFTs; no Q x N
+node values f(x_q) of an iterate from its inverse transforms; no Q x N
 matrix is formed.
 
 For p = 2 the default start u0 is already the minimizer and the iteration

@@ -7,8 +7,10 @@ taken with respect to the attached quadrature rule, so every inner product
 in the package is the same discrete object.
 
 Node values, weighted Gram matrices and adjoints all come from the space's
-:class:`RingOperator`, which works ring by ring with FFTs over the uniform
-angles; no Q x N array of node values is kept.  The exact Taylor jets
+:class:`RingOperator`, which works ring by ring with discrete Fourier
+transforms over the uniform angles, as numpy products with small per-axis
+tables restricted to the bins the space reaches; no Q x N array of node
+values is kept, and no FFT library is loaded.  The exact Taylor jets
 :meth:`PolySpace.jet_matrix` tie the centred monomials to a point z.
 
 :func:`orthonormal_basis` produces a basis adapted to a point: sigma_alpha
@@ -53,8 +55,9 @@ __all__ = [
     "DegreeOverflowError",
 ]
 
-# refuse spaces whose K x N x N ring gather, the one that RingOperator.gram
-# forms, would exceed this many complex entries (~1.6 GB)
+# refuse spaces whose ring Gram arrays, the (N + K) x H that RingOperator.gram
+# forms over the H bins of its half box of differences, would exceed this many
+# complex entries (~1.6 GB)
 MAX_CACHE_ENTRIES = 100_000_000
 
 CONDITION_LIMIT = 1e12
@@ -108,9 +111,10 @@ class PolySpace:
         alpha_j <= degree per axis); annuli always get the Laurent band
         ``|k| <= degree``.  ``degree`` defaults to 16 / 10 / 6 for
         dimensions 1 / 2 / >= 3, and each quadrature order left as None
-        to :func:`default_orders`.  The largest array that grows with the
-        degree, the K x N x N gather of :meth:`RingOperator.gram` on
-        K = radial_order^n rings, is sized before any node is built.
+        to :func:`default_orders`.  The largest arrays that grow with the
+        degree, the (N + K) x H of :meth:`RingOperator.gram` on K =
+        radial_order^n rings and the H bins of its half box of differences,
+        are sized before any node is built.
         """
         if degree is None:
             degree = default_degree(domain.dimension)
@@ -135,10 +139,11 @@ class PolySpace:
                 indices = _tensor_indices(domain.dimension, degree)
             else:
                 raise ValueError(f"unknown basis mode {mode!r}")
-        entries = radial_order ** domain.dimension * len(indices) ** 2
+        half = _half_box(np.array([idx.entries for idx in indices]))
+        entries = (len(indices) + radial_order ** domain.dimension) * math.prod(half)
         if entries > MAX_CACHE_ENTRIES:
             raise MemoryError(
-                f"ring Gram would gather {entries} complex entries; reduce orders or degree"
+                f"ring Gram would form {entries} complex entries; reduce orders or degree"
             )
         quad = build_quadrature(domain, radial_order, angular_order)
         if quad.node_count < len(indices):
@@ -189,11 +194,8 @@ class PolySpace:
         """
         if self.laurent:
             raise AlgebraError("Laurent bases cannot be re-centered")
-        shifted = self.quadrature.nodes - np.asarray(_as_point(z, self.dimension))
-        out = np.ones((shifted.shape[0], self.size), dtype=complex)
-        for j, e in enumerate(self.exponents.T):
-            out *= (shifted[:, j][:, None] ** np.arange(e.max(initial=0) + 1))[:, e]
-        return out
+        return _monomials(self.quadrature.nodes - np.asarray(_as_point(z, self.dimension)),
+                          self.exponents)
 
     def jet_matrix(self, z) -> np.ndarray:
         """Taylor jets at z of the centred monomials.
@@ -335,107 +337,154 @@ def lp_norm(f: PolyCoeffs | np.ndarray, space: PolySpace, p: float) -> float:
     return float(np.sum(space.quadrature.weights * np.abs(vals) ** p) ** (1.0 / p))
 
 
+def _dft(angles: int, low: int, high: int) -> np.ndarray:
+    """exp(2 pi i t j / angles), rows j < angles, columns low <= t <= high.
+
+    Each phase is the angles-th root of unity at t j mod angles, so bins
+    that alias get identical columns.
+    """
+    roots = np.exp(2j * math.pi * np.arange(angles) / angles)
+    return roots[np.arange(angles)[:, None] * np.arange(low, high + 1) % angles]
+
+
+def _monomials(rings: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """prod_j rings[k, j] ** exps[e, j], (K, E), read from one table of powers per axis."""
+    out = 1
+    for b, e in zip(rings.T, exps.T):
+        low = e.min()
+        out = out * (b[:, None] ** np.arange(low, e.max() + 1))[:, e - low]
+    return out
+
+
+def _half_box(exps: np.ndarray) -> tuple[int, ...]:
+    """Extents of the differences d of exponents with d_n >= 0, which
+    :meth:`RingOperator.gram` transforms: 2 span_j + 1 bins per axis, and
+    span_n + 1 on the last."""
+    span = exps.max(axis=0) - exps.min(axis=0)
+    return tuple(int(s) for s in 2 * span[:-1] + 1) + (int(span[-1]) + 1,)
+
+
+def _transform(x: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """Contract axes 1, ..., m of x with the m per-axis tables, last axis first.
+
+    out[k, t_1, ..., t_m, ...] = sum_s x[k, s_1, ..., s_m, ...]
+    prod_d tables[d][s_d, t_d]; axis 0 (the rings) and any trailing axes
+    ride along.  An axis with nothing behind it is one matrix product over
+    all rings, any other a batch of (t, s) x (s, rest) products sharing
+    the table.
+    """
+    for d in reversed(range(len(tables))):
+        table = tables[d]
+        shape = x.shape[:d + 1] + (table.shape[1],) + x.shape[d + 2:]
+        pre, post = math.prod(x.shape[:d + 1]), math.prod(x.shape[d + 2:])
+        if post == 1:
+            x = x.reshape(pre, -1) @ table
+        else:
+            x = np.matmul(table.T, x.reshape(pre, -1, post))
+        x = x.reshape(shape)
+    return x
+
+
 class RingOperator:
     """Node values and weighted sums over a space's ring-structured rule.
 
     On the rule's node (k, j) = center + b_k exp(2 pi i j / a) (see
     :class:`~xibergman.domains.Quadrature`) the centred monomial phi_alpha
-    takes the value b_k^alpha exp(2 pi i alpha . j / a).  So ring k's node
-    values of sum_alpha c_alpha phi_alpha are an inverse FFT over its
-    angles of b_k^alpha c_alpha placed at bin alpha mod a, and for any node
-    weights omega
+    takes the value b_k^alpha exp(2 pi i alpha . j / a).  So each of the
+    four sums below is, ring by ring, a discrete Fourier transform over
+    the angles, filled or read at the few bins the space reaches
+    (Trefethen & Weideman, SIAM Review 56, 2014):
 
-        sum_q omega_q conj(phi_alpha) phi_beta
-            = sum_k conj(b_k^alpha) b_k^beta omega_hat_k(alpha - beta),
+    - :meth:`values` synthesizes b_k^alpha c_alpha from the box of
+      exponents alpha, and :meth:`adjoint` reads the analysis there;
+    - :meth:`gram`, sum_q omega_q conj(phi_alpha) phi_beta, reads the
+      transform of the weights at the differences alpha - beta;
+    - :meth:`pair`, sum_q nu_q phi_alpha phi_beta, reads it at the sums
+      alpha + beta.
 
-    where omega_hat_k is the n-dimensional FFT of ring k's weights over its
-    angles (Trefethen & Weideman, SIAM Review 56, 2014).  The unconjugated
-    sum_q nu_q phi_alpha phi_beta reads the same FFT at -(alpha + beta)
-    against b_k^alpha b_k^beta = b_k^(alpha + beta), so it depends on
-    alpha + beta alone: one value per exponent sum.  These are the node
-    sums in another order, exact for any weights and coefficients, and
-    with no Q x N array: the Gram at K N^2 + Q log a cost instead of
-    Q N^2, its twin at K S + Q log a over the S exponent sums.  A rule of
-    one angle per ring (a hand-built one) makes them plain node sums.
-    The FFT over one angle runs in numpy.fft, over n >= 2 angles in
-    scipy.fft, which is 2.4-2.6x faster there (see :meth:`_ring_fft`).
+    A transform restricted to a box of bins is a product with one small
+    table exp(+-2 pi i t j / a) per axis (:func:`_transform`), so no FFT
+    and no Q x N array is formed.  The tables are periodic in the bin t,
+    so exponents that alias (a degree reaching a, or a hand-built rule of
+    one angle per ring, where the sums are plain node sums) need no
+    special case.  They are built once per space, those of :meth:`pair`
+    on its first call.
     """
 
     def __init__(self, space: PolySpace):
         quad = space.quadrature
         if tuple(space.center) != tuple(space.domain.center):
             raise ValueError("the ring structure is centred at the domain center")
-        a = quad.angles
-        exps = space.exponents
-        torus = (a,) * space.dimension
+        a, exps, rings = quad.angles, space.exponents, quad.rings
+        low, high = exps.min(axis=0), exps.max(axis=0)
         self.weights = quad.weights
-        self._shape = (quad.rings.shape[0],) + torus
-        self._flat = (quad.rings.shape[0], a ** space.dimension)
-        self._axes = tuple(range(1, space.dimension + 1))
-        self._rings, self._exps, self._angles = quad.rings, exps, a
-        # b_k^alpha (K, N); flat FFT bins of alpha and of alpha - beta mod a
-        self._powers = np.prod(quad.rings[:, None, :] ** exps[None, :, :], axis=2)
-        self._powers_t = np.ascontiguousarray(self._powers.T)
-        self._residue = np.ravel_multi_index(tuple((exps % a).T), torus)
-        self._difference = np.ravel_multi_index(
-            tuple(np.moveaxis((exps[:, None, :] - exps[None, :, :]) % a, -1, 0)), torus)
-        # synthesis runs over the exponents grouped by bin: exponents that
-        # alias (one angle per ring, or a degree reaching a) share one bin
-        self._order = np.argsort(self._residue, kind="stable")
-        self._grouped_powers = self._powers[:, self._order, None]
-        grouped = self._residue[self._order]
-        self._starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-        self._bins = grouped[self._starts]
-
-    def _ring_fft(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Unscaled n-d FFT (or inverse FFT) over each ring's angles.
-
-        ``x`` is (K, a^n, ...), ring-major like the nodes; so is the result.
-        On a 1-D torus (disk, annulus, Laurent spaces) numpy.fft runs along
-        axis 1: on the (32, 64) degree-16 disk torus it takes about 0.85 of
-        scipy.fft's time (14-26 against 17-30 us, timeit on one core), with
-        bit-identical output, and a one-variable solve then never imports
-        scipy.  On n >= 2 tori scipy.fft, imported on first use, is 2.4-2.6x
-        faster than numpy's fftn (1.1-1.3 against 2.8-3.5 ms on the
-        144 x 24 x 24 default bidisc torus).
-        """
-        if len(self._axes) == 1:
-            if inverse:
-                return np.fft.ifft(x, axis=1, norm="forward")
-            return np.fft.fft(x, axis=1)
-        import scipy.fft
-
-        grid = x.reshape(self._shape + x.shape[2:])
-        if inverse:
-            grid = scipy.fft.ifftn(grid, axes=self._axes, norm="forward")
-        else:
-            grid = scipy.fft.fftn(grid, axes=self._axes)
-        return grid.reshape(x.shape)
+        self._rings, self._exps, self._angles = rings, exps, a
+        self._torus = (rings.shape[0],) + (a,) * space.dimension
+        # b_k^alpha (K, N), placed at alpha - low in the box of exponents
+        self._powers = _monomials(rings, exps)
+        self._box = tuple(high - low + 1)
+        self._place = np.ravel_multi_index(tuple((exps - low).T), self._box)
+        self._analysis = [_dft(a, lo, hi).conj() for lo, hi in zip(low, high)]
+        self._synthesis = [table.conj().T for table in self._analysis]
+        # gram reads each unordered pair {alpha, beta} in the order whose
+        # difference d ends in d_n >= 0: the half box of _half_box.  Per
+        # axis conj(b^alpha) b^beta = |b|^(2m) e(d) at m = min(alpha, beta),
+        # with e(d) = conj(b)^d for d >= 0 and b^-d below
+        span = high - low
+        shift = np.append(span[:-1], 0)
+        self._half = _half_box(exps)
+        self._half_first = np.ascontiguousarray(_dft(a, 0, span[-1]).conj()).view(float)
+        self._half_rest = [_dft(a, -s, s).conj() for s in span[:-1]]
+        first, second = np.triu_indices(len(exps))
+        flip = exps[first, -1] < exps[second, -1]
+        first, second = np.where(flip, second, first), np.where(flip, first, second)
+        self._upper = first, second
+        self._upper_bin = np.ravel_multi_index(
+            tuple((exps[first] - exps[second] + shift).T), self._half)
+        lower = np.ravel_multi_index(
+            tuple((np.minimum(exps[first], exps[second]) - low).T), self._box)
+        rows, self._upper_row = np.unique(lower, return_inverse=True)
+        mins = np.stack(np.unravel_index(rows, self._box), axis=-1) + low
+        self._min_powers = _monomials(np.abs(rings) ** 2, mins).T
+        d = np.indices(self._half).reshape(len(span), -1).T - shift
+        self._half_factor = (_monomials(rings.conj(), np.maximum(d, 0))
+                             * _monomials(rings, np.maximum(-d, 0)))
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_alpha coeffs_alpha phi_alpha at the nodes, (Q,) or (Q, m).
 
-        The synthesis twin of :meth:`adjoint`; aliased bins are summed.
+        The synthesis twin of :meth:`adjoint`, from the box of exponents.
         """
         c = np.asarray(coeffs, dtype=complex)
-        columns = c[self._order].reshape(c.shape[0], -1)
-        spectrum = np.zeros(self._flat + columns.shape[1:], dtype=complex)
-        spectrum[:, self._bins] = np.add.reduceat(
-            self._grouped_powers * columns, self._starts, axis=1)
-        return self._ring_fft(spectrum, inverse=True).reshape((-1,) + c.shape[1:])
+        columns = c.shape[1:]
+        box = np.zeros((self._torus[0], math.prod(self._box)) + columns, dtype=complex)
+        box[:, self._place] = self._powers.reshape(self._powers.shape + (1,) * len(columns)) * c
+        box = box.reshape(self._torus[:1] + self._box + columns)
+        return _transform(box, self._synthesis).reshape((-1,) + columns)
 
     def gram(self, omega: np.ndarray) -> np.ndarray:
-        """sum_q omega_q conj(phi_alpha) phi_beta over the nodes, (N, N).
+        """sum_q omega_q conj(phi_alpha) phi_beta over the nodes, (N, N), for real weights.
 
-        sum_k conj(b_k^alpha) omega_hat_k(alpha - beta) b_k^beta as one
-        K x N x N gather, laid out (N, N, K) so that the ring sum is a batch
-        of matrix-vector products; it is scaled in place, so a call holds
-        one array of that size.
+        Ring k contributes conj(b_k^alpha) b_k^beta omega_hat_k(d) at
+        d = alpha - beta, which is |b_k|^(2m) e_k(d) omega_hat_k(d) (see
+        the constructor): so G[alpha, beta] = H[m, d] for H the product of
+        the (R, K) powers |b|^(2m) over the R distinct m with the (K, bins)
+        spectrum e * omega_hat.  Real weights have omega_hat(-d) =
+        conj(omega_hat(d)), so the transform runs on the half box d_n >= 0,
+        its last axis in real arithmetic; H is read at the N(N+1)/2 pairs
+        so ordered and mirrored, and G is Hermitian bit for bit.
         """
-        spectrum = np.take(self._ring_fft(np.reshape(omega, self._flat)).T,
-                           self._difference, axis=0)
-        spectrum *= self._powers_t
-        return np.matmul(spectrum, self._powers_t.conj()[:, :, None])[..., 0]
+        x = np.asarray(omega, dtype=float).reshape(-1, self._angles) @ self._half_first
+        x = _transform(x.view(complex).reshape(self._torus[:-1] + self._half[-1:]),
+                       self._half_rest)
+        spectrum = x.reshape(self._torus[0], -1) * self._half_factor
+        H = (self._min_powers @ spectrum.view(float)).view(complex)
+        upper = H[self._upper_row, self._upper_bin]
+        first, second = self._upper
+        G = np.empty((len(self._exps),) * 2, dtype=complex)
+        G[first, second] = upper
+        G[second, first] = upper.conj()
+        return G
 
     def pair(self, nu: np.ndarray) -> np.ndarray:
         """sum_q nu_q phi_alpha phi_beta over the nodes, (N, N), symmetric.
@@ -443,16 +492,19 @@ class RingOperator:
         The twin of :meth:`gram` without the conjugate.  Ring k contributes
         b_k^alpha b_k^beta nu_hat_k(-(alpha + beta)) = b_k^s nu_hat_k(-s) at
         s = alpha + beta, so P[alpha, beta] = h(alpha + beta) for
-        h(s) = sum_k b_k^s nu_hat_k(-s mod a), one K x S contraction over
-        the S exponent sums of the space's box, at K S + Q log a cost.
+        h(s) = sum_k b_k^s nu_hat_k(-s), one K x S contraction over the
+        S exponent sums of the space's box.  The sum box barely prunes the
+        torus (21^2 of 24^2 bins on the default bidisc), yet the product
+        form takes 1.2-1.3 ms there against 1.8-1.9 ms for numpy's fftn
+        and a gather (min of 7 timeit runs, one core).
         """
-        powers, bins, position = self._sums
-        spectrum = self._ring_fft(np.reshape(nu, self._flat))[:, bins]
-        return np.einsum("ks,ks->s", powers, spectrum)[position]
+        powers, tables, position = self._sums
+        spectrum = _transform(np.reshape(nu, self._torus), tables)
+        return np.einsum("ks,ks->s", powers, spectrum.reshape(self._torus[0], -1))[position]
 
     @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """b_k^s (K, S) and the flat FFT bin of -s mod a over the box of
+    def _sums(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """b_k^s (K, S) and the per-axis tables of nu_hat(-s) over the box of
         exponent sums s, and the (N, N) position of alpha + beta in it.
 
         The box is laid out so that a sum's position is the sum of its
@@ -462,21 +514,21 @@ class RingOperator:
         low, high = self._exps.min(axis=0), self._exps.max(axis=0)
         extent = 2 * (high - low) + 1
         grid = np.indices(extent).reshape(len(extent), -1).T + 2 * low
-        powers = np.prod(self._rings[:, None, :] ** grid[None, :, :], axis=2)
-        bins = np.ravel_multi_index(tuple((-grid % self._angles).T), self._shape[1:])
+        powers = _monomials(self._rings, grid)
+        tables = [_dft(self._angles, 2 * lo, 2 * hi) for lo, hi in zip(low, high)]
         offset = np.ravel_multi_index(tuple((self._exps - low).T), extent)
-        return powers, bins, offset[:, None] + offset[None, :]
+        return powers, tables, offset[:, None] + offset[None, :]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """sum_q conj(phi_alpha) v_q over the nodes, (N,)."""
-        spectrum = self._ring_fft(np.reshape(v, self._flat))[:, self._residue]
+        spectrum = _transform(np.reshape(v, self._torus), self._analysis)
+        spectrum = spectrum.reshape(self._torus[0], -1)[:, self._place]
         return np.einsum("ka,ka->a", self._powers.conj(), spectrum)
 
     @cached_property
     def base_gram(self) -> np.ndarray:
-        """Centred Gram matrix of the quadrature weights."""
-        G = self.gram(self.weights)
-        return 0.5 * (G + G.conj().T)
+        """Centred Gram matrix of the quadrature weights, Hermitian bit for bit."""
+        return self.gram(self.weights)
 
     @cached_property
     def factor(self) -> np.ndarray:

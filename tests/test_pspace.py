@@ -202,7 +202,10 @@ class TestRingOperator:
         q = space.quadrature.node_count
         omega = rng.uniform(0.5, 2.0, q)
         v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-        assert _rel(space.ring.gram(omega), phi.conj().T @ (omega[:, None] * phi)) < 1e-12
+        G = space.ring.gram(omega)
+        assert _rel(G, phi.conj().T @ (omega[:, None] * phi)) < 1e-12
+        # the Hermitian half of real weights, mirrored: no symmetrization needed
+        assert np.array_equal(G, G.conj().T)
         assert _rel(space.ring.adjoint(v), phi.conj().T @ v) < 1e-12
         # the unconjugated twin of the Gram, read at -(alpha + beta)
         assert _rel(space.ring.pair(v), phi.T @ (v[:, None] * phi)) < 1e-12
@@ -224,19 +227,21 @@ class TestRingOperator:
             tracemalloc.stop()
         assert peak < 3e6
 
-    @pytest.mark.parametrize("name", ["disk", "annulus", "aliased disk"])
-    def test_one_variable_fft_is_scipys(self, name):
-        # on a 1-D torus numpy.fft runs along the angles, with the output of
-        # the scipy.fft transform used on n >= 2 tori, bit for bit
-        import scipy.fft
-
-        ring = RING_SPACES[name]().ring
-        rng = np.random.default_rng(6)
-        for shape in (ring._flat, ring._flat + (3,)):
-            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert np.array_equal(ring._ring_fft(x), scipy.fft.fftn(x, axes=(1,)))
-            assert np.array_equal(ring._ring_fft(x, inverse=True),
-                                  scipy.fft.ifftn(x, axes=(1,), norm="forward"))
+    def test_gram_holds_no_pair_gather(self):
+        # gram reads the transform at the N(N+1)/2 ordered pairs from one
+        # (N + K) x H product over its half box of differences, so on the
+        # default bidisc (144 rings, 66 monomials) a call never holds the
+        # 10 MB K x N x N gather of every pair
+        space = PolySpace.build(Domain.bidisc())
+        omega = np.random.default_rng(5).uniform(0.5, 2.0, space.quadrature.node_count)
+        space.ring.gram(omega)
+        tracemalloc.start()
+        try:
+            space.ring.gram(omega)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_factor_is_the_upper_cholesky_factor(self):
         ring = PolySpace.build(Domain.disk(), degree=24).ring
@@ -350,13 +355,14 @@ class TestSpaceStructure:
         assert space.size == 66                       # total degree 10
 
     def test_oversized_cache_refused_before_allocation(self):
-        # degree 48 has 1,225 monomials, so the ring Gram gather on the
-        # 144 rings of the default bidisc rule would hold 216 million
-        # entries; the refusal must come before any node is built
+        # degree 100 has 5,151 monomials, so with the 144 rings of the
+        # default bidisc rule the ring Gram's arrays over its 201 x 101
+        # half box of differences would hold 107 million entries; the
+        # refusal must come before any node is built
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError):
-                PolySpace.build(Domain.bidisc(), degree=48)
+                PolySpace.build(Domain.bidisc(), degree=100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -132,8 +132,8 @@ def test_bench_lookup_points_resolve():
 
 
 def test_modules_import_scipy_lazily():
-    # scipy is imported inside the functions that need it (n >= 2 FFTs and
-    # one verify check), never at module level
+    # scipy is imported only inside the one verify check that needs it
+    # (kernels/uniqueness), never at module level
     offenders = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -148,10 +148,10 @@ def test_modules_import_scipy_lazily():
     assert not offenders, offenders
 
 
-def test_cli_runs_one_variable_solves_without_scipy():
-    # the import, a one-variable compute and Moebius sweep, and the infimum
-    # route on the disk run on numpy alone, so none of them pays for
-    # importing scipy
+def test_cli_runs_solves_without_scipy():
+    # the import, a compute on the disk, the bidisc and ball:2, a Moebius
+    # sweep, and the infimum route on the disk run on numpy alone, so none
+    # of them pays for importing scipy
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     script = textwrap.dedent("""
         import contextlib, io, sys
@@ -162,6 +162,8 @@ def test_cli_runs_one_variable_solves_without_scipy():
 
         print(loaded())
         runs = [["compute", "--domain", "disk", "--xi", "1: 1", "--p", "1.5", "--z", "0.3j"],
+                ["compute", "--domain", "bidisc", "--xi", "0,0: 1", "--p", "1.5", "--z", "0.3,0.2j"],
+                ["compute", "--domain", "ball:2", "--xi", "1,0: 1", "--p", "1.5", "--z", "0.2,-0.1j"],
                 ["sweep", "--domain", "disk", "--xi", "0: 1", "--p", "0.8",
                  "--pole", "0.5", "--a-grid=-1:0:3"]]
         for argv in runs:
@@ -177,4 +179,5 @@ def test_cli_runs_one_variable_solves_without_scipy():
         """)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split("\n")[:5] == ["[]", "0 []", "2 []", "() []", "() []"], out.stdout
+    assert out.stdout.split("\n")[:7] == ["[]", "0 []", "0 []", "0 []", "2 []", "() []",
+                                          "() []"], out.stdout

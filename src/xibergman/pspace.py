@@ -423,7 +423,7 @@ class RingOperator:
         # b_k^alpha (K, N), placed at alpha - low in the box of exponents
         self._powers = _monomials(rings, exps)
         self._box = tuple(high - low + 1)
-        self._place = np.ravel_multi_index(tuple((exps - low).T), self._box)
+        self._place = np.ravel_multi_index((exps - low).T, self._box)
         self._analysis = [_dft(a, lo, hi).conj() for lo, hi in zip(low, high)]
         self._synthesis = [table.conj().T for table in self._analysis]
         # gram reads each unordered pair {alpha, beta} in the order whose
@@ -439,16 +439,16 @@ class RingOperator:
         flip = exps[first, -1] < exps[second, -1]
         first, second = np.where(flip, second, first), np.where(flip, first, second)
         self._upper = first, second
-        self._upper_bin = np.ravel_multi_index(
-            tuple((exps[first] - exps[second] + shift).T), self._half)
-        lower = np.ravel_multi_index(
-            tuple((np.minimum(exps[first], exps[second]) - low).T), self._box)
+        self._upper_bin = np.ravel_multi_index((exps[first] - exps[second] + shift).T, self._half)
+        lower = np.ravel_multi_index((np.minimum(exps[first], exps[second]) - low).T, self._box)
         rows, self._upper_row = np.unique(lower, return_inverse=True)
         mins = np.stack(np.unravel_index(rows, self._box), axis=-1) + low
         self._min_powers = _monomials(np.abs(rings) ** 2, mins).T
-        d = np.indices(self._half).reshape(len(span), -1).T - shift
-        self._half_factor = (_monomials(rings.conj(), np.maximum(d, 0))
-                             * _monomials(rings, np.maximum(-d, 0)))
+        self._half_factor = np.ones((rings.shape[0], 1))
+        for b, low_d, high_d in zip(rings.T, -shift, span):
+            d = np.arange(low_d, high_d + 1)
+            e = np.where(d >= 0, b.conj()[:, None], b[:, None]) ** np.abs(d)
+            self._half_factor = (self._half_factor[:, :, None] * e[:, None, :]).reshape(len(b), -1)
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_alpha coeffs_alpha phi_alpha at the nodes, (Q,) or (Q, m).
@@ -516,7 +516,7 @@ class RingOperator:
         grid = np.indices(extent).reshape(len(extent), -1).T + 2 * low
         powers = _monomials(self._rings, grid)
         tables = [_dft(self._angles, 2 * lo, 2 * hi) for lo, hi in zip(low, high)]
-        offset = np.ravel_multi_index(tuple((self._exps - low).T), extent)
+        offset = np.ravel_multi_index((self._exps - low).T, extent)
         return powers, tables, offset[:, None] + offset[None, :]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import sys
 
 from .algebra import AlgebraError, Functional
-from .domains import Domain, UnsupportedShapeError, domain_from_spec
+from .domains import MIN_ORDER, Domain, UnsupportedShapeError, domain_from_spec
 from .green import GreenModel, default_a_grid, sweep
 from .higher import HomogeneousPolynomial, higher_kernel_direct
 from .kernels import (
@@ -145,11 +145,11 @@ def _target(args: argparse.Namespace, dimension: int):
 
 
 def _check_orders(args: argparse.Namespace) -> None:
-    """Reject nonpositive order flags; None keeps the per-dimension default."""
+    """Reject orders below the quadrature's floor; None keeps the per-dimension default."""
     for flag, order in (("radial-order", args.radial_order),
                         ("angular-order", args.angular_order)):
-        if order is not None and order < 1:
-            raise ConfigError(flag, f"must be >= 1, got {order}")
+        if order is not None and order < MIN_ORDER:
+            raise ConfigError(flag, f"must be >= {MIN_ORDER}, got {order}")
 
 
 def _round12(obj):
@@ -195,7 +195,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "degree": space.degree,
         "radial_order": space.quadrature.radial_order,
-        "angular_order": space.quadrature.angular_order,
+        "angular_order": space.quadrature.angles,
     }
     if args.pole is not None:
         if H is not None:

@@ -3,8 +3,8 @@
 Supported shapes: disk, polydisc, ball (n >= 2) and annulus (n = 1).
 Domains are immutable values: equal parameters give equal, hashable
 domains.  Quadrature rules are tensor products of Gauss-Legendre radial
-rules with uniform (trapezoidal) angular grids, stored ring by ring (see
-:class:`Quadrature`); on circles the trapezoid rule is exact for
+rules with uniform (trapezoidal) angular grids, stored as their rings alone
+(see :class:`Quadrature`); on circles the trapezoid rule is exact for
 trigonometric polynomials, so monomial Gram matrices are integrated exactly
 once the radial order is high enough.
 """
@@ -12,7 +12,8 @@ once the radial order is high enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +32,8 @@ __all__ = [
     "UnsupportedShapeError",
 ]
 
-# Hard ceiling on materialized tensor grids.  Large enough for a bidisc at
-# (32, 64) per axis; anything beyond this is almost certainly a mistake.
+# Hard ceiling on the node count, which sizes every per-node array.  Large
+# enough for a bidisc at (32, 64) per axis; beyond it is almost surely a mistake.
 MAX_NODES = 8_000_000
 
 MIN_ORDER = 4
@@ -249,42 +250,46 @@ def scale_domain(domain: Domain, t: float) -> Domain:
 
 @dataclass(eq=False)
 class Quadrature:
-    """Nodes (m, n) and positive weights (m,) for integration over a domain.
+    """A rule of K rings, each carried round a uniform torus of ``angles ** n`` angles.
 
-    Nodes are stored ring-major.  A rule is K rings, each carried round a
-    uniform torus of ``angles ** n`` angles: with ``rings`` (K, n) the ring
-    offsets from the domain center,
-
-        nodes[k * angles**n + j] = center + rings[k] * exp(2 pi i j / angles),
-
-    where the angle multi-index j (one entry per coordinate) runs row-major.
-    Every rule of :func:`build_quadrature` has this form.  A hand-built rule
-    that gives no ``rings`` is read as one ring per node with a single angle
-    (rings = nodes - center, angles = 1), so sums over the ring structure
-    are then plain node sums.
+    ``rings`` (K, n) holds the ring offsets from the domain center and
+    ``ring_weights`` (K,) the weight of each node of a ring, the angular
+    factor (2 pi / angles)^n included.  With the angle multi-index j (one
+    entry per coordinate) running row-major, node k * angles**n + j is
+    ``center + rings[k] * exp(2 pi i j / angles)`` with weight
+    ``ring_weights[k]``.  Scattered nodes are a rule of one angle (rings =
+    nodes - center).  The (Q,) :attr:`weights` are kept; the (Q, n)
+    :attr:`nodes` are formed only when read, and no solve reads them.
     """
 
     domain: Domain
-    nodes: np.ndarray
-    weights: np.ndarray
+    rings: np.ndarray
+    ring_weights: np.ndarray
+    angles: int
     radial_order: int
-    angular_order: int
-    rings: np.ndarray | None = None
-    angles: int = 1
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rings is None:
-            self.rings = self.nodes - np.asarray(self.domain.center)[None, :]
-        if self.rings.shape[0] * self.angles ** self.domain.dimension != self.nodes.shape[0]:
-            raise QuadratureError(
-                f"{self.rings.shape[0]} rings of {self.angles} angles per coordinate "
-                f"do not give {self.nodes.shape[0]} nodes")
-        for arr in (self.nodes, self.weights, self.rings):
+        if self.rings.shape != (len(self.ring_weights), self.domain.dimension):
+            raise QuadratureError(f"rings of shape {self.rings.shape} do not fit "
+                                  f"{len(self.ring_weights)} weights in C^{self.domain.dimension}")
+        self.weights = np.repeat(self.ring_weights, self.angles ** self.domain.dimension)
+        for arr in (self.rings, self.ring_weights, self.weights):
             arr.setflags(write=False)
 
     @property
     def node_count(self) -> int:
-        return self.nodes.shape[0]
+        return len(self.ring_weights) * self.angles ** self.domain.dimension
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(Q, n) nodes in the ring-major layout above."""
+        n = self.domain.dimension
+        circle = np.exp(1j * (2.0 * math.pi * np.arange(self.angles) / self.angles))
+        torus = circle[np.indices((self.angles,) * n).reshape(n, -1).T]  # (angles^n, n)
+        nodes = (self.rings[:, None, :] * torus[None, :, :]).reshape(-1, n) + self.domain.center
+        nodes.setflags(write=False)
+        return nodes
 
     def volume(self) -> float:
         return float(self.weights.sum())
@@ -299,7 +304,7 @@ def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Each ring rule returns ring offsets (K, n) from the center and the radial
-# weight of each ring; build_quadrature carries the rings round the angles.
+# weight of each ring; build_quadrature adds the angular factor.
 
 
 def _disk_rings(radius: float, nr: int):
@@ -400,15 +405,8 @@ def build_quadrature(domain: Domain, radial_order: int, angular_order: int) -> Q
     else:
         raise UnsupportedShapeError(domain.shape)
 
-    circle = np.exp(1j * (2.0 * math.pi * np.arange(angular_order) / angular_order))
-    grids = np.meshgrid(*([circle] * n), indexing="ij")
-    torus = np.stack([g.ravel() for g in grids], axis=-1)  # (angular_order^n, n)
-    nodes = (rings[:, None, :] * torus[None, :, :]).reshape(-1, n) + np.asarray(domain.center)
-    ang_weight = 2.0 * math.pi / angular_order
-    weights = np.repeat(ring_weights * ang_weight**n, torus.shape[0])
-
-    quad = Quadrature(domain, nodes, weights, radial_order, angular_order,
-                      rings=rings, angles=angular_order)
+    ring_weights = ring_weights * (2.0 * math.pi / angular_order) ** n
+    quad = Quadrature(domain, rings, ring_weights, angular_order, radial_order)
     _validate(quad)
     return quad
 
@@ -418,5 +416,7 @@ def _validate(quad: Quadrature) -> None:
     got = quad.volume()
     if abs(got - vol) > 1e-3 * vol:
         raise QuadratureError(f"quadrature volume {got} vs analytic {vol}")
-    if not bool(np.all(_boundary_gap(quad.domain, quad.nodes) > 0)):
+    # every shape is circled about its center, so a node's boundary gap is
+    # its ring's: checking the K rings checks all Q nodes
+    if not bool(np.all(_boundary_gap(quad.domain, quad.rings + quad.domain.center) > 0)):
         raise QuadratureError("quadrature nodes escaped the domain")

@@ -88,8 +88,6 @@ class PolySpace:
     domain: Domain
     quadrature: Quadrature
     indices: list[MultiIndex]
-    center: tuple[complex, ...]
-    laurent: bool = False
     # (point, T, U) of the last orthonormal_basis request, arrays read-only;
     # a tuple, not the basis itself, so the space holds no reference to itself
     _basis_memo: tuple | None = field(default=None, init=False, repr=False)
@@ -126,19 +124,15 @@ class PolySpace:
         if angular_order is None:
             angular_order = angular_default
 
-        laurent = domain.shape == "annulus"
-        if laurent:
+        if domain.shape == "annulus":
             ks = sorted(range(-degree, degree + 1), key=lambda k: (abs(k), k))
             indices = [MultiIndex((k,)) for k in ks]
-            ctr = (0j,)
+        elif mode == "total":
+            indices = enumerate_upto_degree(domain.dimension, degree)
+        elif mode == "tensor":
+            indices = _tensor_indices(domain.dimension, degree)
         else:
-            ctr = domain.center
-            if mode == "total":
-                indices = enumerate_upto_degree(domain.dimension, degree)
-            elif mode == "tensor":
-                indices = _tensor_indices(domain.dimension, degree)
-            else:
-                raise ValueError(f"unknown basis mode {mode!r}")
+            raise ValueError(f"unknown basis mode {mode!r}")
         half = _half_box(np.array([idx.entries for idx in indices]))
         entries = (len(indices) + radial_order ** domain.dimension) * math.prod(half)
         if entries > MAX_CACHE_ENTRIES:
@@ -152,9 +146,19 @@ class PolySpace:
             raise RankLossError(
                 f"quadrature has {quad.node_count} nodes for {len(indices)} "
                 "basis functions; raise the orders or lower the degree")
-        return cls(domain, quad, indices, ctr, laurent=laurent)
+        return cls(domain, quad, indices)
 
     # -- basic data -----------------------------------------------------
+
+    @property
+    def center(self) -> tuple[complex, ...]:
+        """Center of the monomials (w - center)^alpha: the domain's."""
+        return self.domain.center
+
+    @property
+    def laurent(self) -> bool:
+        """True on annuli, whose space is the Laurent band z^k, |k| <= degree."""
+        return self.domain.shape == "annulus"
 
     @property
     def dimension(self) -> int:
@@ -413,8 +417,6 @@ class RingOperator:
 
     def __init__(self, space: PolySpace):
         quad = space.quadrature
-        if tuple(space.center) != tuple(space.domain.center):
-            raise ValueError("the ring structure is centred at the domain center")
         a, exps, rings = quad.angles, space.exponents, quad.rings
         low, high = exps.min(axis=0), exps.max(axis=0)
         self.weights = quad.weights

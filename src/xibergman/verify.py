@@ -601,10 +601,6 @@ def _chk_blowup(ctx):
 
 @_check("kernels/uniqueness", "kernels")
 def _chk_uniqueness(ctx):
-    # scipy's SVD null space fixes this check's random starts; only this
-    # check pays for the import
-    import scipy.linalg
-
     rng = ctx.rng("kernels/uniqueness")
     space = ctx.disk_space()
     xi = Functional(1, {MultiIndex((0,)): 1.0, MultiIndex((1,)): 0.3})
@@ -614,8 +610,9 @@ def _chk_uniqueness(ctx):
     c = ob.transform.T @ space.constraint_row(xi, z)
     w = space.quadrature.weights
     # random exactly-feasible starts in the orthonormal coordinates: the
-    # minimal-norm solution plus a null-space perturbation
-    Z = scipy.linalg.null_space(c[None, :])
+    # minimal-norm solution plus a null-space perturbation; the nonzero row c
+    # has rank one, so its trailing right singular vectors span the null space
+    Z = np.linalg.svd(c[None, :])[2][1:].conj().T
     base = _minimal_norm(c)
     sols = []
     for _ in range(5):

@@ -100,6 +100,11 @@ class TestValidation:
         (("sweep", "--domain",
           '{"shape": "polydisc", "radii": [1, 1], "center": [[0.5, 0], [0, 0]]}',
           "--xi", "0,0: 1", "--p", "2", "--pole", "0,0", "--a-grid=-1:0:3"), "domain"),
+        # orders below the quadrature's floor of 4 are the flag's fault
+        (("compute", "--domain", "disk", "--xi", "0: 1", "--p", "2", "--z", "0",
+          "--radial-order", "3"), "radial-order"),
+        (("sweep", "--domain", "disk", "--xi", "0: 1", "--p", "2", "--pole", "0.5",
+          "--a-grid=-1:0:3", "--angular-order", "2"), "angular-order"),
     ])
     def test_field_named_in_error(self, capsys, argv, field):
         code, _, err = run(capsys, *argv)

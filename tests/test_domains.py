@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from xibergman import domains
 from xibergman import (
     Domain,
     UnsupportedShapeError,
@@ -43,6 +44,30 @@ class TestVolumes:
             quad = build_quadrature(dom, 16, 32)
             assert float(np.sum(quad.weights)) == pytest.approx(
                 dom.volume(), rel=1e-10)
+
+
+class TestQuadrature:
+    # one ring moved onto the boundary: the outer circle of the disk and of
+    # each polydisc axis, the inner circle of the annulus; the weights, and
+    # so the volume, stay right, and only the containment check can refuse
+    @pytest.mark.parametrize("dom,rule,ring", [
+        (Domain.disk(0.8), "_disk_rings", -1),
+        (Domain.polydisc((1.0, 0.5)), "_disk_rings", -1),
+        (Domain.annulus(0.5, 1.0), "_annulus_rings", 0),
+    ])
+    def test_ring_on_the_boundary_is_refused(self, monkeypatch, dom, rule, ring):
+        build_quadrature(dom, 8, 16)
+        original = getattr(domains, rule)
+
+        def on_edge(edge, *args):
+            rings, weights = original(edge, *args)
+            rings = rings.copy()
+            rings[ring] = edge
+            return rings, weights
+
+        monkeypatch.setattr(domains, rule, on_edge)
+        with pytest.raises(domains.QuadratureError, match="escaped"):
+            build_quadrature(dom, 8, 16)
 
 
 class TestMembership:

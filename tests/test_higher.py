@@ -116,8 +116,8 @@ class TestDirect:
         # four coincident nodes: every non-constant monomial vanishes on the
         # rule, so both exact p = 2 routes must refuse the same way
         dom = Domain.disk()
-        quad = Quadrature(dom, np.zeros((4, 1), dtype=complex), np.full(4, 0.25), 0, 0)
-        space = PolySpace(dom, quad, enumerate_upto_degree(1, 3), (0j,))
+        quad = Quadrature(dom, np.zeros((4, 1), dtype=complex), np.full(4, 0.25), 1, 0)
+        space = PolySpace(dom, quad, enumerate_upto_degree(1, 3))
         with pytest.raises(RankLossError):
             kernel2_diagonal(space, Functional.delta((1,)), 0j)
         with pytest.raises(RankLossError):

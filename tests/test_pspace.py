@@ -13,6 +13,8 @@ from xibergman import (
     MultiIndex,
     PolySpace,
     Quadrature,
+    build_quadrature,
+    diagonal,
     enumerate_upto_degree,
     kernel2_diagonal,
     kernelp_diagonal,
@@ -162,8 +164,8 @@ def _hand_built_space():
     rng = np.random.default_rng(4)
     dom = Domain.disk()
     nodes = (0.9 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40)))
-    quad = Quadrature(dom, nodes[:, None], rng.uniform(0.05, 0.1, 40), 0, 0)
-    return PolySpace(dom, quad, enumerate_upto_degree(1, 5), (0j,))
+    quad = Quadrature(dom, nodes[:, None], rng.uniform(0.05, 0.1, 40), 1, 0)
+    return PolySpace(dom, quad, enumerate_upto_degree(1, 5))
 
 
 RING_SPACES = {
@@ -368,6 +370,27 @@ class TestSpaceStructure:
             tracemalloc.stop()
         assert peak < 10e6
 
+    def test_solves_read_no_nodes(self, monkeypatch):
+        # the (Q, n) nodes are derived from the rings on request: check the
+        # documented ring-major layout, then that exact and Newton values on
+        # the default bidisc and ball:2 rules never ask for them
+        dom = Domain.polydisc((1.0, 0.5), (0.2 + 0.1j, -0.3j))
+        quad = build_quadrature(dom, 4, 6)
+        k, j1, j2 = np.unravel_index(np.arange(quad.node_count), (len(quad.rings), 6, 6))
+        turns = np.exp(2j * np.pi * np.stack([j1, j2], axis=-1) / 6)
+        assert np.allclose(quad.nodes, np.asarray(dom.center) + quad.rings[k] * turns,
+                           rtol=0, atol=1e-15)
+        assert np.array_equal(quad.weights, quad.ring_weights[k])
+
+        def refuse(self):
+            raise AssertionError("a solve read the node array")
+
+        monkeypatch.setattr(Quadrature, "nodes", property(refuse))
+        for dom, z in ((Domain.bidisc(), (0.3, 0.2j)), (Domain.ball(1.0, 2), (0.2, -0.1j))):
+            space = PolySpace.build(dom)
+            for p in (2.0, 1.5):
+                assert diagonal(space, Functional.delta((0, 0)), z, p).K > 0
+
     def test_annulus_is_laurent(self):
         space = PolySpace.build(Domain.annulus(0.5, 1.0), degree=6)
         assert space.laurent
@@ -394,8 +417,8 @@ class TestSpaceStructure:
 
     def test_degenerate_nodes_raise(self):
         dom = Domain.disk()
-        nodes = np.zeros((4, 1), dtype=complex)  # all nodes coincide
-        quad = Quadrature(dom, nodes, np.full(4, 0.25), 0, 0)
+        rings = np.zeros((4, 1), dtype=complex)  # all nodes coincide
+        quad = Quadrature(dom, rings, np.full(4, 0.25), 1, 0)
         with pytest.raises(RankLossError):
-            space = PolySpace(dom, quad, enumerate_upto_degree(1, 3), (0j,))
+            space = PolySpace(dom, quad, enumerate_upto_degree(1, 3))
             orthonormal_basis(space, 0j)

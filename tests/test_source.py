@@ -131,12 +131,12 @@ def test_bench_lookup_points_resolve():
     assert not missing, missing
 
 
-def test_modules_import_scipy_lazily():
-    # scipy is imported only inside the one verify check that needs it
-    # (kernels/uniqueness), never at module level
+def test_modules_never_import_scipy():
+    # the package runs on numpy alone: no import of scipy at any depth,
+    # inside functions included
     offenders = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):

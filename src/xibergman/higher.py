@@ -13,8 +13,11 @@ Three independent routes compute it:
     normalization becomes one affine row;
   * the minimum of the plain kernel over the affine family of functionals
     sharing the top coefficients a_alpha * alpha!: the direct minimizer's
-    Euler-Lagrange pairing names the minimizing member in closed form, and
-    one plain solve there, from scratch, certifies that it attains K;
+    Euler-Lagrange pairing names the minimizing member xi* in closed form,
+    and a Hoelder duality bracket at xi*, from the same adjoint, certifies
+    that it attains K with no second solve: the direct minimizer is
+    feasible for xi*, so K_H <= K_xi*, and an exact L^q representer of xi*
+    bounds K_xi* from above;
   * at p = 2, a triangular linear system through the jet-adapted orthonormal
     basis yields the exact minimizing functional in closed form.
 
@@ -40,9 +43,11 @@ from .algebra import (
 from .kernels import (
     KernelError,
     KernelEvaluation,
+    _bracket,
     _constrained_kernel,
-    _pairing_density,
+    _minimizer_nodes,
     diagonal,
+    duality_bracket,
     kernel2_diagonal,  # noqa: F401
 )
 # kernel2_diagonal and solve_affine_lp are not called here since the solves
@@ -63,11 +68,12 @@ __all__ = [
 
 _FACTOR_RE = re.compile(r"^z(\d*)(?:\^(\d+))?$")
 
-# relative slack by which the infimum route may undercut the direct value
+# relative slack by which the infimum route's upper bound may undercut the
+# direct value before it raises
 ASSERT_TOL = 1e-3
 
-# relative split between K at the closed-form minimizing member and the
-# direct value beyond which the infimum route flags inf-not-attained
+# largest width K_upper / K_H - 1 of the duality bracket at the closed-form
+# minimizing member before the infimum route flags inf-not-attained
 ATTAIN_TOL = 1e-8
 
 # absolute slack on the top coefficients in FunctionalFamily.contains
@@ -218,19 +224,23 @@ class FunctionalFamily:
 
 @dataclass
 class HigherInfResult:
-    """The family member that attains the higher-order kernel, with its K.
+    """The family member that attains the higher-order kernel, with its certificate.
 
     ``xi_star`` is the closed-form minimizing member and ``free_part`` its
-    coefficients on the free indices; K and m come from the plain solve
-    there.  ``inner_calls`` counts the solves made (the direct one and the
-    plain one, or the single plain one when the family has no free
-    index), and ``starts`` holds the one candidate, ``((K, free_part),)``.
-    ``flags`` carries both solves' flags and ``inf-not-attained`` when K
-    misses the direct value by more than ATTAIN_TOL relative.
+    coefficients on the free indices.  K and m are the direct solve's (the
+    plain solve's when the family has no free index), and ``K_upper`` is
+    the Hoelder upper bound on K at xi*, so K <= K_xi* <= K_upper on the
+    discrete problem, and ``duality_gap`` = K_upper / K - 1 is the
+    bracket's width.  ``inner_calls`` counts the solves made, always one,
+    and ``starts`` holds the one candidate, ``((K, free_part),)``.
+    ``flags`` carries the solve's flags and ``inf-not-attained`` when the
+    gap exceeds ATTAIN_TOL.
     """
 
     K: float
     m: float
+    K_upper: float
+    duality_gap: float
     xi_star: Functional
     free_part: tuple[complex, ...]
     inner_calls: int
@@ -314,16 +324,16 @@ def minimizing_xi_p2(
     return family.member(x)
 
 
-def _pairing_vector(space: PolySpace, ev: KernelEvaluation) -> np.ndarray:
+def _pairing_vector(space: PolySpace, z, centred: np.ndarray) -> np.ndarray:
     """pi_alpha = sum_q w_q rho_q conj(f(x_q)) (x_q - z)^alpha for every index alpha.
 
-    The extremal pairing of the minimizer ``ev`` (see
+    The extremal pairing of a minimizer f (see
     :func:`~xibergman.kernels.extremal_pairing`) against the z-shifted
-    monomials: one adjoint gives it against the centred ones, and the
-    shift matrix carries those to the shifted ones.
+    monomials, from ``centred``, the adjoint of w rho f, which is the
+    conjugate pairing against the centred monomials: the shift matrix
+    carries those to the shifted ones.
     """
-    centred = space.ring.adjoint(_pairing_density(space, ev)).conj()
-    return space.shift_matrix(ev.z).T @ centred
+    return space.shift_matrix(z).T @ centred.conj()
 
 
 def higher_kernel_via_inf(
@@ -341,12 +351,17 @@ def higher_kernel_via_inf(
     pi_alpha = sum_q w_q rho_q conj(f_H) (w - z)^alpha is lambda xi*_alpha
     for one lambda and every index.  So lambda = pi_beta / xi_beta at the
     top index beta of largest |xi_beta|, and xi*_alpha = pi_alpha / lambda
-    on the free indices, at every p >= 1.  A plain solve at xi*, from
-    scratch and with no vanishing jets, then certifies the minimum: the
-    result carries ``inf-not-attained`` when its K differs from K_H by more
-    than ATTAIN_TOL relative, and the flags of both solves.  A value below
-    K_H by more than ASSERT_TOL relative raises, since no member can
-    undercut the direct value beyond numerical error.
+    on the free indices, at every p >= 1.  Hoelder duality then certifies
+    the minimum with no second solve: f_H is feasible for xi*, so
+    K_H <= K_xi*, and the exact representer of xi* built from the same
+    adjoint of w rho f_H gives K_xi* <= K_upper (see
+    :func:`~xibergman.kernels.duality_bracket`).  K and m are the direct
+    solve's; the result carries its flags and ``inf-not-attained`` when
+    the bracket's gap K_upper / K_H - 1 exceeds ATTAIN_TOL.  A K_upper
+    below K_H by more than ASSERT_TOL relative raises, since no member
+    can undercut the direct value beyond numerical error.  With no free
+    index the family is one functional, and its plain solve is bracketed
+    the same way.
     """
     _require_polynomial_space(space)
     if p < 1:
@@ -356,27 +371,31 @@ def higher_kernel_via_inf(
 
     if not free:
         ev = diagonal(space, family.fixed_member(), z, p)
-        return HigherInfResult(
-            K=ev.K, m=ev.m, xi_star=ev.xi, free_part=(),
-            inner_calls=1, starts=((ev.K, ()),), flags=ev.flags)
+        xi_star, vec = ev.xi, ()
+        bracket = duality_bracket(space, xi_star, ev)
+    else:
+        ev = higher_kernel_direct(space, H, z, p)
+        g, rho = _minimizer_nodes(space, ev)
+        centred = space.ring.adjoint(space.quadrature.weights * rho * g)
+        pairing = _pairing_vector(space, ev.z, centred)
+        top = H.top_functional()
+        pos = space.index_position()
+        beta = max((idx for idx in top.terms if idx in pos), key=lambda idx: abs(top[idx]))
+        lam = pairing[pos[beta]] / top[beta]
+        # the free indices are the leading block of the graded basis
+        vec = tuple(pairing[:len(free)] / lam)
+        xi_star = family.member(vec)
+        # the residual of the representer is taken from the adjoint itself,
+        # so a wrong xi* widens the gap
+        bracket = _bracket(space, xi_star, ev, g, rho, centred)
 
-    direct = higher_kernel_direct(space, H, z, p)
-    pairing = _pairing_vector(space, direct)
-    top = H.top_functional()
-    pos = space.index_position()
-    beta = max((idx for idx in top.terms if idx in pos), key=lambda idx: abs(top[idx]))
-    lam = pairing[pos[beta]] / top[beta]
-    # the free indices are the leading block of the graded basis
-    vec = tuple(pairing[:len(free)] / lam)
-    xi_star = family.member(vec)
-    ev = _constrained_kernel(space, xi_star, z, p)
-
-    if ev.K < direct.K * (1 - ASSERT_TOL):
+    if bracket.K_upper < ev.K * (1 - ASSERT_TOL):
         raise KernelError(
-            f"family minimum {ev.K:.9g} undercuts the direct value {direct.K:.9g}")
-    flags = tuple(dict.fromkeys(direct.flags + ev.flags))
-    if abs(ev.K - direct.K) > ATTAIN_TOL * direct.K:
+            f"family upper bound {bracket.K_upper:.9g} undercuts the direct value {ev.K:.9g}")
+    flags = ev.flags
+    if bracket.gap > ATTAIN_TOL:
         flags += ("inf-not-attained",)
     return HigherInfResult(
-        K=ev.K, m=ev.m, xi_star=xi_star, free_part=vec,
-        inner_calls=2, starts=((ev.K, vec),), flags=flags)
+        K=ev.K, m=ev.m, K_upper=bracket.K_upper, duality_gap=bracket.gap,
+        xi_star=xi_star, free_part=vec, inner_calls=1, starts=((ev.K, vec),),
+        flags=flags)

@@ -14,7 +14,8 @@ vanishing jets of the higher-order kernels: all orders below some k, the
 leading block of the graded basis.
 The module also evaluates the reproducing-formula residual, the symmetrized
 difference quantity H with its two convexity-type integral inequalities,
-and a priori lower/upper bounds for K.
+a priori lower/upper bounds for K and, for p >= 1, the Hoelder duality
+bracket that certifies a computed value of the discrete problem.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "OffDiagonalKernel",
     "HQuantity",
     "BoundsResult",
+    "DualityBracket",
     "KernelError",
     "ZeroPairingError",
     "kernel2_diagonal",
@@ -43,6 +45,7 @@ __all__ = [
     "extremal_pairing",
     "h_quantity",
     "bounds_check",
+    "duality_bracket",
     "ball_monomial_lp_integral",
     "evaluations_to_csv",
     "evaluation_to_dict",
@@ -135,6 +138,15 @@ class BoundsResult:
     kernel: float
     z: tuple[complex, ...]
     p: float
+
+
+@dataclass
+class DualityBracket:
+    """K_lower <= K <= K_upper for the discrete problem; gap = K_upper / K_lower - 1."""
+
+    K_lower: float
+    K_upper: float
+    gap: float
 
 
 def _check_inputs(space: PolySpace, xi: Functional, z) -> tuple[complex, ...]:
@@ -305,14 +317,72 @@ def extremal_pairing(
     solve.
     """
     fvals = space.values(space.coeff_vector(f))
-    return complex(np.sum(np.conj(_pairing_density(space, evaluation)) * fvals))
+    g, rho = _minimizer_nodes(space, evaluation)
+    return complex(np.sum(np.conj(space.quadrature.weights * rho * g) * fvals))
 
 
-def _pairing_density(space: PolySpace, evaluation: KernelEvaluation) -> np.ndarray:
-    """w_q rho_q m_q at the nodes, whose conjugate pairs in :func:`extremal_pairing`."""
+def _minimizer_nodes(space: PolySpace,
+                     evaluation: KernelEvaluation) -> tuple[np.ndarray, np.ndarray]:
+    """Node values m_q of the minimizer and the solver's smoothed weights rho_q there.
+
+    w_q rho_q m_q is the density whose conjugate pairs in
+    :func:`extremal_pairing`.
+    """
     g = space.values(evaluation.coeffs)
     _, rho, _, _ = _smoothed(g.real**2 + g.imag**2, evaluation.p)
-    return space.quadrature.weights * rho * g
+    return g, rho
+
+
+def duality_bracket(
+    space: PolySpace,
+    xi: Functional,
+    evaluation: KernelEvaluation,
+) -> DualityBracket:
+    """Hoelder bracket around the kernel of ``xi`` at the evaluation's point, p >= 1.
+
+    The kernel is a dual norm, K^(1/p) = sup |(xi . f)(z)| / ||f||_p over
+    the truncated space in the quadrature norm.  The evaluation's
+    minimizer f must satisfy (xi . f)(z) = 1 (it may have vanishing jets
+    too), so K >= ||f||_p^-p, the evaluation's own K, which is K_lower.
+    Any node function g with sum_q w_q g_q h_q = (xi . h)(z) for every h
+    in the space gives K <= ||g||_q^p, q = p / (p - 1), or the largest
+    |g_q| at p = 1, which is K_upper.  g is the solver's smoothed
+    representer rho conj(f) / sum_q w_q rho_q |f_q|^2 plus the L^2
+    representer sum_a r_a conj(sigma_a) of its pairing residual r on the
+    orthonormal basis at z, which makes it exact.  Both ends bound the
+    discrete (quadrature) problem, not the truncation error, and at p = 1
+    the gap carries the solver's smoothing.  Below p = 1 Hoelder's
+    inequality fails and there is no bracket.
+    """
+    if evaluation.p < 1:
+        raise ValueError("the duality bracket requires p >= 1")
+    g, rho = _minimizer_nodes(space, evaluation)
+    centred = space.ring.adjoint(space.quadrature.weights * rho * g)
+    return _bracket(space, xi, evaluation, g, rho, centred)
+
+
+def _bracket(space: PolySpace, xi: Functional, evaluation: KernelEvaluation,
+             g: np.ndarray, rho: np.ndarray, centred: np.ndarray) -> DualityBracket:
+    """:func:`duality_bracket` from the minimizer's node values ``g``, its
+    weights ``rho`` and ``centred``, the adjoint of w rho g."""
+    p = evaluation.p
+    w = space.quadrature.weights
+    ob = orthonormal_basis(space, evaluation.z)
+    c = ob.transform.T @ space.constraint_row(xi, ob.point)
+    norm = float(np.sum(w * rho * (g.real**2 + g.imag**2)))
+    # r_a = (xi . sigma_a)(z) - sum_q w_q sigma_a(x_q) rep_q for the smoothed
+    # representer rep = rho conj(g) / norm, whose pairings are
+    # U^T conj(centred) / norm
+    r = c - ob.coeffs.T @ np.conj(centred) / norm
+    rep = np.abs(rho * np.conj(g) / norm + np.conj(space.values(ob.coeffs @ np.conj(r))))
+    top = float(rep.max())
+    if p == 1:
+        upper = top
+    else:
+        q = p / (p - 1.0)
+        upper = (top * float(np.sum(w * (rep / top) ** q)) ** (1.0 / q)) ** p
+    return DualityBracket(K_lower=evaluation.K, K_upper=upper,
+                          gap=upper / evaluation.K - 1.0)
 
 
 def reproducing_residual(

@@ -544,6 +544,11 @@ class RingOperator:
         except np.linalg.LinAlgError as exc:
             raise RankLossError("basis numerically rank deficient on this rule") from exc
 
+    @cached_property
+    def inverse_factor(self) -> np.ndarray:
+        """C^-1 for the ring factor C, which every point's orthonormal basis reads."""
+        return np.linalg.inv(self.factor)
+
 
 # ---------------------------------------------------------------------------
 # point-adapted orthonormal bases
@@ -610,7 +615,7 @@ def _orthonormal_transform(space: PolySpace, point) -> tuple[np.ndarray, np.ndar
     as a QR of the node values would, 1 / (T[a, a] ||psi_a||), where
     ||psi_a|| is the norm of column a of T^-1.
     """
-    C_inv = np.linalg.inv(space.ring.factor)
+    C_inv = space.ring.inverse_factor
     X = (space.jet_map(point) @ C_inv).conj().T
     # equilibrate columns first so monomial scale spread (radius^|alpha| on
     # small domains) does not masquerade as rank loss

@@ -48,6 +48,7 @@ from .kernels import (
     ball_monomial_lp_integral,
     bounds_check,
     diagonal,
+    duality_bracket,
     extremal_pairing,
     h_quantity,
     kernel2_diagonal,
@@ -645,6 +646,35 @@ def _chk_lipschitz(ctx):
     return ok, f"difference quotients bounded by {worst:.3f} at step 1e-3", worst
 
 
+@_check("kernels/duality-bracket", "kernels")
+def _chk_duality_bracket(ctx):
+    # Hoelder bracket K_lower <= K <= K_upper of the discrete problem around
+    # each value: |gap| <= 1e-9 for p > 1, and at p = 1, where the
+    # representer carries the solver's smoothing, -1e-12 <= gap <= 1e-4
+    xi1 = Functional.from_string("0: 1; 1: 0.5", 1)
+    xi2 = Functional.from_string("0,0: 1; 1,0: 0.5; 0,1: -0.3j", 2)
+    cases = [
+        (ctx.disk_space(), xi1, 0.3 * np.exp(1.1j)),
+        (ctx.disk_space(), xi1, 0.6 * np.exp(1.1j)),
+        (ctx.space(Domain.annulus(0.4, 1.0)), xi1, 0.7 * np.exp(0.7j)),
+        (ctx.space(Domain.bidisc()), xi2, (0.35 * np.exp(0.7j), 0.35 * np.exp(-1.9j))),
+        (ctx.space(Domain.ball(1.0, 2)), xi2, (0.25 * np.exp(0.7j), 0.25 * np.exp(-1.9j))),
+    ]
+    gaps = {p: [] for p in (1.0, 1.5, 3.0)}
+    for space, xi, z in cases:
+        for p, found in gaps.items():
+            found.append(duality_bracket(space, xi, diagonal(space, xi, z, p)).gap)
+    worst = max(abs(g) for p in (1.5, 3.0) for g in gaps[p])
+    low1, high1 = min(gaps[1.0]), max(gaps[1.0])
+    ok = worst <= 1e-9 and -1e-12 <= low1 and high1 <= 1e-4
+    detail = (f"disk, annulus, bidisc, ball:2 at p=1.5,3: max |gap| {worst:.3e} "
+              f"(tol 1e-9); p=1: gap in [{low1:.3e}, {high1:.3e}] (tol [-1e-12, 1e-4])")
+    lowest = min(min(found) for found in gaps.values())
+    if -1e-12 <= lowest < 0:
+        detail += f"; gaps down to {lowest:.1e} are rounding"
+    return ok, detail, max(worst, high1)
+
+
 # ---------------------------------------------------------------------------
 # higher
 # ---------------------------------------------------------------------------
@@ -688,38 +718,44 @@ def _chk_higher_closed(ctx):
 
 @_check("higher/three-way", "higher")
 def _chk_three_way(ctx):
-    # the direct K_H, the plain K at the closed-form minimizing member and,
-    # at p = 2, the exact member of minimizing_xi_p2; then small seeded
-    # steps off the closed-form member must not lower K
+    # the direct K_H, the plain K solved here from scratch at the infimum
+    # route's closed-form member and, at p = 2, the exact member of
+    # minimizing_xi_p2; then small seeded steps off the closed-form member
+    # must not lower K
     t0 = time.perf_counter()
     rng = ctx.rng("higher/three-way")
     space = ctx.disk_space()
     worst2 = 0.0
     worst15 = 0.0
     rise = math.inf
+    gaps = {2.0: 0.0, 1.5: 0.0}
     for text in ("z: 1", "z^2: 1"):
         H = HomogeneousPolynomial.from_string(text)
         family = FunctionalFamily(H)
         for z in (0j, 0.3 + 0j):
             direct2 = higher_kernel_direct(space, H, z, 2.0).K
             inf2 = higher_kernel_via_inf(space, H, z, 2.0)
+            plain2 = diagonal(space, inf2.xi_star, z, 2.0).K
             xistar = minimizing_xi_p2(space, H, z)
             viaxi = kernel2_diagonal(space, xistar, z).K
-            for a, b in ((direct2, inf2.K), (direct2, viaxi), (inf2.K, viaxi)):
+            for a, b in ((direct2, plain2), (direct2, viaxi), (plain2, viaxi)):
                 worst2 = max(worst2, _rel(a, b))
             direct15 = higher_kernel_direct(space, H, z, 1.5).K
             inf15 = higher_kernel_via_inf(space, H, z, 1.5)
-            worst15 = max(worst15, _rel(direct15, inf15.K))
-            for p, res in ((2.0, inf2), (1.5, inf15)):
+            plain15 = diagonal(space, inf15.xi_star, z, 1.5).K
+            worst15 = max(worst15, _rel(direct15, plain15))
+            for p, res, plain in ((2.0, inf2, plain2), (1.5, inf15, plain15)):
+                gaps[p] = max(gaps[p], abs(res.duality_gap))
                 for _ in range(3):
                     delta = 1e-3 * (rng.standard_normal(len(res.free_part))
                                     + 1j * rng.standard_normal(len(res.free_part)))
                     moved = diagonal(space, family.member(np.add(res.free_part, delta)), z, p).K
-                    rise = min(rise, (moved - res.K) / res.K)
+                    rise = min(rise, (moved - plain) / plain)
     elapsed = time.perf_counter() - t0
     ok = worst2 <= 1e-7 and worst15 <= 1e-4 and rise >= -1e-12 and elapsed < 120
     detail = (f"p=2 three-route max split {worst2:.3e} (tol 1e-7), "
               f"p=1.5 two-route {worst15:.3e} (tol 1e-4), "
+              f"route's duality gap at xi* p=2 {gaps[2.0]:.3e}, p=1.5 {gaps[1.5]:.3e}, "
               f"K 24 steps off xi* rises by >= {rise:.3e} relative (tol -1e-12)")
     if elapsed >= 120:
         detail += f"; too slow: {elapsed:.0f}s"

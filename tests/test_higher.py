@@ -173,12 +173,12 @@ class TestViaInf:
         res = higher_kernel_via_inf(disk16, H, 0.3 + 0j, 2.0)
         direct = higher_kernel_direct(disk16, H, 0.3 + 0j, 2.0)
         assert res.K == pytest.approx(direct.K, rel=1e-7)
-        assert res.inner_calls >= 2
+        assert res.inner_calls == 1
 
     def test_p2_factorizes_once(self, monkeypatch):
         # the jet-constrained columns are the trailing block of the basis
         # orthonormalized at z, which the space keeps: every route at one
-        # point, and both solves of the infimum route, solves in it
+        # point, and the infimum route's solve and bracket, work in it
         from xibergman import pspace
         space = PolySpace.build(Domain.disk(), degree=6, radial_order=12, angular_order=24)
         calls = []
@@ -193,7 +193,7 @@ class TestViaInf:
         z = 0.3 + 0.1j
         for p in (2.0, 1.5):
             res = higher_kernel_via_inf(space, H, z, p)
-            assert res.inner_calls >= 2
+            assert res.inner_calls == 1
             higher_kernel_direct(space, H, z, p)
             xi = minimizing_xi_p2(space, H, z)
             kernel2_diagonal(space, xi, z)
@@ -263,7 +263,7 @@ class TestViaInf:
         direct = higher_kernel_direct(disk16, H, z, 1.0)
         assert not res.flags
         assert abs(res.K - direct.K) <= 1e-12 * direct.K
-        assert res.inner_calls == 2 and res.starts == ((res.K, res.free_part),)
+        assert res.inner_calls == 1 and res.starts == ((res.K, res.free_part),)
 
     @pytest.mark.parametrize("domain,text,z", [
         (Domain.disk(), "z: 1", 0.58 * np.exp(0.9j)),
@@ -285,8 +285,8 @@ class TestViaInf:
         assert not res.flags
 
     def test_perturbed_member_is_flagged(self, disk16, monkeypatch):
-        # a member off the minimizing one has K above K_H, which the plain
-        # solve at it exposes
+        # a member off the minimizing one has K above K_H, which the upper
+        # end of the duality bracket at it exposes
         from xibergman import higher
         original = higher._pairing_vector
 
@@ -301,11 +301,12 @@ class TestViaInf:
         res = higher_kernel_via_inf(disk16, H, z, 1.5)
         direct = higher_kernel_direct(disk16, H, z, 1.5)
         assert res.flags == ("inf-not-attained",)
-        assert res.K > direct.K
+        assert res.K_upper > direct.K
 
     def test_member_is_solved_from_scratch(self, disk16, monkeypatch):
-        # the direct solve, then one plain solve at xi* with no start and
-        # no vanishing jets, so the certificate does not lean on the first
+        # the direct solve is the only one: the duality bracket at xi*
+        # certifies the minimum from its minimizer, and the plain solve at
+        # xi* from scratch is left to test_member_attains_from_scratch
         from xibergman import higher
         calls = []
         original = higher._constrained_kernel
@@ -317,8 +318,24 @@ class TestViaInf:
         monkeypatch.setattr(higher, "_constrained_kernel", spy)
         H = HomogeneousPolynomial.from_string("z^2: 1")
         res = higher_kernel_via_inf(disk16, H, 0.4 * np.exp(0.9j), 1.5)
-        assert calls == [(2, None), (0, None)]
-        assert res.inner_calls == 2 and not res.flags
+        assert calls == [(2, None)]
+        assert res.inner_calls == 1 and not res.flags
+
+    @pytest.mark.parametrize("text", ["z: 1", "z^2: 1", "z^3: 1"])
+    def test_member_attains_from_scratch(self, disk6, disk16, text):
+        # the plain solve at xi*, from scratch and with no vanishing jets,
+        # is the independent check of the member the route no longer solves
+        cases = [(disk6, z, p, 1e-10) for z in (0.3 + 0.2j, 0.25j) for p in (1.2, 1.5, 3.0)]
+        if text == "z^3: 1":
+            cases.append((disk16, 0.58 * np.exp(0.9j), 1.0, 1e-12))
+        H = HomogeneousPolynomial.from_string(text)
+        for space, z, p, tol in cases:
+            res = higher_kernel_via_inf(space, H, z, p)
+            direct = higher_kernel_direct(space, H, z, p)
+            plain = diagonal(space, res.xi_star, z, p)
+            assert plain.K == pytest.approx(direct.K, rel=tol), (z, p)
+            if p > 1:
+                assert res.K_upper == pytest.approx(direct.K, rel=1e-10), (z, p)
 
     def test_degree_zero_shortcut(self, disk16):
         H = HomogeneousPolynomial.constant(1.0)

@@ -20,6 +20,7 @@ from xibergman import (
     ball_monomial_lp_integral,
     bounds_check,
     diagonal,
+    duality_bracket,
     enumerate_upto_degree,
     extremal_pairing,
     h_quantity,
@@ -653,3 +654,35 @@ class TestDualityBracket:
         for r in (0.3, 0.6, 0.9):
             gap = _duality_gap(space, xi, (r * np.exp(0.7j), 0.5 * r * np.exp(-1.9j)), p)
             assert abs(gap) <= (1e-9 if r > 0.6 else 1e-12), (r, gap)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    def test_library_bracket_matches_the_formula(self, disk16, p):
+        # duality_bracket on the cases above against _duality_gap, which
+        # builds its representer unsmoothed; the lower end is the
+        # evaluation's own K
+        bidisc = PolySpace.build(Domain.bidisc())
+        xi1 = Functional.from_string("0: 1; 1: 0.5", 1)
+        xi2 = Functional.from_string("0,0: 1; 1,0: 0.5; 0,1: -0.3j", 2)
+        cases = [(disk16, xi1, r * np.exp(1.1j)) for r in (0.0, 0.3, 0.6, 0.9)]
+        cases += [(bidisc, xi2, (r * np.exp(0.7j), 0.5 * r * np.exp(-1.9j)))
+                  for r in (0.3, 0.6, 0.9)]
+        for space, xi, z in cases:
+            ev = diagonal(space, xi, z, p)
+            bracket = duality_bracket(space, xi, ev)
+            assert bracket.K_lower == ev.K
+            assert abs(bracket.gap - _duality_gap(space, xi, z, p)) <= 1e-12, z
+
+    def test_p1_gap_carries_the_smoothing(self, disk16):
+        # at p = 1 (q = infinity) the bound is the largest |g|, and the
+        # smoothed representer leaves a small nonnegative gap
+        xi = Functional.from_string("0: 1; 1: 0.5", 1)
+        for r in (0.0, 0.3, 0.6, 0.9):
+            ev = diagonal(disk16, xi, r * np.exp(1.1j), 1.0)
+            gap = duality_bracket(disk16, xi, ev).gap
+            assert 0.0 <= gap <= 1e-4, (r, gap)
+
+    def test_no_bracket_below_p1(self, disk16):
+        xi = Functional.delta((0,))
+        ev = diagonal(disk16, xi, 0.3 + 0j, 0.8)
+        with pytest.raises(ValueError):
+            duality_bracket(disk16, xi, ev)

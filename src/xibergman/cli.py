@@ -13,9 +13,9 @@ import json
 import math
 import sys
 
-from .algebra import AlgebraError, Functional
-from .domains import MIN_ORDER, Domain, UnsupportedShapeError, domain_from_spec
-from .green import GreenModel, default_a_grid, sweep
+from .algebra import Functional
+from .domains import MIN_ORDER, Domain, UnsupportedShapeError, contains, domain_from_spec
+from .green import GreenModel, _checked_grid, default_a_grid, sweep
 from .higher import HomogeneousPolynomial, higher_kernel_direct
 from .kernels import (
     KernelError,
@@ -79,9 +79,11 @@ def _parse_domain(text: str) -> Domain:
                                 "annulus:0.5,1, bidisc, polydisc:1,0.7, ball:2")
 
 
-def _parse_point(value, dimension: int, field_name: str):
+def _parse_point(value, domain: Domain, field_name: str):
+    """A point strictly inside ``domain``, from comma-separated coordinates."""
     if value is None:
         raise ConfigError(field_name, "required")
+    dimension = domain.dimension
     parts = str(value).replace("(", "").replace(")", "").split(",")
     if len(parts) != dimension:
         raise ConfigError(field_name,
@@ -91,31 +93,30 @@ def _parse_point(value, dimension: int, field_name: str):
         coords = tuple(complex(part.strip().replace(" ", "")) for part in parts)
     except ValueError as exc:
         raise ConfigError(field_name, f"bad coordinate in {value!r}") from exc
+    if not contains(domain, coords):
+        raise ConfigError(field_name, f"point {value} lies outside the domain")
     return coords
 
 
 def _parse_a_grid(value) -> list[float]:
+    """Sublevel heights from a list, "lo:hi:count" or a comma list, checked as a sweep's."""
     if value is None:
         return default_a_grid()
-    if isinstance(value, (list, tuple)):
-        vals = [float(v) for v in value]
-    else:
-        text = str(value).strip()
-        try:
-            if ":" in text:
-                lo, hi, count = text.split(":")
-                return default_a_grid(float(lo), float(hi), int(count))
-            vals = [float(part) for part in text.split(",") if part.strip()]
-        except ValueError as exc:
-            raise ConfigError("a-grid", f"bad grid {value!r}; use lo:hi:count "
-                                        "or a comma list") from exc
-    if not vals:
-        raise ConfigError("a-grid", "empty grid")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("a-grid", "grid must be strictly increasing")
-    if vals[-1] > 0:
-        raise ConfigError("a-grid", "grid values must be <= 0")
-    return vals
+    try:
+        if isinstance(value, (list, tuple)):
+            vals = value
+        elif ":" in str(value):
+            lo, hi, count = str(value).split(":")
+            vals = default_a_grid(float(lo), float(hi), int(count))
+        else:
+            vals = [float(part) for part in str(value).split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError("a-grid", f"bad grid {value!r}; use lo:hi:count "
+                                    "or a comma list") from exc
+    try:
+        return _checked_grid(vals)
+    except ValueError as exc:
+        raise ConfigError("a-grid", str(exc)) from exc
 
 
 def _require_p(args: argparse.Namespace) -> float:
@@ -184,7 +185,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     p = _require_p(args)
     xi, H = _target(args, n)
     _check_orders(args)
-    z = _parse_point(args.z, n, "z")
+    z = _parse_point(args.z, domain, "z")
     space = PolySpace.build(domain, degree=args.degree,
                             radial_order=args.radial_order,
                             angular_order=args.angular_order)
@@ -200,7 +201,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.pole is not None:
         if H is not None:
             raise ConfigError("pole", "off-diagonal sections need --xi, not --H")
-        w = _parse_point(args.pole, n, "pole")
+        w = _parse_point(args.pole, domain, "pole")
         section = off_diagonal(space, xi, w, p)
         ev = section.base
         payload["pole"] = [[c.real, c.imag] for c in w]
@@ -228,7 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     target = xi if xi is not None else H
     _check_orders(args)
     grid = _parse_a_grid(args.a_grid)
-    pole = _parse_point(args.pole, n, "pole") if args.pole is not None else None
+    pole = _parse_point(args.pole, domain, "pole") if args.pole is not None else None
     at_origin = pole is None or not any(pole)
     try:
         if not at_origin:
@@ -384,11 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_verify(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (AlgebraError, UnsupportedShapeError, KernelError, ValueError,
-            MemoryError) as exc:
+    except (ConfigError, KernelError, ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

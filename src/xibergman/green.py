@@ -42,7 +42,7 @@ from .domains import Domain, UnsupportedShapeError, contains, scale_domain
 from .higher import (
     FunctionalFamily,
     HomogeneousPolynomial,
-    _leading_block,
+    _jet_constraint,
     higher_kernel_direct,
 )
 from .kernels import _constrained_kernel, diagonal
@@ -263,9 +263,7 @@ def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
     """The sweep's rows, solved on ``space``, a space over ``model.domain``."""
     n = model.dimension
     if isinstance(target, HomogeneousPolynomial):
-        if p < 1:
-            raise ValueError("jet-constrained kernels require p >= 1")
-        top, low = target.top_functional(), _leading_block(space, target.degree)
+        top, low = _jet_constraint(space, target, p)
     else:
         top, low = target, 0
     k = target.degree

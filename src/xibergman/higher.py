@@ -46,13 +46,12 @@ from .kernels import (
     _bracket,
     _constrained_kernel,
     _minimizer_nodes,
-    diagonal,
-    duality_bracket,
+    diagonal,  # noqa: F401
     kernel2_diagonal,  # noqa: F401
 )
-# kernel2_diagonal and solve_affine_lp are not called here since the solves
-# moved to kernels; they stay importable because bench/spans.py wraps these
-# lookups
+# diagonal, kernel2_diagonal and solve_affine_lp are not called here since
+# the solves moved to kernels; they stay importable because bench/spans.py
+# wraps these lookups
 from .lpsolve import solve_affine_lp  # noqa: F401
 from .pspace import PolySpace, orthonormal_basis
 
@@ -227,14 +226,14 @@ class HigherInfResult:
     """The family member that attains the higher-order kernel, with its certificate.
 
     ``xi_star`` is the closed-form minimizing member and ``free_part`` its
-    coefficients on the free indices.  K and m are the direct solve's (the
-    plain solve's when the family has no free index), and ``K_upper`` is
-    the Hoelder upper bound on K at xi*, so K <= K_xi* <= K_upper on the
-    discrete problem, and ``duality_gap`` = K_upper / K - 1 is the
-    bracket's width.  ``inner_calls`` counts the solves made, always one,
-    and ``starts`` holds the one candidate, ``((K, free_part),)``.
-    ``flags`` carries the solve's flags and ``inf-not-attained`` when the
-    gap exceeds ATTAIN_TOL.
+    coefficients on the free indices; with no free index (deg H = 0) the
+    member is H's top functional and ``free_part`` is empty.  K and m are
+    the direct solve's, and ``K_upper`` is the Hoelder upper bound on K at
+    xi*, so K <= K_xi* <= K_upper on the discrete problem, and
+    ``duality_gap`` = K_upper / K - 1 is the bracket's width.
+    ``inner_calls`` counts the solves made, always one, and ``starts``
+    holds the one candidate, ``((K, free_part),)``.  ``flags`` carries the
+    solve's flags and ``inf-not-attained`` when the gap exceeds ATTAIN_TOL.
     """
 
     K: float
@@ -248,17 +247,19 @@ class HigherInfResult:
     flags: tuple[str, ...] = ()
 
 
-def _require_polynomial_space(space: PolySpace):
+def _jet_constraint(space: PolySpace, H: HomogeneousPolynomial,
+                    p: float) -> tuple[Functional, int]:
+    """H's top functional and ``low``, the number of vanishing orders below k = deg H.
+
+    Those orders lead the graded basis of the space, so the constrained
+    solve takes them as its leading block.  Raises KernelError on a
+    Laurent basis, when k exceeds the truncation degree or when the space
+    misses an order below k (a per-axis truncation can), and ValueError
+    below p = 1.
+    """
     if space.laurent:
         raise KernelError("higher-order kernels need a polynomial (non-Laurent) basis")
-
-
-def _leading_block(space: PolySpace, k: int) -> int:
-    """Number of orders below k, which lead the graded basis of the space.
-
-    Raises KernelError when k exceeds the truncation degree or the space
-    misses an order below k (a per-axis truncation can).
-    """
+    k = H.degree
     if k > space.degree:
         raise KernelError(
             f"pairing degree {k} exceeds the truncation degree {space.degree}")
@@ -266,7 +267,9 @@ def _leading_block(space: PolySpace, k: int) -> int:
     if space.indices[:len(orders)] != orders:
         missing = next(idx for idx in orders if idx not in space.indices)
         raise KernelError(f"vanishing order {missing} lies outside the truncated space")
-    return len(orders)
+    if p < 1:
+        raise ValueError("jet-constrained kernels require p >= 1")
+    return H.top_functional(), len(orders)
 
 
 def higher_kernel_direct(
@@ -282,11 +285,8 @@ def higher_kernel_direct(
     graded order, so the solve runs on the trailing block of the basis
     orthonormalized at z.  Exact at p = 2, Newton steps otherwise.
     """
-    _require_polynomial_space(space)
-    low = _leading_block(space, H.degree)
-    if p < 1:
-        raise ValueError("jet-constrained kernels require p >= 1")
-    return _constrained_kernel(space, H.top_functional(), z, p, low)
+    top, low = _jet_constraint(space, H, p)
+    return _constrained_kernel(space, top, z, p, low)
 
 
 def minimizing_xi_p2(
@@ -301,18 +301,15 @@ def minimizing_xi_p2(
     is an upper-triangular system in the free coefficients (the diagonal
     holds the nonvanishing leading jets), solved directly.
     """
-    _require_polynomial_space(space)
+    fixed, low = _jet_constraint(space, H, 2.0)
     family = FunctionalFamily(H)
-    if not family.free_indices:
+    if not low:
         return family.fixed_member()
-    k = H.degree
-    low = _leading_block(space, k)
-    top_idx = [j for j, idx in enumerate(space.indices) if idx.degree == k]
+    top_idx = [j for j, idx in enumerate(space.indices) if idx.degree == H.degree]
 
     T = orthonormal_basis(space, z).transform
     # pairing coefficient of basis element alpha: c_alpha = sum_beta xi_beta T[beta, alpha]
     M = T[:low, :low].T
-    fixed = family.H.top_functional()
     fixed_vec = np.array([fixed[space.indices[j]] for j in top_idx], dtype=complex)
     rhs = -(T[top_idx, :low].T @ fixed_vec)
     dmin = float(np.min(np.abs(np.diag(M))))
@@ -360,34 +357,24 @@ def higher_kernel_via_inf(
     the bracket's gap K_upper / K_H - 1 exceeds ATTAIN_TOL.  A K_upper
     below K_H by more than ASSERT_TOL relative raises, since no member
     can undercut the direct value beyond numerical error.  With no free
-    index the family is one functional, and its plain solve is bracketed
-    the same way.
+    index (deg H = 0) the same path runs: the direct solve has no
+    vanishing jet, and the member is H's top functional.
     """
-    _require_polynomial_space(space)
-    if p < 1:
-        raise ValueError("the infimum route requires p >= 1")
+    ev = higher_kernel_direct(space, H, z, p)
     family = FunctionalFamily(H)
-    free = family.free_indices
-
-    if not free:
-        ev = diagonal(space, family.fixed_member(), z, p)
-        xi_star, vec = ev.xi, ()
-        bracket = duality_bracket(space, xi_star, ev)
-    else:
-        ev = higher_kernel_direct(space, H, z, p)
-        g, rho = _minimizer_nodes(space, ev)
-        centred = space.ring.adjoint(space.quadrature.weights * rho * g)
-        pairing = _pairing_vector(space, ev.z, centred)
-        top = H.top_functional()
-        pos = space.index_position()
-        beta = max((idx for idx in top.terms if idx in pos), key=lambda idx: abs(top[idx]))
-        lam = pairing[pos[beta]] / top[beta]
-        # the free indices are the leading block of the graded basis
-        vec = tuple(pairing[:len(free)] / lam)
-        xi_star = family.member(vec)
-        # the residual of the representer is taken from the adjoint itself,
-        # so a wrong xi* widens the gap
-        bracket = _bracket(space, xi_star, ev, g, rho, centred)
+    g, rho = _minimizer_nodes(space, ev)
+    centred = space.ring.adjoint(space.quadrature.weights * rho * g)
+    pairing = _pairing_vector(space, ev.z, centred)
+    top = ev.xi
+    pos = space.index_position()
+    beta = max((idx for idx in top.terms if idx in pos), key=lambda idx: abs(top[idx]))
+    lam = pairing[pos[beta]] / top[beta]
+    # the free indices are the leading block of the graded basis
+    vec = tuple(pairing[:len(family.free_indices)] / lam)
+    xi_star = family.member(vec)
+    # the residual of the representer is taken from the adjoint itself,
+    # so a wrong xi* widens the gap
+    bracket = _bracket(space, xi_star, ev, g, rho, centred)
 
     if bracket.K_upper < ev.K * (1 - ASSERT_TOL):
         raise KernelError(

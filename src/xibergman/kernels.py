@@ -514,16 +514,6 @@ def evaluations_to_csv(evaluations) -> str:
 
 def evaluation_to_dict(ev: KernelEvaluation) -> dict:
     """JSON-ready dict for one evaluation, minimizer included."""
-    diag = {
-        "method": ev.diagnostics.get("method"),
-        "iterations": ev.diagnostics.get("iterations"),
-        "final_rel_step": ev.diagnostics.get("final_rel_step"),
-        "constraint_residual": ev.diagnostics.get("constraint_residual"),
-        "flags": list(ev.flags),
-    }
-    for key in ("grad_residual", "start_spread"):
-        if key in ev.diagnostics:
-            diag[key] = ev.diagnostics[key]
     return {
         "p": ev.p,
         "z": [[c.real, c.imag] for c in ev.z],
@@ -531,7 +521,7 @@ def evaluation_to_dict(ev: KernelEvaluation) -> dict:
         "K": ev.K,
         "degree": ev.degree,
         "xi": ev.xi.to_json_dict(),
-        "diagnostics": diag,
+        "diagnostics": {**ev.diagnostics, "flags": list(ev.flags)},
         "minimizer": {
             "center": [[c.real, c.imag] for c in ev.minimizer.center],
             "coeffs": {str(idx): [v.real, v.imag]

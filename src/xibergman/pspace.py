@@ -88,9 +88,8 @@ class PolySpace:
     domain: Domain
     quadrature: Quadrature
     indices: list[MultiIndex]
-    # (point, T, U) of the last orthonormal_basis request, arrays read-only;
-    # a tuple, not the basis itself, so the space holds no reference to itself
-    _basis_memo: tuple | None = field(default=None, init=False, repr=False)
+    # the basis of the last orthonormal_basis request, arrays read-only
+    _basis_memo: OrthonormalBasis | None = field(default=None, init=False, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -555,7 +554,7 @@ class RingOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Quadrature-orthonormal basis with jets adapted to a point.
 
@@ -565,9 +564,10 @@ class OrthonormalBasis:
     jet of sigma_a at the point, and vanishes unless beta >= alpha in the
     graded order), or the Laurent monomials (no jet adaptation).
     ``coeffs[:, a]`` holds the same sigma_a in the space's centred basis.
+    The space that built the basis keeps it as its memo, so both arrays are
+    read-only.
     """
 
-    space: PolySpace
     point: tuple[complex, ...]
     transform: np.ndarray
     coeffs: np.ndarray
@@ -591,12 +591,12 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     returns it again for the same point; another point replaces it.
     """
     point = _as_point(z, space.dimension)
-    memo = space._basis_memo
-    if memo is None or memo[0] != point:
+    ob = space._basis_memo
+    if ob is None or ob.point != point:
         T, U = _orthonormal_transform(space, point)
         T.flags.writeable = U.flags.writeable = False
-        memo = space._basis_memo = (point, T, U)
-    return OrthonormalBasis(space, *memo)
+        ob = space._basis_memo = OrthonormalBasis(point, T, U)
+    return ob
 
 
 def _orthonormal_transform(space: PolySpace, point) -> tuple[np.ndarray, np.ndarray]:

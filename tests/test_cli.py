@@ -105,6 +105,18 @@ class TestValidation:
           "--radial-order", "3"), "radial-order"),
         (("sweep", "--domain", "disk", "--xi", "0: 1", "--p", "2", "--pole", "0.5",
           "--a-grid=-1:0:3", "--angular-order", "2"), "angular-order"),
+        # the lo:hi:count form goes through the same checks as a list
+        (("sweep", "--domain", "disk", "--xi", "0: 1", "--p", "2",
+          "--a-grid=0:1:3"), "a-grid"),
+        (("sweep", "--domain", "disk", "--xi", "0: 1", "--p", "2",
+          "--a-grid=0:-1:3"), "a-grid"),
+        (("sweep", "--domain", "disk", "--xi", "0: 1", "--p", "2",
+          "--a-grid=-1:0:0"), "a-grid"),
+        # points outside the domain are the fault of their own flag
+        (("compute", "--domain", "disk", "--xi", "0: 1", "--p", "2", "--z", "1.5",
+          "--pole", "0.2"), "z"),
+        (("compute", "--domain", "disk", "--xi", "0: 1", "--p", "2", "--z", "0.2",
+          "--pole", "1.5"), "pole"),
     ])
     def test_field_named_in_error(self, capsys, argv, field):
         code, _, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 """Higher-order kernels: jet constraints, functional families, the family minimum."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from xibergman import (
     Domain,
     Functional,
     FunctionalFamily,
+    GreenModel,
     HomogeneousPolynomial,
     KernelError,
     MultiIndex,
@@ -20,11 +22,13 @@ from xibergman import (
     RankLossError,
     apply_homogeneous,
     diagonal,
+    duality_bracket,
     enumerate_upto_degree,
     higher_kernel_direct,
     higher_kernel_via_inf,
     kernel2_diagonal,
     minimizing_xi_p2,
+    sweep,
     taylor_shift,
 )
 
@@ -123,6 +127,27 @@ class TestDirect:
         with pytest.raises(RankLossError):
             higher_kernel_direct(space, HomogeneousPolynomial.from_string("z: 1"),
                                  0j, 2.0)
+
+    def test_jet_constraint_is_shared(self, disk6):
+        # every jet-constrained entry point refuses a Laurent basis and
+        # p < 1 alike, in the same words
+        annulus = PolySpace.build(Domain.annulus(0.5, 1.0), degree=4,
+                                  radial_order=8, angular_order=16)
+        H = HomogeneousPolynomial.from_string("z^2: 1")
+        z = 0.6 + 0.2j
+        for route in (lambda: higher_kernel_direct(annulus, H, z, 2.0),
+                      lambda: higher_kernel_via_inf(annulus, H, z, 2.0),
+                      lambda: minimizing_xi_p2(annulus, H, z)):
+            with pytest.raises(KernelError, match="non-Laurent"):
+                route()
+        message = "^" + re.escape("jet-constrained kernels require p >= 1") + "$"
+        model = GreenModel.balanced(Domain.disk())
+        for route in (lambda: higher_kernel_direct(disk6, H, 0.2j, 0.8),
+                      lambda: higher_kernel_via_inf(disk6, H, 0.2j, 0.8),
+                      lambda: sweep(model, H, 0.8, [-1.0, 0.0], degree=6,
+                                    radial_order=12, angular_order=24)):
+            with pytest.raises(ValueError, match=message):
+                route()
 
     def test_sandwich_against_family(self, disk16):
         H = HomogeneousPolynomial.from_string("z^2: 1")
@@ -342,3 +367,16 @@ class TestViaInf:
         res = higher_kernel_via_inf(disk16, H, 0.2 + 0j, 2.0)
         assert res.inner_calls == 1
         assert res.free_part == ()
+        # with no free index the one path is the plain kernel of H's top
+        # functional and its duality bracket, bit for bit
+        bidisc = PolySpace.build(Domain.bidisc(), degree=6, radial_order=8, angular_order=16)
+        cases = [(disk16, 0.2 + 0.1j), (bidisc, (0.3j, -0.2))]
+        for space, z in cases:
+            H = HomogeneousPolynomial.constant(1.5 - 0.5j, dimension=space.dimension)
+            xi = H.top_functional()
+            for p in (1.0, 1.5, 2.0, 3.0):
+                res = higher_kernel_via_inf(space, H, z, p)
+                ev = diagonal(space, xi, z, p)
+                assert res.K == ev.K, (space.dimension, p)
+                assert res.K_upper == duality_bracket(space, xi, ev).K_upper, (space.dimension, p)
+                assert res.free_part == () and res.xi_star.terms == xi.terms

@@ -116,7 +116,7 @@ class TestBasisMemo:
         space = self._space()
         orthonormal_basis(space, 0.3 + 0.1j)
         ob = orthonormal_basis(space, -0.2j)
-        assert space._basis_memo[0] == ob.point == (-0.2j,)
+        assert space._basis_memo.point == ob.point == (-0.2j,)
         orthonormal_basis(space, 0.3 + 0.1j)
         assert transforms == [(0.3 + 0.1j,), (-0.2j,), (0.3 + 0.1j,)]
 

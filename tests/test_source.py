@@ -28,21 +28,31 @@ def test_modules_are_ascii():
     assert not offenders, offenders
 
 
-def _unused_imports(path: Path) -> list[str]:
-    """Imported names a module never reads, exports or keeps with ``# noqa: F401``."""
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def _unused_imports(path: Path) -> tuple[list[str], dict[str, int]]:
+    """Imported names a module never reads or exports, and the names it keeps
+    with ``# noqa: F401`` on their own line, with their line numbers."""
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
-    imported = {}
+    imported, kept = {}, {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
         for alias in node.names:
-            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            name = alias.asname or alias.name.split(".")[0]
+            if "# noqa: F401" in lines[alias.lineno - 1]:
+                kept[name] = alias.lineno
+            else:
+                imported[name] = alias.lineno
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -62,11 +72,21 @@ def _unused_imports(path: Path) -> list[str]:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= {elt.value for elt in node.value.elts}
-    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    unused = [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    return unused, kept
 
 
 def test_imports_are_used():
-    unused = [item for path in sorted(PACKAGE_DIR.glob("*.py")) for item in _unused_imports(path)]
+    # a name kept with "# noqa: F401" must be a lookup point bench/spans.py
+    # wraps, so the re-export goes when the span that needed it does
+    targets = {(module, attr) for module, attr, _ in _bench_spans().TARGETS}
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        names, kept = _unused_imports(path)
+        unused += names
+        unused += [f"{path.name}:{line} {name} is no bench lookup point"
+                   for name, line in kept.items()
+                   if (f"xibergman.{path.stem}", name) not in targets]
     assert not unused, unused
 
 
@@ -118,11 +138,8 @@ def test_exports_have_callers():
 def test_bench_lookup_points_resolve():
     # bench/spans.py wraps each name where its callers look it up and skips
     # a missing one silently, so a dropped name would lose its metrics
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     missing = []
-    for module_name, attr, _ in spans.TARGETS:
+    for module_name, attr, _ in _bench_spans().TARGETS:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             owner = getattr(owner, part, None)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import boundary_distance, contains
-from .lpsolve import _minimal_norm, _objective, _smoothed, solve_affine_lp
+from .lpsolve import _hoelder_upper, _minimal_norm, _objective, _smoothed, solve_affine_lp
 from .pspace import PolySpace, orthonormal_basis, sup_bound_constant
 
 __all__ = [
@@ -191,7 +191,11 @@ def _constrained_kernel(
     starts there (see :func:`_warm_start`).  The closed form and the
     p < 1 multistart ignore it, so their values never depend on call
     history.  Below p = 1 the diagnostics carry ``start_spread``,
-    (max - min) / min of the seeded starts' final objectives.
+    (max - min) / min of the seeded starts' final objectives; above p = 1
+    the descent's ``K_upper`` and ``duality_gap`` = K_upper / K - 1, the
+    Hoelder bracket of the constrained discrete problem (see
+    :func:`duality_bracket`), which the closed form, exact by
+    construction, does not carry.
     """
     zt = _check_inputs(space, xi, z)
     ob = orthonormal_basis(space, zt)
@@ -217,6 +221,9 @@ def _constrained_kernel(
                        "flags": sol.flags}
         if sol.start_spread is not None:
             diagnostics["start_spread"] = sol.start_spread
+        if sol.K_upper is not None:
+            diagnostics["K_upper"] = sol.K_upper
+            diagnostics["duality_gap"] = sol.K_upper / K - 1.0
     full = np.zeros(space.size, dtype=complex)
     full[low:] = T @ u
     minimizer = space.element(full, center=None if space.laurent else zt)
@@ -349,10 +356,11 @@ def duality_bracket(
     |g_q| at p = 1, which is K_upper.  g is the solver's smoothed
     representer rho conj(f) / sum_q w_q rho_q |f_q|^2 plus the L^2
     representer sum_a r_a conj(sigma_a) of its pairing residual r on the
-    orthonormal basis at z, which makes it exact.  Both ends bound the
-    discrete (quadrature) problem, not the truncation error, and at p = 1
-    the gap carries the solver's smoothing.  Below p = 1 Hoelder's
-    inequality fails and there is no bracket.
+    orthonormal basis at z, which makes it exact; the solver's certified
+    stop forms the same bound.  Both ends bound the discrete (quadrature)
+    problem, not the truncation error, and at p = 1 the gap carries the
+    solver's smoothing.  Below p = 1 Hoelder's inequality fails and there
+    is no bracket.
     """
     if evaluation.p < 1:
         raise ValueError("the duality bracket requires p >= 1")
@@ -365,22 +373,9 @@ def _bracket(space: PolySpace, xi: Functional, evaluation: KernelEvaluation,
              g: np.ndarray, rho: np.ndarray, centred: np.ndarray) -> DualityBracket:
     """:func:`duality_bracket` from the minimizer's node values ``g``, its
     weights ``rho`` and ``centred``, the adjoint of w rho g."""
-    p = evaluation.p
-    w = space.quadrature.weights
     ob = orthonormal_basis(space, evaluation.z)
     c = ob.transform.T @ space.constraint_row(xi, ob.point)
-    norm = float(np.sum(w * rho * (g.real**2 + g.imag**2)))
-    # r_a = (xi . sigma_a)(z) - sum_q w_q sigma_a(x_q) rep_q for the smoothed
-    # representer rep = rho conj(g) / norm, whose pairings are
-    # U^T conj(centred) / norm
-    r = c - ob.coeffs.T @ np.conj(centred) / norm
-    rep = np.abs(rho * np.conj(g) / norm + np.conj(space.values(ob.coeffs @ np.conj(r))))
-    top = float(rep.max())
-    if p == 1:
-        upper = top
-    else:
-        q = p / (p - 1.0)
-        upper = (top * float(np.sum(w * (rep / top) ** q)) ** (1.0 / q)) ** p
+    upper = _hoelder_upper(space.ring, ob.coeffs, c, evaluation.p, g, rho, centred)
     return DualityBracket(K_lower=evaluation.K, K_upper=upper,
                           gap=upper / evaluation.K - 1.0)
 

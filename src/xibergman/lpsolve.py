@@ -70,9 +70,20 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               descent of F stops the descent, flagged line-search-stall.
               Below p = 1 this applies to the majorize-minimize step; a
               refused Newton step only hands over to it.
-    stop      relative objective change < OBJ_TOL (1e-11) and stationarity
-              residual |M^H Phi^H(w rho f)|_max / F^((p-1)/p) below
-              GRAD_TOL (1e-10); capped at MAX_ITER (300) steps.
+    stop      for p > 1, at an iterate whose stationarity residual
+              |M^H Phi^H(w rho f)|_max / F^((p-1)/p) is below GRAD_TOL
+              (1e-10), the Hoelder bracket of the discrete problem (see
+              _hoelder_upper) is formed from the same adjoint plus one
+              correction node evaluation, and the descent stops there
+              when its gap K_upper / K_lower - 1 is at most GAP_TOL
+              (1e-12), the start included, so an exactly stationary start
+              takes no step.  The residual stays in the test: the gap
+              certifies K to GAP_TOL but the minimizer only to about
+              sqrt(GAP_TOL).  At every p the descent also stops on a
+              relative objective change < OBJ_TOL (1e-11) with the
+              residual below GRAD_TOL; capped at MAX_ITER (300) steps.
+              For p > 1 the bracket of the returned iterate is part of
+              the result.
 
 G and P come from the ring operator's per-ring discrete Fourier
 transforms: G, Hermitian for the real weights, from its half box of
@@ -111,6 +122,7 @@ EPS_FACTOR_P1 = 1e-6
 RESTARTS = 8
 SHRINK_LIMIT = 1e-2
 NEWTON_WAIT = 8
+GAP_TOL = 1e-12
 
 
 def _smoothing_factor(p: float) -> float:
@@ -133,6 +145,8 @@ class LpSolution:
     flags: tuple[str, ...] = ()
     # (max - min) / min of the starts' final objectives; p < 1 only
     start_spread: float | None = None
+    # Hoelder upper bound on 1 / objective at the returned u; p > 1 only
+    K_upper: float | None = None
 
 
 def solve_affine_lp(
@@ -181,6 +195,7 @@ def solve_affine_lp(
         return LpSolution(
             coeffs=u0, objective=_objective(op, x0, p), iterations=0, grad_residual=0.0,
             final_rel_step=0.0, method="determined",
+            K_upper=_hoelder_upper_at(op, basis, row, p, x0) if p > 1 else None,
         )
     M = basis @ Z
 
@@ -192,14 +207,15 @@ def solve_affine_lp(
         scale = max(1.0, float(np.linalg.norm(u0)))
         starts += [scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
                    for _ in range(RESTARTS)]
-    descents = [_descend(op, M, x0, p, t0) for t0 in starts]
-    t, obj, iters, stop, grad_res, last_step = min(descents, key=lambda sol: sol[1])
+    descents = [_descend(op, basis, row, M, x0, p, t0) for t0 in starts]
+    t, obj, iters, stop, grad_res, last_step, upper = min(descents, key=lambda sol: sol[1])
     flags = (("nonconvex-best-found",) if p < 1 else ()) + ((stop,) if stop else ())
     return LpSolution(
         coeffs=u0 + Z @ t, objective=obj, iterations=iters,
         grad_residual=grad_res, final_rel_step=last_step,
         method="multistart" if p < 1 else "newton", flags=flags,
         start_spread=(max(sol[1] for sol in descents) - obj) / obj if p < 1 else None,
+        K_upper=upper,
     )
 
 
@@ -246,13 +262,55 @@ def _smoothed(a2, p):
     return sp, sp * inv_s, inv_s, eps2
 
 
-def _descend(op, M, x0, p, t0):
+def _hoelder_upper(op, basis, row, p, g, rho, adjoint):
+    """Hoelder upper bound K_upper on the kernel of ``row`` over ``basis``, p >= 1.
+
+    The kernel K = max |row . u|^p / sum_q w_q |f_q|^p over f = Phi basis u
+    is a dual norm, so any node function h with sum_q w_q h_q f_q = row . u
+    for every u gives K <= ||h||_q^p, q = p / (p - 1), or the largest |h_q|
+    at p = 1.  h is the smoothed representer rho conj(g) / sum_q w_q rho_q
+    |g_q|^2 of a feasible iterate with node values g and smoothed weights
+    rho, plus the L^2 representer sum_a r_a conj(sigma_a) of its pairing
+    residual r on the weighted-orthonormal columns sigma of ``basis``,
+    which makes it exact.  ``adjoint`` is op.adjoint(w rho g), whose
+    conjugate pairs against the centred basis, so the bound costs one
+    correction node evaluation.  1 / sum_q w_q |g_q|^p is the lower end.
+    """
+    w = op.weights
+    norm = float(np.sum(w * rho * (g.real**2 + g.imag**2)))
+    # r_a = row_a - sum_q w_q sigma_a(x_q) rep_q for the smoothed representer
+    # rep = rho conj(g) / norm, whose pairings are basis^T conj(adjoint) / norm
+    r = row - basis.T @ np.conj(adjoint) / norm
+    # |h| = |rho g / norm + values(basis conj(r))| since rho and norm are
+    # real, formed in place to keep node-sized temporaries off the peak
+    # memory of a solve on a large rule
+    h = op.values(basis @ np.conj(r))
+    h += (rho / norm) * g
+    h = np.abs(h)
+    top = float(h.max())
+    if p == 1:
+        return top
+    q = p / (p - 1.0)
+    h /= top
+    return (top * float(w @ h ** q) ** (1.0 / q)) ** p
+
+
+def _hoelder_upper_at(op, basis, row, p, x):
+    """:func:`_hoelder_upper` at the function with centred coefficients x."""
+    g = op.values(x)
+    _, rho, _, _ = _smoothed(g.real**2 + g.imag**2, p)
+    return _hoelder_upper(op, basis, row, p, g, rho, op.adjoint(op.weights * rho * g))
+
+
+def _descend(op, basis, row, M, x0, p, t0):
     """Descent from t0; returns (t, obj, accepted steps, stop flag or None, ...).
 
-    The iterate is f = Phi (x0 + M t) for the centred basis Phi.  Every
-    iterate is feasible, and the p < 1 step need not lower the unsmoothed
-    objective, so there the lowest iterate visited is returned, with its own
-    residual; the step count is that of the whole descent.
+    The iterate is f = Phi (x0 + M t) for the centred basis Phi, feasible
+    for the problem ``row``, ``basis`` of :func:`solve_affine_lp`.  The p < 1
+    step need not lower the unsmoothed objective, so there the lowest
+    iterate visited is returned, with its own residual; the step count is
+    that of the whole descent.  For p > 1 the tuple ends with the Hoelder
+    bound of the returned iterate, else with None.
     """
     w = op.weights
     tiny = 1e-300
@@ -266,25 +324,46 @@ def _descend(op, M, x0, p, t0):
         return float(np.sum(w * a2 ** (0.5 * p)))
 
     def stationarity(g, a2, obj):
-        # the smoothed objective and weights and the stationarity pairing of
-        # an iterate, computed once: the stop test after a step and the next
-        # step share them
+        # the smoothed objective and weights, the adjoint of w rho g and the
+        # stationarity pairing of an iterate, computed once: the stop tests
+        # after a step and the next step share them
         sp, rho, inv_s, eps2 = _smoothed(a2, p)
-        pairing = M.conj().T @ op.adjoint(w * rho * g)
+        adjoint = op.adjoint(w * rho * g)
+        pairing = M.conj().T @ adjoint
         grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
-        return float(np.sum(w * sp)), rho, inv_s, eps2, pairing, grad_res
+        return float(np.sum(w * sp)), rho, inv_s, eps2, adjoint, pairing, grad_res
+
+    def certified():
+        # for p > 1 at a stationary iterate, its Hoelder bound and whether
+        # the bracket's gap is within GAP_TOL; (None, False) elsewhere
+        if p <= 1 or grad_res >= GRAD_TOL:
+            return None, False
+        upper = _hoelder_upper(op, basis, row, p, g, rho, adjoint)
+        return upper, upper * obj - 1.0 <= GAP_TOL
 
     t = t0.astype(complex)
     g, a2 = evaluate(t)
     obj = objective(a2)
-    F, rho, inv_s, eps2, pairing, grad_res = stationarity(g, a2, obj)
+    F, rho, inv_s, eps2, adjoint, pairing, grad_res = stationarity(g, a2, obj)
     rel_step = np.inf
     settled = 0
     best = (t, obj, grad_res)
+    upper, done = certified()
 
     def result(iters, stop):
-        t_out, obj_out, res_out = best if p < 1 else (t, obj, grad_res)
-        return t_out, obj_out, iters, stop, res_out, rel_step
+        if p < 1:
+            t_out, obj_out, res_out = best
+            return t_out, obj_out, iters, stop, res_out, rel_step, None
+        bound = upper
+        if p > 1 and bound is None:
+            # a stop at a nonstationary iterate: the bound is formed here
+            bound = _hoelder_upper(op, basis, row, p, g, rho, adjoint)
+        return t, obj, iters, stop, grad_res, rel_step, bound
+
+    if done:
+        # certified at the start: no step taken, no objective change
+        rel_step = 0.0
+        return result(0, None)
 
     def armijo(delta, slope, halvings):
         # Armijo backtracking on the smoothed objective F the step models, at
@@ -355,11 +434,12 @@ def _descend(op, M, x0, p, t0):
         obj_trial = objective(a2_trial)
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
         t, g, a2, obj = t_trial, g_trial, a2_trial, obj_trial
-        F, rho, inv_s, eps2, pairing, grad_res = stationarity(g, a2, obj)
+        F, rho, inv_s, eps2, adjoint, pairing, grad_res = stationarity(g, a2, obj)
         if obj <= best[1]:
             best = (t, obj, grad_res)
 
-        if rel_step < OBJ_TOL and grad_res < GRAD_TOL:
+        upper, done = certified()
+        if done or rel_step < OBJ_TOL and grad_res < GRAD_TOL:
             return result(it, None)
         # at p <= 1 the objective is smoothed at scale eps, below which the
         # residual carries no information about the unsmoothed problem; when
@@ -401,13 +481,27 @@ def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
         bw = (0.5 * p - 1.0) * wr * inv_s
         A = M.conj().T @ (op.gram(wr + bw * a2) @ M)
         C = M.T @ (op.pair(bw * np.conj(g) ** 2) @ M)
-        H = np.block([[A.real + C.real, -A.imag - C.imag],
-                      [A.imag - C.imag, A.real - C.real]])
-        d = _cholesky_solve(H, -np.concatenate([pairing.real, pairing.imag]))
+        d = _cholesky_solve(_real_system(A, C),
+                            -np.concatenate([pairing.real, pairing.imag]))
     except np.linalg.LinAlgError:
         return None
     n = len(pairing)
     return d[:n] + 1j * d[n:]
+
+
+def _real_system(A, C):
+    """The real matrix [[Re(A + C), -Im(A + C)], [Im(A - C), Re(A - C)]] of d -> A d + conj(C d).
+
+    Filled block by block into one array, with each entry rounded as its
+    block expression rounds.
+    """
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    np.add(A.real, C.real, out=H[:n, :n])
+    np.subtract(-A.imag, C.imag, out=H[:n, n:])
+    np.subtract(A.imag, C.imag, out=H[n:, :n])
+    np.subtract(A.real, C.real, out=H[n:, n:])
+    return H
 
 
 def _cholesky_solve(A, rhs):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from xibergman import Domain, Functional, PolySpace, diagonal, duality_bracket
 from xibergman.cli import main
 
 
@@ -76,6 +77,25 @@ class TestCompute:
                          "--seed", "7", "--format", "csv")
         assert code == 2
         assert seeds == [7]
+
+
+    def test_bracket_in_the_diagnostics_above_p1(self, capsys):
+        # the solver's Hoelder bracket reaches the JSON for p > 1 and agrees
+        # with the library's duality_bracket; p = 1 (smoothed) and p < 1 (no
+        # Hoelder bound) carry none
+        argv = ["compute", "--domain", "disk", "--xi", "0: 1; 1: 0.5", "--z", "0.3+0.2j"]
+        for p in ("1.5", "1", "0.8"):
+            _, out, _ = run(capsys, *argv, "--p", p)
+            payload = json.loads(out)
+            diagnostics = payload["evaluation"]["diagnostics"]
+            if p != "1.5":
+                assert "K_upper" not in diagnostics and "duality_gap" not in diagnostics, p
+                continue
+            space = PolySpace.build(Domain.disk(), degree=payload["degree"])
+            xi = Functional.from_string("0: 1; 1: 0.5", 1)
+            bracket = duality_bracket(space, xi, diagonal(space, xi, 0.3 + 0.2j, 1.5))
+            assert abs(diagnostics["K_upper"] - bracket.K_upper) <= 1e-12 * bracket.K_upper
+            assert abs(diagnostics["duality_gap"] - bracket.gap) <= 1e-12
 
 
 class TestValidation:

@@ -529,9 +529,8 @@ class TestSolverContract:
             assert ev.diagnostics["grad_residual"] < lpsolve.GRAD_TOL, r
             assert ev.K == pytest.approx(1 / (math.pi * (1 - r * r) ** 2), rel=1e-6)
 
-    def test_newton_grid_converges(self):
-        # Newton steps for p >= 1: no flag and no solve at the cap on the
-        # disk up to |z| = 0.9 and on the bidisc, few steps at p = 1.5 and 1
+    @staticmethod
+    def _newton_grid():
         disk = PolySpace.build(Domain.disk(), degree=24)
         bidisc = PolySpace.build(Domain.bidisc())
         mixed = Functional.from_string("0,0: 1; 1,0: 0.5; 0,1: -0.3j", 2)
@@ -539,16 +538,80 @@ class TestSolverContract:
                  for k in (0, 1, 2) for r in (0.0, 0.3, 0.6, 0.9)]
         cases += [(bidisc, Functional.delta((1, 0)), (0j, 0j)),
                   (bidisc, mixed, (0.35 * np.exp(0.7j), 0.35 * np.exp(-1.9j)))]
+        return cases
+
+    def test_newton_grid_converges(self):
+        # Newton steps for p >= 1: no flag and no solve at the cap on the
+        # disk up to |z| = 0.9 and on the bidisc, few steps at p = 1.5 and
+        # 1; every p > 1 value carries its Hoelder bracket, and a fresh
+        # descent from the returned coefficients does not move K
         steps = {}
         for p in (1.0, 1.2, 1.5, 3.0, 4.0):
-            for space, xi, z in cases:
+            for space, xi, z in self._newton_grid():
                 ev = kernelp_diagonal(space, xi, z, p)
                 assert not ev.flags, (p, z, ev.flags)
                 assert ev.diagnostics["method"] == "newton"
                 assert ev.diagnostics["iterations"] < lpsolve.MAX_ITER
                 steps.setdefault(p, []).append(ev.diagnostics["iterations"])
+                if p == 1:
+                    assert "K_upper" not in ev.diagnostics
+                    assert "duality_gap" not in ev.diagnostics
+                    continue
+                gap = ev.diagnostics["duality_gap"]
+                assert gap == ev.diagnostics["K_upper"] / ev.K - 1.0
+                assert abs(gap) <= 1e-9, (p, z, gap)
+                ob = orthonormal_basis(space, z)
+                c = ob.transform.T @ space.constraint_row(xi, ob.point)
+                u = ob.coeffs.conj().T @ (space.ring.base_gram @ ev.coeffs)
+                again = solve_affine_lp(space.ring, ob.coeffs, c, p, start=u / (c @ u))
+                assert abs(1.0 / again.objective - ev.K) <= 1e-12 * ev.K, (p, z)
         assert np.median(steps[1.5]) <= 8
         assert np.median(steps[1.0]) <= 16
+        # the p = 1 counts of the relative-change stop, which p = 1 keeps
+        assert steps[1.0] == [1, 5, 5, 15, 1, 26, 14, 11, 1, 20, 28, 27, 1, 17]
+
+    def test_certified_stop_saves_steps(self, monkeypatch):
+        # on the grid above, the certified stop against the relative-change
+        # rule alone (a GAP_TOL no gap meets): fewer steps in all above
+        # p = 1, the same K to 1e-12, and none more at any single value
+        def run():
+            evs = [kernelp_diagonal(space, xi, z, p)
+                   for p in (1.2, 1.5, 3.0, 4.0) for space, xi, z in self._newton_grid()]
+            return [ev.diagnostics["iterations"] for ev in evs], [ev.K for ev in evs]
+
+        steps, Ks = run()
+        monkeypatch.setattr(lpsolve, "GAP_TOL", -np.inf)
+        old_steps, old_Ks = run()
+        assert sum(steps) < sum(old_steps)
+        assert all(new <= old for new, old in zip(steps, old_steps))
+        assert np.allclose(Ks, old_Ks, rtol=1e-12, atol=0.0)
+
+    def test_determined_solve_carries_its_bracket(self):
+        # with one free coefficient there is no descent, and the bracket of
+        # the one feasible function is still reported above p = 1
+        space = PolySpace.build(Domain.disk(), degree=4)
+        H = HomogeneousPolynomial.from_string("z^4: 1")
+        for p in (1.0, 1.5):
+            ev = higher_kernel_direct(space, H, 0.3 + 0.1j, p)
+            assert ev.diagnostics["method"] == "determined"
+            if p == 1:
+                assert "duality_gap" not in ev.diagnostics
+            else:
+                assert abs(ev.diagnostics["duality_gap"]) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_stationary_starts_take_no_step(self, disk16, p):
+        # the p = 2 start is the L^p minimizer at a centre of symmetry: the
+        # bracket certifies it before any step
+        bidisc = PolySpace.build(Domain.bidisc())
+        evs = [kernelp_diagonal(bidisc, Functional.delta((1, 0)), (0j, 0j), p)]
+        evs += [higher_kernel_direct(disk16, HomogeneousPolynomial.from_string(f"z^{k}: 1"),
+                                     0j, p) for k in (1, 2)]
+        for ev in evs:
+            assert not ev.flags
+            assert ev.diagnostics["iterations"] == 0
+            assert ev.diagnostics["final_rel_step"] == 0.0
+            assert ev.diagnostics["duality_gap"] <= lpsolve.GAP_TOL
 
 
 def _duality_gap(space, xi, z, p):

@@ -321,6 +321,28 @@ class TestNewtonStep:
         tol = 1e-10 if p >= 1 else 1e-15 * np.linalg.cond(H)
         assert _rel(d, x[:n] + 1j * x[n:]) < tol
 
+    def test_real_system_is_the_block_assembly(self, monkeypatch):
+        # the filled real Newton matrix of every Newton step of a bidisc
+        # solve equals numpy's block assembly of the same A and C bit for bit
+        seen = []
+        fill = lpsolve._real_system
+
+        def spy(A, C):
+            H = fill(A, C)
+            seen.append((A, C, H))
+            return H
+
+        monkeypatch.setattr(lpsolve, "_real_system", spy)
+        space = PolySpace.build(Domain.bidisc())
+        xi = Functional.from_string("0,0: 1; 1,0: 0.5; 0,1: -0.3j", 2)
+        kernelp_diagonal(space, xi, (0.35 * np.exp(0.7j), 0.35 * np.exp(-1.9j)), 1.5)
+        assert seen
+        for A, C, H in seen:
+            block = np.block([[A.real + C.real, -A.imag - C.imag],
+                              [A.imag - C.imag, A.real - C.real]])
+            # bytes, so that a -0.0 against a 0.0 counts too
+            assert H.shape == block.shape and H.tobytes() == block.tobytes()
+
     def test_cholesky_solve_tests_definiteness(self):
         # a real 2n x 2n Newton-sized system and a complex Hermitian one:
         # the positive definite ones solve as numpy's general solve does,

@@ -12,6 +12,7 @@ import textwrap
 from pathlib import Path
 
 import xibergman
+from xibergman import higher, lpsolve
 
 PACKAGE_DIR = Path(xibergman.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
@@ -198,3 +199,15 @@ def test_cli_runs_solves_without_scipy():
                          env=env, check=True)
     assert out.stdout.split("\n")[:7] == ["[]", "0 []", "0 []", "0 []", "2 []", "() []",
                                           "() []"], out.stdout
+
+
+def test_solver_constants_are_pinned():
+    # the numerical policy behind the README accuracy contract: a change to
+    # any of these shows up here as a test diff
+    assert {name: getattr(lpsolve, name) for name in (
+        "OBJ_TOL", "GRAD_TOL", "EPS_FACTOR", "EPS_FACTOR_P1", "MAX_ITER", "RESTARTS",
+        "SHRINK_LIMIT", "NEWTON_WAIT", "GAP_TOL")} == {
+        "OBJ_TOL": 1e-11, "GRAD_TOL": 1e-10, "EPS_FACTOR": 1e-7, "EPS_FACTOR_P1": 1e-6,
+        "MAX_ITER": 300, "RESTARTS": 8, "SHRINK_LIMIT": 1e-2, "NEWTON_WAIT": 8,
+        "GAP_TOL": 1e-12}
+    assert (higher.ATTAIN_TOL, higher.ASSERT_TOL) == (1e-8, 1e-3)

@@ -71,8 +71,6 @@ def _parse_domain(text: str) -> Domain:
             dim = int(parts[0])
             radius = float(parts[1]) if len(parts) > 1 else 1.0
             return Domain.ball(radius, dim)
-    except ConfigError:
-        raise
     except (ValueError, IndexError) as exc:
         raise ConfigError("domain", f"bad arguments for {name!r}: {exc}") from exc
     raise ConfigError("domain", f"unknown shape {text!r}; try disk, disk:0.8, "
@@ -145,12 +143,19 @@ def _target(args: argparse.Namespace, dimension: int):
     raise ConfigError("xi", "required (or --H)")
 
 
-def _check_orders(args: argparse.Namespace) -> None:
-    """Reject orders below the quadrature's floor; None keeps the per-dimension default."""
+def _space(args: argparse.Namespace, domain: Domain) -> PolySpace:
+    """The space of --degree, --radial-order and --angular-order over ``domain``.
+
+    Orders below the quadrature's floor are the flag's fault; a flag left
+    unset takes the per-dimension default of :meth:`PolySpace.build`.
+    """
     for flag, order in (("radial-order", args.radial_order),
                         ("angular-order", args.angular_order)):
         if order is not None and order < MIN_ORDER:
             raise ConfigError(flag, f"must be >= {MIN_ORDER}, got {order}")
+    return PolySpace.build(domain, degree=args.degree,
+                           radial_order=args.radial_order,
+                           angular_order=args.angular_order)
 
 
 def _round12(obj):
@@ -184,11 +189,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     n = domain.dimension
     p = _require_p(args)
     xi, H = _target(args, n)
-    _check_orders(args)
     z = _parse_point(args.z, domain, "z")
-    space = PolySpace.build(domain, degree=args.degree,
-                            radial_order=args.radial_order,
-                            angular_order=args.angular_order)
+    space = _space(args, domain)
     payload: dict = {
         "command": "compute",
         "domain": domain.to_spec(),
@@ -227,7 +229,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p = _require_p(args)
     xi, H = _target(args, n)
     target = xi if xi is not None else H
-    _check_orders(args)
     grid = _parse_a_grid(args.a_grid)
     pole = _parse_point(args.pole, domain, "pole") if args.pole is not None else None
     at_origin = pole is None or not any(pole)
@@ -241,10 +242,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             model = GreenModel.balanced(domain)
     except ValueError as exc:
         raise ConfigError("domain" if at_origin else "pole", str(exc)) from exc
-    table = sweep(model, target, p, grid, degree=args.degree,
-                  radial_order=args.radial_order,
-                  angular_order=args.angular_order,
-                  seed=args.seed)
+    table = sweep(_space(args, domain), model, target, p, grid, seed=args.seed)
     if args.format == "json":
         _emit(_dump_json(table.to_json_dict()), args.out)
     else:

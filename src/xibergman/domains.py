@@ -390,8 +390,9 @@ def build_quadrature(domain: Domain, radial_order: int, angular_order: int) -> Q
     total = node_count(domain, radial_order, angular_order)
     if total > MAX_NODES:
         raise QuadratureError(
-            f"{domain.shape} rule would need {total} nodes (cap {MAX_NODES}); lower the orders"
-        )
+            f"{domain.shape} rule in {domain.dimension} variable(s) at orders "
+            f"({radial_order}, {angular_order}) would need {total} nodes "
+            f"(cap {MAX_NODES}); lower the orders (--radial-order, --angular-order)")
 
     n = domain.dimension
     if domain.shape == "disk":

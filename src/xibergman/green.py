@@ -18,7 +18,7 @@ law
     xi'_alpha = xi_alpha s^(-|alpha|),
 
 with the vanishing jets of a higher-order target unchanged.  A sweep uses
-it to solve every row on one reference space over Omega, at the preimage
+it to solve every row on the caller's space over Omega, at the preimage
 x_a = (pole - c_a) / s_a of the pole, and reports s_a^(-2n) times that
 value.  Every row after the first hands the constrained solve the previous
 row's minimizer in the space's centred basis (its ``coeffs``); the solve
@@ -231,36 +231,24 @@ def _checked_grid(a_grid) -> list[float]:
 
 
 def sweep(
+    space: PolySpace,
     model: GreenModel,
     target: Functional | HomogeneousPolynomial,
     p: float,
     a_grid,
-    degree: int | None = None,
-    radial_order: int | None = None,
-    angular_order: int | None = None,
     seed: int = 42,
 ) -> SweepTable:
-    """Kernel at the pole across the sublevel family, on one reference space.
+    """Kernel at the pole across the sublevel family, on the caller's space.
 
     ``target`` is either a jet functional (plain kernel) or a homogeneous
-    polynomial (higher-order kernel).  Every row is solved on one space
-    over ``model.domain`` by the covariance law of the module docstring;
-    each row after the first is handed the row before as its start.  The scaled
-    column uses the exponent 2n + p k with k the degree of the target.
-    Orders left as None take the per-dimension defaults of
-    :meth:`PolySpace.build`; ``seed`` feeds the p < 1 restarts of the
-    plain kernel.
+    polynomial (higher-order kernel).  Every row is solved on ``space``, which
+    must be over ``model.domain``, by the covariance law of the module
+    docstring; each row after the first is handed the row before as its
+    start.  The scaled column uses the exponent 2n + p k with k the degree
+    of the target.  ``seed`` feeds the p < 1 restarts of the plain kernel.
     """
+    _check_space(space, model)
     grid = _checked_grid(a_grid)
-    space = PolySpace.build(model.domain, degree=degree,
-                            radial_order=radial_order,
-                            angular_order=angular_order)
-    return _sweep_on(space, model, target, p, grid, seed)
-
-
-def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
-              grid: list[float], seed: int = 42) -> SweepTable:
-    """The sweep's rows, solved on ``space``, a space over ``model.domain``."""
     n = model.dimension
     if isinstance(target, HomogeneousPolynomial):
         top, low = _jet_constraint(space, target, p)
@@ -299,6 +287,13 @@ def _sweep_on(space: PolySpace, model: GreenModel, target, p: float,
     return SweepTable(rows=rows, metadata=meta)
 
 
+def _check_space(space: PolySpace, model: GreenModel) -> None:
+    if space.domain != model.domain:
+        raise ValueError(
+            f"space is over {space.domain.to_spec()}, the model over "
+            f"{model.domain.to_spec()}")
+
+
 @dataclass
 class LimitChainResult:
     """Whole-domain kernel vs sweep limit vs indicatrix kernel."""
@@ -312,21 +307,23 @@ class LimitChainResult:
 
 
 def limit_chain_check(
+    space: PolySpace,
     model: GreenModel,
     H: HomogeneousPolynomial,
     p: float,
     a_grid,
     xi: Functional | None = None,
-    degree: int | None = None,
-    radial_order: int | None = None,
-    angular_order: int | None = None,
 ) -> LimitChainResult:
     """Check  K_xi(whole) >= sweep limit >= K_H(indicatrix)  at the pole.
 
     Holds for every functional in the affine family of H when p <= 2; the
     limit is approximated by the scaled column at the most negative grid
-    height, so the grid should reach a <= -3.
+    height, so the grid should reach a <= -3.  The indicatrix of a
+    balanced model is the domain itself (see :func:`azukawa_indicatrix`),
+    so ``space``, which must be over ``model.domain``, carries the whole-domain
+    kernel, the sweep and the indicatrix kernel.
     """
+    _check_space(space, model)
     if model.kind != "balanced":
         raise UnsupportedShapeError("limit chain needs a balanced model")
     if not (0 < p <= 2):
@@ -337,22 +334,14 @@ def limit_chain_check(
     elif not family.contains(xi):
         raise ValueError("functional does not share the top part of H")
 
-    grid = _checked_grid(a_grid)
-    # the indicatrix of a balanced model is the domain itself (see
-    # azukawa_indicatrix), so one space carries the whole-domain kernel,
-    # the sweep and the indicatrix kernel
-    space = PolySpace.build(model.domain, degree=degree,
-                            radial_order=radial_order,
-                            angular_order=angular_order)
-    lhs = diagonal(space, xi, model.pole, p).K
-
-    table = _sweep_on(space, model, xi, p, grid)
+    table = sweep(space, model, xi, p, a_grid)
     limit = table.rows[0].scaled
     if len(table.rows) > 1:
         stabilization = abs(table.rows[1].scaled - limit) / abs(limit)
     else:
         stabilization = 0.0
 
+    lhs = diagonal(space, xi, model.pole, p).K
     rhs = higher_kernel_direct(space, H, model.pole, p).K
 
     slack = LIMIT_CHAIN_TOL * max(abs(lhs), abs(limit), abs(rhs))

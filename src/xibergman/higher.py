@@ -190,8 +190,6 @@ class FunctionalFamily:
 
     @property
     def free_indices(self) -> tuple[MultiIndex, ...]:
-        if self.H.degree == 0:
-            return ()
         return tuple(enumerate_upto_degree(self.H.dimension, self.H.degree - 1))
 
     def member(self, free) -> Functional:

@@ -226,7 +226,7 @@ def _constrained_kernel(
             diagnostics["duality_gap"] = sol.K_upper / K - 1.0
     full = np.zeros(space.size, dtype=complex)
     full[low:] = T @ u
-    minimizer = space.element(full, center=None if space.laurent else zt)
+    minimizer = space.element(full, center=zt)
     diagnostics["constraint_residual"] = abs(
         functional_apply(xi, minimizer, zt) - 1.0)
     return KernelEvaluation(

@@ -77,8 +77,10 @@ def default_degree(dimension: int) -> int:
 
 def default_orders(dimension: int) -> tuple[int, int]:
     """Default (radial, angular) quadrature orders for a dimension."""
-    # node counts grow like (radial * angular)^n, so defaults shrink with n
-    return (32, 64) if dimension == 1 else (12, 24)
+    # node counts grow like (radial * angular)^n, so defaults shrink with n;
+    # (6, 14) is the cheapest of (6, 14), (6, 16), (8, 16) that holds delta_0
+    # on ball:3 and the 3-polydisc to the p = 1 and p = 1.5 contracts
+    return {1: (32, 64), 2: (12, 24)}.get(dimension, (6, 14))
 
 
 @dataclass(eq=False)
@@ -106,12 +108,12 @@ class PolySpace:
 
         ``mode`` is "total" (all |alpha| <= degree) or "tensor" (all
         alpha_j <= degree per axis); annuli always get the Laurent band
-        ``|k| <= degree``.  ``degree`` defaults to 16 / 10 / 6 for
-        dimensions 1 / 2 / >= 3, and each quadrature order left as None
-        to :func:`default_orders`.  The largest arrays that grow with the
-        degree, the (N + K) x H of :meth:`RingOperator.gram` on K =
-        radial_order^n rings and the H bins of its half box of differences,
-        are sized before any node is built.
+        ``|k| <= degree``.  ``degree`` defaults to 16 / 10 / 6 and the
+        (radial, angular) orders left as None to (32, 64) / (12, 24) /
+        (6, 14) for dimensions 1 / 2 / >= 3 (:func:`default_orders`).  The
+        largest arrays that grow with the degree, the (N + K) x H of
+        :meth:`RingOperator.gram` on K = radial_order^n rings and the H bins
+        of its half box of differences, are sized before any node is built.
         """
         if degree is None:
             degree = default_degree(domain.dimension)

@@ -858,6 +858,10 @@ def _chk_azukawa(ctx):
     return False, "off-center pole unexpectedly accepted", None
 
 
+def _small_bidisc(ctx):
+    return ctx.space(Domain.bidisc(), degree=8, radial_order=8, angular_order=16)
+
+
 @_check("green/balanced-constant", "green")
 def _chk_balanced_constant(ctx):
     model = GreenModel.balanced(Domain.disk())
@@ -867,7 +871,7 @@ def _chk_balanced_constant(ctx):
     for k in (0, 1):
         xi = Functional.delta(MultiIndex((k,)))
         for p in (1.0, 1.5, 2.0):
-            table = sweep(model, xi, p, grid, degree=16)
+            table = sweep(ctx.disk_space(), model, xi, p, grid)
             worst = max(worst, table.max_scaled_deviation())
             ref = (p * k + 2) / (2 * math.pi)
             err = _rel(table.rows[-1].scaled, ref)
@@ -876,9 +880,8 @@ def _chk_balanced_constant(ctx):
                 return False, f"scaled level for k={k}, p={p} off by {err:.2e}", err
             worst_val = max(worst_val, err)
     bmodel = GreenModel.balanced(Domain.bidisc())
-    btable = sweep(bmodel, Functional.delta(MultiIndex((0, 0))), 1.5,
-                   default_a_grid(-3.0, 0.0, 5), degree=8,
-                   radial_order=8, angular_order=16)
+    btable = sweep(_small_bidisc(ctx), bmodel, Functional.delta(MultiIndex((0, 0))),
+                   1.5, default_a_grid(-3.0, 0.0, 5))
     worst = max(worst, btable.max_scaled_deviation())
     ok = worst <= 1e-7
     return ok, (f"scaled columns constant to {worst:.3e} (tol 1e-7), "
@@ -897,7 +900,7 @@ def _chk_moebius(ctx):
         for p in (1.0, 1.5, 2.0):
             # degree 24: the delta_0 column is exactly flat here, so the
             # shallow-row truncation tail (~0.25^D) must sit below the slack
-            table = sweep(model, xi, p, grid, degree=24)
+            table = sweep(ctx.disk_space(24), model, xi, p, grid)
             if table.flagged:
                 return False, f"flagged rows in sweep k={k}, p={p}", None
             worst_mono = min(worst_mono, table.monotonicity_margin())
@@ -918,15 +921,13 @@ def _chk_limit_chain(ctx):
     for text in ("1: 1", "z: 1"):
         H = HomogeneousPolynomial.from_string(text)
         for p in (1.5, 2.0):
-            results.append(limit_chain_check(disk_model, H, p, grid1, degree=16))
+            results.append(limit_chain_check(ctx.disk_space(), disk_model, H, p, grid1))
     bid_model = GreenModel.balanced(Domain.bidisc())
     gridb = default_a_grid(-3.0, 0.0, 7)
     for text in ("1: 1", "z1: 1"):
         H = HomogeneousPolynomial.from_string(text, dimension=2)
         for p in (1.5, 2.0):
-            results.append(limit_chain_check(
-                bid_model, H, p, gridb, degree=8,
-                radial_order=8, angular_order=16))
+            results.append(limit_chain_check(_small_bidisc(ctx), bid_model, H, p, gridb))
     bad = [r for r in results if not r.passed]
     worst_stab = max(r.stabilization for r in results)
     if bad:
@@ -956,7 +957,7 @@ def _chk_scaling(ctx):
     for k in (0, 1):
         xi = Functional.delta(MultiIndex((k,)))
         for p in (1.5, 2.0):
-            rows = sweep(model, xi, p, heights, degree=16).rows
+            rows = sweep(ctx.disk_space(), model, xi, p, heights).rows
             for a, row in zip(heights, rows):
                 space_a = ctx.space(sublevel_domain(model, a), degree=16)
                 worst = max(worst, _rel(row.K, diagonal(space_a, xi, model.pole, p).K))

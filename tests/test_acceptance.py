@@ -8,11 +8,14 @@ machine output.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import xibergman
 from xibergman import verify
 
 
@@ -92,13 +95,15 @@ def test_boundary_blowup_rate(ctx):
 def test_full_battery_deterministic_through_cli(tmp_path):
     # two cold `verify --suite all` runs must agree byte for byte and
     # each finish inside the 10 minute budget
+    # the child does not inherit pytest's import path
+    env = dict(os.environ, PYTHONPATH=str(Path(xibergman.__file__).resolve().parents[1]))
     outs = []
     for tag in ("first", "second"):
         out = tmp_path / f"{tag}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "xibergman.cli", "verify",
              "--suite", "all", "--seed", "42", "--out", str(out)],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out)
     first, second = (f.read_bytes() for f in outs)

@@ -98,6 +98,20 @@ class TestCompute:
             assert abs(diagnostics["duality_gap"] - bracket.gap) <= 1e-12
 
 
+    @pytest.mark.parametrize("domain, exact", [
+        # n! / (pi^n (1 - |z|^2)^(n + 1)) and prod_j 1 / (pi (1 - |z_j|^2)^2)
+        ("ball:3", 6 / (math.pi ** 3 * 0.94 ** 4)),
+        ("polydisc:1,1,1", 1 / (math.pi ** 3 * (0.96 * 0.99 * 0.99) ** 2)),
+    ])
+    def test_three_variables_at_the_defaults(self, capsys, domain, exact):
+        code, out, _ = run(capsys, "compute", "--domain", domain, "--xi", "0,0,0: 1",
+                           "--p", "1.5", "--z", "0.2,0.1,0.1")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["degree"], payload["radial_order"], payload["angular_order"]) == (6, 6, 14)
+        assert payload["evaluation"]["K"] == pytest.approx(exact, rel=1e-4)
+
+
 class TestValidation:
     @pytest.mark.parametrize("argv,field", [
         (("compute", "--domain", "disk", "--xi", "0: 1", "--z", "0"), "p"),
@@ -149,6 +163,13 @@ class TestValidation:
                            "--xi", "0: 1", "--p", "2", "--z", "1.5")
         assert code == 1
         assert "outside" in err
+
+    def test_rule_over_the_node_cap(self, capsys):
+        # the default four-variable rule needs (6 * 14)^4 nodes
+        code, _, err = run(capsys, "compute", "--domain", "ball:4",
+                           "--xi", "0,0,0,0: 1", "--p", "2", "--z", "0,0,0,0")
+        assert code == 1
+        assert "4 variable(s) at orders (6, 14)" in err and "--radial-order" in err
 
     def test_rule_smaller_than_basis(self, capsys):
         # 4 x 4 rule (16 nodes) for the 17 monomials of degree 16

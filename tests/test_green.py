@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import xibergman.green as green
 import xibergman.kernels as kernels
+from xibergman.cli import main
 from xibergman import (
     Domain,
     Functional,
@@ -30,6 +31,17 @@ from xibergman import (
 MOEBIUS = GreenModel.moebius_disk(0.5 * np.exp(0.7j))
 MIXED = Functional.from_string("0: 1; 1: 0.5+0.2j; 2: 0.3")
 SMALL_2D = {"degree": 6, "radial_order": 8, "angular_order": 16}
+
+
+@functools.cache
+def _space(domain, degree=None, radial_order=None, angular_order=None):
+    """A shared space over ``domain``, for the sweeps and limit chains on it."""
+    return PolySpace.build(domain, degree=degree, radial_order=radial_order,
+                           angular_order=angular_order)
+
+
+def _disk(degree=None):
+    return _space(Domain.disk(), degree)
 
 
 class TestSublevelGeometry:
@@ -83,7 +95,7 @@ class TestIndicatrix:
 class TestSweep:
     def test_balanced_scaled_column_constant(self):
         model = GreenModel.balanced(Domain.disk())
-        table = sweep(model, Functional.delta((1,)), 1.5,
+        table = sweep(_disk(), model, Functional.delta((1,)), 1.5,
                       default_a_grid(-3, 0, 7))
         assert not table.flagged
         assert table.max_scaled_deviation() < 1e-9
@@ -92,22 +104,22 @@ class TestSweep:
 
     def test_moebius_monotone_smoke(self):
         model = GreenModel.moebius_disk(0.5 + 0j)
-        table = sweep(model, Functional.delta((0,)), 2.0,
-                      default_a_grid(-2, 0, 9), degree=24)
+        table = sweep(_disk(24), model, Functional.delta((0,)), 2.0,
+                      default_a_grid(-2, 0, 9))
         assert not table.flagged
         assert table.monotonicity_margin() >= -1e-8
         assert table.log_convexity_margin() >= -1e-6
 
     def test_csv_shape(self):
         model = GreenModel.balanced(Domain.disk())
-        table = sweep(model, Functional.delta((0,)), 2.0, [-1.0, 0.0])
+        table = sweep(_disk(), model, Functional.delta((0,)), 2.0, [-1.0, 0.0])
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == "a,K,scaled,logK,flag"
         assert len(lines) == 3
 
     def test_json_metadata(self):
         model = GreenModel.balanced(Domain.disk())
-        table = sweep(model, Functional.delta((0,)), 2.0, [-1.0, 0.0])
+        table = sweep(_disk(), model, Functional.delta((0,)), 2.0, [-1.0, 0.0])
         meta = table.to_json_dict()["metadata"]
         assert meta["kind"] == "balanced"
         assert meta["degree"] == 16
@@ -116,25 +128,42 @@ class TestSweep:
         model = GreenModel.balanced(Domain.disk())
         xi = Functional.delta((0,))
         with pytest.raises(ValueError):
-            sweep(model, xi, 2.0, [])
+            sweep(_disk(), model, xi, 2.0, [])
         with pytest.raises(ValueError):
-            sweep(model, xi, 2.0, [-1.0, -2.0])
+            sweep(_disk(), model, xi, 2.0, [-1.0, -2.0])
         with pytest.raises(ValueError):
-            sweep(model, xi, 2.0, [-1.0, 0.5])
+            sweep(_disk(), model, xi, 2.0, [-1.0, 0.5])
 
     def test_higher_target_uses_jet_exponent(self):
         # scaled column for a degree-k target is exp((2 + p k) a) K
         model = GreenModel.balanced(Domain.disk())
         H = HomogeneousPolynomial.from_string("z: 1")
-        table = sweep(model, H, 2.0, default_a_grid(-2, 0, 5))
+        table = sweep(_disk(), model, H, 2.0, default_a_grid(-2, 0, 5))
         assert table.max_scaled_deviation() < 1e-8
+
+    @pytest.mark.parametrize("domain", [Domain.disk(0.5), Domain.bidisc()],
+                             ids=["smaller-disk", "bidisc"])
+    def test_space_over_another_domain_rejected(self, monkeypatch, domain):
+        # refused at entry, before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved on a space over another domain")
+
+        for name in ("_constrained_kernel", "diagonal", "higher_kernel_direct"):
+            monkeypatch.setattr(green, name, no_solve)
+        space = _space(domain, 4, 8, 16)
+        model = GreenModel.balanced(Domain.disk())
+        with pytest.raises(ValueError, match="space is over"):
+            sweep(space, model, Functional.delta((0,)), 2.0, [-1.0, 0.0])
+        with pytest.raises(ValueError, match="space is over"):
+            limit_chain_check(space, model, HomogeneousPolynomial.constant(1.0), 2.0,
+                              [-1.0, 0.0])
 
 
 class TestLimitChain:
     def test_disk_plain(self):
         model = GreenModel.balanced(Domain.disk())
         H = HomogeneousPolynomial.constant(1.0)
-        res = limit_chain_check(model, H, 2.0, default_a_grid(-3, 0, 13))
+        res = limit_chain_check(_disk(), model, H, 2.0, default_a_grid(-3, 0, 13))
         assert res.passed
         assert res.lhs >= res.limit - 1e-6 * abs(res.limit)
         assert res.limit >= res.rhs - 1e-6 * abs(res.limit)
@@ -142,7 +171,7 @@ class TestLimitChain:
     def test_disk_first_order(self):
         model = GreenModel.balanced(Domain.disk())
         H = HomogeneousPolynomial.from_string("z: 1")
-        res = limit_chain_check(model, H, 1.5, default_a_grid(-3, 0, 13))
+        res = limit_chain_check(_disk(), model, H, 1.5, default_a_grid(-3, 0, 13))
         assert res.passed
         assert res.stabilization < 1e-4
 
@@ -152,7 +181,7 @@ class TestLimitChain:
         model = GreenModel.balanced(Domain.disk())
         H = HomogeneousPolynomial.from_string("z: 1")
         xi = Functional.from_string("1: 1; 0: 0.5")
-        res = limit_chain_check(model, H, 2.0,
+        res = limit_chain_check(_disk(), model, H, 2.0,
                                 list(np.linspace(-4.0, 0.0, 9)), xi=xi)
         assert res.passed
 
@@ -160,7 +189,7 @@ class TestLimitChain:
         model = GreenModel.balanced(Domain.disk())
         H = HomogeneousPolynomial.constant(1.0)
         with pytest.raises(ValueError):
-            limit_chain_check(model, H, 3.0, default_a_grid(-2, 0, 5))
+            limit_chain_check(_disk(), model, H, 3.0, default_a_grid(-2, 0, 5))
 
 
 def _per_row(model, target, p, grid, **kw):
@@ -176,7 +205,8 @@ def _per_row(model, target, p, grid, **kw):
 
 
 def _assert_matches_per_row(model, target, p, grid, **kw):
-    got = np.array([r.K for r in sweep(model, target, p, grid, **kw).rows])
+    got = np.array([r.K for r in sweep(_space(model.domain, **kw), model, target, p,
+                                       grid).rows])
     ref = _per_row(model, target, p, grid, **kw)
     if p < 1:
         # best-found minima of a nonconvex problem: the objective 1/K may
@@ -252,46 +282,47 @@ class TestSweepWork:
         monkeypatch.setattr(green, "_constrained_kernel", recording)
         return seen
 
-    @pytest.mark.parametrize("model, xi", [
-        (MOEBIUS, Functional.delta((1,))),
-        (GreenModel.balanced(Domain.bidisc()), Functional.delta((0, 0))),
+    @pytest.mark.parametrize("argv", [
+        ["--domain", "disk", "--xi", "1: 1", "--pole", "0.38+0.32j", "--degree", "12"],
+        ["--domain", "bidisc", "--xi", "0,0: 1", "--degree", "6",
+         "--radial-order", "8", "--angular-order", "16"],
     ], ids=["moebius", "bidisc"])
-    def test_one_space_per_sweep(self, builds, model, xi):
-        kw = {"degree": 12} if model.dimension == 1 else SMALL_2D
-        sweep(model, xi, 2.0, default_a_grid(-3, 0, 5), **kw)
+    def test_one_space_per_sweep(self, builds, capsys, argv):
+        # the command builds the space, and the sweep solves every row on it
+        assert main(["sweep", *argv, "--p", "2", "--a-grid=-3:0:5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
         assert len(builds) == 1
 
     def test_one_space_per_limit_chain(self, builds):
-        # the whole domain, the sweep and the indicatrix share the space
-        limit_chain_check(GreenModel.balanced(Domain.disk()),
-                          HomogeneousPolynomial.from_string("z: 1"), 1.5,
-                          default_a_grid(-3, 0, 4), degree=12)
-        assert len(builds) == 1
+        # the whole domain, the sweep and the indicatrix share the caller's
+        # space, and neither routine builds one of its own
+        space = _disk(12)
+        builds.clear()
+        model = GreenModel.balanced(Domain.disk())
+        sweep(space, model, Functional.delta((1,)), 1.5, default_a_grid(-3, 0, 4))
+        limit_chain_check(space, model, HomogeneousPolynomial.from_string("z: 1"), 1.5,
+                          default_a_grid(-3, 0, 4))
+        assert builds == []
 
     @pytest.mark.parametrize("p", [1.5, 1.0, 3.0])
     def test_rows_after_the_first_start_warm(self, handed, p):
-        sweep(MOEBIUS, MIXED, p, default_a_grid(-3, 0, 5), degree=12)
+        sweep(_disk(12), MOEBIUS, MIXED, p, default_a_grid(-3, 0, 5))
         assert len(handed) == 5
         assert handed[0] is None
         assert all(s is not None for s in handed[1:])
 
     def test_higher_target_starts_warm(self, starts):
-        sweep(GreenModel.balanced(Domain.disk()), HomogeneousPolynomial.from_string("z: 1"),
-              1.5, default_a_grid(-2, 0, 3), degree=12)
+        sweep(_disk(12), GreenModel.balanced(Domain.disk()),
+              HomogeneousPolynomial.from_string("z: 1"), 1.5, default_a_grid(-2, 0, 3))
         assert len(starts) == 3 and starts[0] is None
         assert all(s is not None for s in starts[1:])
 
     @pytest.mark.parametrize("p", [2.0, 0.8])
     def test_exact_and_multistart_rows_start_cold(self, starts, p):
-        sweep(MOEBIUS, Functional.delta((0,)), p, default_a_grid(-3, 0, 3), degree=8)
+        sweep(_disk(8), MOEBIUS, Functional.delta((0,)), p, default_a_grid(-3, 0, 3))
         assert all(s is None for s in starts)
         # the p = 2 rows are exact and never call the solver
         assert len(starts) == (0 if p == 2 else 3)
-
-
-@functools.cache
-def _unit_disk_space():
-    return PolySpace.build(Domain.disk(), degree=12)
 
 
 def _rescaled(xi, t):
@@ -321,7 +352,7 @@ class TestScalingLaw:
         z, c = r * np.exp(1j * theta), cr * np.exp(1j * ctheta)
         moved = PolySpace.build(Domain.disk(t, c), degree=12)
         lhs = diagonal(moved, MIXED, c + t * z, p).K
-        rhs = t ** -2 * diagonal(_unit_disk_space(), _rescaled(MIXED, t), z, p).K
+        rhs = t ** -2 * diagonal(_disk(12), _rescaled(MIXED, t), z, p).K
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     @pytest.mark.parametrize("p", [2.0, 1.5])

@@ -144,8 +144,7 @@ class TestDirect:
         model = GreenModel.balanced(Domain.disk())
         for route in (lambda: higher_kernel_direct(disk6, H, 0.2j, 0.8),
                       lambda: higher_kernel_via_inf(disk6, H, 0.2j, 0.8),
-                      lambda: sweep(model, H, 0.8, [-1.0, 0.0], degree=6,
-                                    radial_order=12, angular_order=24)):
+                      lambda: sweep(disk6, model, H, 0.8, [-1.0, 0.0])):
             with pytest.raises(ValueError, match=message):
                 route()
 

@@ -424,8 +424,9 @@ class TestSolverContract:
             return sol
 
         monkeypatch.setattr(lpsolve, "_descend", spy)
-        sweep(GreenModel.moebius_disk(0.5 * np.exp(1.234j)), Functional.delta((0,)), 0.8,
-              [-3 + 0.5 * i for i in range(7)], degree=24)
+        sweep(PolySpace.build(Domain.disk(), degree=24),
+              GreenModel.moebius_disk(0.5 * np.exp(1.234j)), Functional.delta((0,)), 0.8,
+              [-3 + 0.5 * i for i in range(7)])
         assert len(steps) == 7 * (lpsolve.RESTARTS + 1)
         assert sum(steps) <= 1200
 

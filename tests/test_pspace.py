@@ -378,6 +378,17 @@ class TestSpaceStructure:
         assert space.quadrature.node_count == 82_944  # (12 * 24)^2
         assert space.size == 66                       # total degree 10
 
+    @pytest.mark.parametrize("domain, orders", [
+        (Domain.disk(), (32, 64)),
+        (Domain.bidisc(), (12, 24)),
+        (Domain.ball(1.0, 2), (12, 24)),
+        (Domain.ball(1.0, 3), (6, 14)),
+        (Domain.polydisc((1.0, 1.0, 1.0)), (6, 14)),
+    ], ids=["disk", "bidisc", "ball:2", "ball:3", "polydisc:1,1,1"])
+    def test_default_space_builds(self, domain, orders):
+        quad = PolySpace.build(domain).quadrature
+        assert (quad.radial_order, quad.angles) == orders
+
     def test_oversized_cache_refused_before_allocation(self):
         # degree 100 has 5,151 monomials, so with the 144 rings of the
         # default bidisc rule the ring Gram's arrays over its 201 x 101

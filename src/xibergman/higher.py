@@ -45,14 +45,16 @@ from .kernels import (
     KernelEvaluation,
     _bracket,
     _constrained_kernel,
-    _minimizer_nodes,
     diagonal,  # noqa: F401
     kernel2_diagonal,  # noqa: F401
 )
 # diagonal, kernel2_diagonal and solve_affine_lp are not called here since
 # the solves moved to kernels; they stay importable because bench/spans.py
 # wraps these lookups
-from .lpsolve import solve_affine_lp  # noqa: F401
+from .lpsolve import (
+    _dual,
+    solve_affine_lp,  # noqa: F401
+)
 from .pspace import PolySpace, orthonormal_basis
 
 __all__ = [
@@ -344,12 +346,14 @@ def higher_kernel_via_inf(
     with K_xi = K_H attains the minimum.  The direct minimizer f_H names
     that member: its Euler-Lagrange condition says the pairing
     pi_alpha = sum_q w_q rho_q conj(f_H) (w - z)^alpha is lambda xi*_alpha
-    for one lambda and every index.  So lambda = pi_beta / xi_beta at the
-    top index beta of largest |xi_beta|, and xi*_alpha = pi_alpha / lambda
-    on the free indices, at every p >= 1.  Hoelder duality then certifies
-    the minimum with no second solve: f_H is feasible for xi*, so
-    K_H <= K_xi*, and the exact representer of xi* built from the same
-    adjoint of w rho f_H gives K_xi* <= K_upper (see
+    for one lambda and every index.  Tested on f_H itself, for which
+    (xi* . f_H)(z) = 1, it gives lambda = sum_q w_q rho_q |f_H|^2, the
+    bracket's own normalization, and xi*_alpha = pi_alpha / lambda on the
+    free indices, at every p >= 1.  Node values, weights and the adjoint
+    of w rho f_H come from one :func:`~xibergman.lpsolve._dual`.  Hoelder
+    duality then certifies the minimum with no second solve: f_H is
+    feasible for xi*, so K_H <= K_xi*, and the exact representer of xi*
+    built from the same adjoint gives K_xi* <= K_upper (see
     :func:`~xibergman.kernels.duality_bracket`).  K and m are the direct
     solve's; the result carries its flags and ``inf-not-attained`` when
     the bracket's gap K_upper / K_H - 1 exceeds ATTAIN_TOL.  A K_upper
@@ -360,19 +364,16 @@ def higher_kernel_via_inf(
     """
     ev = higher_kernel_direct(space, H, z, p)
     family = FunctionalFamily(H)
-    g, rho = _minimizer_nodes(space, ev)
-    centred = space.ring.adjoint(space.quadrature.weights * rho * g)
+    dual = _dual(space.ring, ev.coeffs, ev.p)
+    g, rho, centred = dual
     pairing = _pairing_vector(space, ev.z, centred)
-    top = ev.xi
-    pos = space.index_position()
-    beta = max((idx for idx in top.terms if idx in pos), key=lambda idx: abs(top[idx]))
-    lam = pairing[pos[beta]] / top[beta]
+    lam = float(np.sum(space.ring.weights * rho * (g.real**2 + g.imag**2)))
     # the free indices are the leading block of the graded basis
     vec = tuple(pairing[:len(family.free_indices)] / lam)
     xi_star = family.member(vec)
     # the residual of the representer is taken from the adjoint itself,
     # so a wrong xi* widens the gap
-    bracket = _bracket(space, xi_star, ev, g, rho, centred)
+    bracket = _bracket(space, xi_star, ev, dual)
 
     if bracket.K_upper < ev.K * (1 - ASSERT_TOL):
         raise KernelError(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import boundary_distance, contains
-from .lpsolve import _hoelder_upper, _minimal_norm, _objective, _smoothed, solve_affine_lp
+from .lpsolve import _dual, _hoelder_upper, _minimal_norm, _objective, solve_affine_lp
 from .pspace import PolySpace, orthonormal_basis, sup_bound_constant
 
 __all__ = [
@@ -285,8 +285,6 @@ def kernelp_diagonal(
     too, as the reference the closed form of :func:`kernel2_diagonal` is
     checked against.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
     return _constrained_kernel(space, xi, z, p, seed=seed, descend=True)
 
 
@@ -321,23 +319,13 @@ def extremal_pairing(
     functional at the pole, and reproduces (xi . f) after scaling by K.
     The weights |m_q|^(p-2) are the solver's smoothed ones at every p, so
     nodes where the minimizer nearly vanishes are regularized as in the
-    solve.
+    solve.  The sum is the minimizer's dual density (see
+    :func:`~xibergman.lpsolve._dual`) paired with f's centred
+    coefficients, coeffs(f) . conj(adjoint), so f is never evaluated at
+    the nodes.
     """
-    fvals = space.values(space.coeff_vector(f))
-    g, rho = _minimizer_nodes(space, evaluation)
-    return complex(np.sum(np.conj(space.quadrature.weights * rho * g) * fvals))
-
-
-def _minimizer_nodes(space: PolySpace,
-                     evaluation: KernelEvaluation) -> tuple[np.ndarray, np.ndarray]:
-    """Node values m_q of the minimizer and the solver's smoothed weights rho_q there.
-
-    w_q rho_q m_q is the density whose conjugate pairs in
-    :func:`extremal_pairing`.
-    """
-    g = space.values(evaluation.coeffs)
-    _, rho, _, _ = _smoothed(g.real**2 + g.imag**2, evaluation.p)
-    return g, rho
+    _, _, adjoint = _dual(space.ring, evaluation.coeffs, evaluation.p)
+    return complex(space.coeff_vector(f) @ np.conj(adjoint))
 
 
 def duality_bracket(
@@ -364,36 +352,35 @@ def duality_bracket(
     """
     if evaluation.p < 1:
         raise ValueError("the duality bracket requires p >= 1")
-    g, rho = _minimizer_nodes(space, evaluation)
-    centred = space.ring.adjoint(space.quadrature.weights * rho * g)
-    return _bracket(space, xi, evaluation, g, rho, centred)
+    return _bracket(space, xi, evaluation, _dual(space.ring, evaluation.coeffs, evaluation.p))
 
 
 def _bracket(space: PolySpace, xi: Functional, evaluation: KernelEvaluation,
-             g: np.ndarray, rho: np.ndarray, centred: np.ndarray) -> DualityBracket:
-    """:func:`duality_bracket` from the minimizer's node values ``g``, its
-    weights ``rho`` and ``centred``, the adjoint of w rho g."""
+             dual: tuple[np.ndarray, np.ndarray, np.ndarray]) -> DualityBracket:
+    """:func:`duality_bracket` from ``dual``, the (g, rho, adjoint) of
+    :func:`~xibergman.lpsolve._dual` at the evaluation's minimizer; ``xi``
+    need not be the evaluation's functional, only one the minimizer is
+    feasible for."""
     ob = orthonormal_basis(space, evaluation.z)
     c = ob.transform.T @ space.constraint_row(xi, ob.point)
-    upper = _hoelder_upper(space.ring, ob.coeffs, c, evaluation.p, g, rho, centred)
+    upper = _hoelder_upper(space.ring, ob.coeffs, c, evaluation.p, *dual)
     return DualityBracket(K_lower=evaluation.K, K_upper=upper,
                           gap=upper / evaluation.K - 1.0)
 
 
 def reproducing_residual(
     space: PolySpace,
-    xi: Functional,
-    w,
-    p: float,
     f: PolyCoeffs,
-    evaluation: KernelEvaluation | None = None,
+    evaluation: KernelEvaluation,
 ) -> float:
-    """Relative defect of  (xi . f)(w) = K(w) * <f, m(., w)>_p  at the nodes."""
-    if p < 1:
+    """Relative defect of  (xi . f)(w) = K(w) * <f, m(., w)>_p  at the nodes.
+
+    xi, w, p, K and the minimizer m are the evaluation's.
+    """
+    if evaluation.p < 1:
         raise ValueError("reproducing identity requires p >= 1")
-    ev = evaluation if evaluation is not None else diagonal(space, xi, w, p)
-    lhs = functional_apply(xi, f, ev.z)
-    rhs = ev.K * extremal_pairing(space, f, ev)
+    lhs = functional_apply(evaluation.xi, f, evaluation.z)
+    rhs = evaluation.K * extremal_pairing(space, f, evaluation)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 

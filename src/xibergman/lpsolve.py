@@ -164,8 +164,8 @@ def solve_affine_lp(
     op : the space's :class:`~xibergman.pspace.RingOperator` (node weights,
         node values, weighted Gram and adjoint).
     basis : (Nc, m) centred coefficients of m weighted-orthonormal functions.
-    row : (m,) constraint row, not zero.
-    p : exponent, p > 0.
+    row : (m,) constraint row, finite and not zero.
+    p : exponent, 0 < p < inf.
     start : optional feasible u, the initial point in place of the
         minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer.
         A start far from the minimizer can cost many more steps and, at
@@ -173,11 +173,14 @@ def solve_affine_lp(
         caller's decision.
     seed : seed of the random restarts, drawn only for p < 1.
 
-    The returned coefficients are u, in the given basis.
+    The returned coefficients are u, in the given basis.  Raises
+    ValueError on any other p or row.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     row = np.asarray(row, dtype=complex)
+    if not (np.all(np.isfinite(row)) and np.any(row)):
+        raise ValueError("constraint row must be finite and nonzero")
     if basis.shape[1] != row.shape[0]:
         raise ValueError("constraint row and basis sizes differ")
     u0 = _minimal_norm(row)
@@ -195,7 +198,7 @@ def solve_affine_lp(
         return LpSolution(
             coeffs=u0, objective=_objective(op, x0, p), iterations=0, grad_residual=0.0,
             final_rel_step=0.0, method="determined",
-            K_upper=_hoelder_upper_at(op, basis, row, p, x0) if p > 1 else None,
+            K_upper=_hoelder_upper(op, basis, row, p, *_dual(op, x0, p)) if p > 1 else None,
         )
     M = basis @ Z
 
@@ -272,9 +275,9 @@ def _hoelder_upper(op, basis, row, p, g, rho, adjoint):
     |g_q|^2 of a feasible iterate with node values g and smoothed weights
     rho, plus the L^2 representer sum_a r_a conj(sigma_a) of its pairing
     residual r on the weighted-orthonormal columns sigma of ``basis``,
-    which makes it exact.  ``adjoint`` is op.adjoint(w rho g), whose
-    conjugate pairs against the centred basis, so the bound costs one
-    correction node evaluation.  1 / sum_q w_q |g_q|^p is the lower end.
+    which makes it exact.  ``g``, ``rho`` and ``adjoint`` are those of
+    :func:`_dual`; the conjugate adjoint pairs against the centred basis,
+    so the bound costs one correction node evaluation.  1 / sum_q w_q |g_q|^p is the lower end.
     """
     w = op.weights
     norm = float(np.sum(w * rho * (g.real**2 + g.imag**2)))
@@ -295,11 +298,19 @@ def _hoelder_upper(op, basis, row, p, g, rho, adjoint):
     return (top * float(w @ h ** q) ** (1.0 / q)) ** p
 
 
-def _hoelder_upper_at(op, basis, row, p, x):
-    """:func:`_hoelder_upper` at the function with centred coefficients x."""
+def _dual(op, x, p):
+    """(g, rho, adjoint) of the function with centred coefficients x at exponent p.
+
+    g are its node values, rho the descent's smoothed weights there and
+    adjoint = op.adjoint(w rho g).  w rho conj(g) is the dual density of a
+    minimizer; it pairs with a function h through the conjugate adjoint,
+    sum_q w_q rho_q conj(g_q) h(x_q) = coeffs(h) . conj(adjoint).  Outside
+    the descent loop the Hoelder bracket, the extremal pairing and the
+    infimum route's minimizing functional all read it from here.
+    """
     g = op.values(x)
     _, rho, _, _ = _smoothed(g.real**2 + g.imag**2, p)
-    return _hoelder_upper(op, basis, row, p, g, rho, op.adjoint(op.weights * rho * g))
+    return g, rho, op.adjoint(op.weights * rho * g)
 
 
 def _descend(op, basis, row, M, x0, p, t0):

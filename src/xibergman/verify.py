@@ -481,11 +481,9 @@ def _chk_reproducing(ctx):
             ev = diagonal(space, xi, w, p)
             for _ in range(5):
                 f = _random_element(rng, space)
-                worst_res = max(worst_res,
-                                reproducing_residual(space, xi, w, p, f, ev))
+                worst_res = max(worst_res, reproducing_residual(space, f, ev))
             # self-consistency: plugging in the minimizer recovers 1
-            worst_res = max(worst_res, reproducing_residual(
-                space, xi, w, p, ev.minimizer, ev))
+            worst_res = max(worst_res, reproducing_residual(space, ev.minimizer, ev))
             # pairings against functions the functional kills at the pole
             alpha0 = min(xi.support())
             origin = (0j,) * space.dimension

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xibergman import higher, kernels, lpsolve
 from xibergman import (
     AlgebraError,
     Domain,
@@ -311,7 +312,6 @@ class TestViaInf:
     def test_perturbed_member_is_flagged(self, disk16, monkeypatch):
         # a member off the minimizing one has K above K_H, which the upper
         # end of the duality bracket at it exposes
-        from xibergman import higher
         original = higher._pairing_vector
 
         def perturbed(*args, **kwargs):
@@ -331,7 +331,6 @@ class TestViaInf:
         # the direct solve is the only one: the duality bracket at xi*
         # certifies the minimum from its minimizer, and the plain solve at
         # xi* from scratch is left to test_member_attains_from_scratch
-        from xibergman import higher
         calls = []
         original = higher._constrained_kernel
 
@@ -360,6 +359,40 @@ class TestViaInf:
             assert plain.K == pytest.approx(direct.K, rel=tol), (z, p)
             if p > 1:
                 assert res.K_upper == pytest.approx(direct.K, rel=1e-10), (z, p)
+
+    def test_multiplier_matches_the_top_index_rule(self, disk16):
+        # lambda = sum_q w_q rho_q |f_H|^2 against the rule it replaced,
+        # lambda = pi_beta / xi_beta at the top index beta of largest
+        # |xi_beta|, with its bracket and flags formed here as the route
+        # formed them
+        bidisc = PolySpace.build(Domain.bidisc(), degree=8)
+        cases = [(disk16, f"z^{k}: 1", r * np.exp(1.1j))
+                 for k in (1, 2, 3) for r in (0.0, 0.3, 0.58)]
+        cases += [(bidisc, "z1 z2: 1, z1^2: 0.5", z)
+                  for z in ((0j, 0j), (0.3 * np.exp(0.7j), 0.2 * np.exp(-1.1j)))]
+        for space, text, z in cases:
+            H = HomogeneousPolynomial.from_string(text, dimension=space.dimension)
+            family = FunctionalFamily(H)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                ev = higher_kernel_direct(space, H, z, p)
+                dual = lpsolve._dual(space.ring, ev.coeffs, p)
+                pairing = higher._pairing_vector(space, ev.z, dual[2])
+                pos = space.index_position()
+                beta = max((idx for idx in ev.xi.terms if idx in pos),
+                           key=lambda idx: abs(ev.xi[idx]))
+                free = pairing[:len(family.free_indices)] / (pairing[pos[beta]] / ev.xi[beta])
+                bracket = kernels._bracket(space, family.member(free), ev, dual)
+                flags = ev.flags + (("inf-not-attained",) if bracket.gap > higher.ATTAIN_TOL
+                                    else ())
+
+                res = higher_kernel_via_inf(space, H, z, p)
+                case = (text, z, p)
+                scale = max(np.abs(free), default=0.0)
+                assert np.max(np.abs(np.array(res.free_part) - free)) <= 1e-10 * scale, case
+                assert res.K == ev.K, case
+                if p > 1:
+                    assert abs(res.duality_gap - bracket.gap) <= 1e-15, case
+                assert res.flags == flags, case
 
     def test_degree_zero_shortcut(self, disk16):
         H = HomogeneousPolynomial.constant(1.0)

@@ -171,7 +171,7 @@ class TestMinimizer:
             ev = diagonal(disk16, xi, w, p)
             vec = rng.standard_normal(disk16.size) * 0.3
             f = disk16.element(vec + 0j)
-            assert reproducing_residual(disk16, xi, w, p, f, ev) < 1e-6
+            assert reproducing_residual(disk16, f, ev) < 1e-6
 
     def test_extremal_pairing_orthogonality(self, disk16):
         # pairing must vanish against competitors annihilated at the pole
@@ -182,6 +182,25 @@ class TestMinimizer:
             g = PolyCoeffs.monomial(MultiIndex((1,)), w)  # (z - w), so g(w) = 0
             val = extremal_pairing(disk16, g, ev)
             assert abs(val) < 1e-7
+
+    def test_extremal_pairing_is_the_node_sum(self, disk16):
+        # the pairing through the adjoint of the dual density against the
+        # node sum sum_q conj(w_q rho_q g_q) f(x_q) it replaces
+        rng = np.random.default_rng(5)
+        annulus = PolySpace.build(Domain.annulus(0.5, 1.0), degree=10)
+        cases = [(disk16, 0.3 - 0.2j, Functional.from_string("0: 1; 1: 0.5")),
+                 (annulus, 0.75 * np.exp(0.4j), Functional.from_string("0: 1; 1: -0.5j"))]
+        for space, z, xi in cases:
+            for p in (1.0, 1.5, 2.0, 3.0):
+                ev = diagonal(space, xi, z, p)
+                g = space.values(ev.coeffs)
+                _, rho, _, _ = lpsolve._smoothed(g.real**2 + g.imag**2, p)
+                f = space.element(rng.standard_normal(space.size)
+                                  + 1j * rng.standard_normal(space.size))
+                fvals = space.values(space.coeff_vector(f))
+                expected = np.sum(np.conj(space.quadrature.weights * rho * g) * fvals)
+                got = extremal_pairing(space, f, ev)
+                assert abs(got - expected) <= 1e-12 * abs(expected), (space.laurent, p)
 
     def test_uniqueness_across_starts(self, disk16):
         xi = Functional.from_string("0: 1; 1: 1")
@@ -312,6 +331,22 @@ class TestBatchAndFlags:
     def test_outside_point_rejected(self, disk16):
         with pytest.raises(ValueError):
             diagonal(disk16, Functional.delta((0,)), 1.5 + 0j, 2.0)
+
+    def test_bad_solver_input_rejected(self, disk16):
+        # the solver owns the checks on p and the row: before them, p = nan
+        # and a zero row returned nan values flagged only line-search-stall,
+        # and p = inf raised ZeroDivisionError
+        ob = orthonormal_basis(disk16, 0.2j)
+        row = ob.transform.T @ disk16.constraint_row(Functional.delta((1,)), (0.2j,))
+        xi = Functional.delta((0,))
+        for p in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                solve_affine_lp(disk16.ring, ob.coeffs, row, p)
+            with pytest.raises(ValueError):
+                kernelp_diagonal(disk16, xi, 0.2j, p)
+        for bad in (np.zeros_like(row), np.full_like(row, np.nan)):
+            with pytest.raises(ValueError):
+                solve_affine_lp(disk16.ring, ob.coeffs, bad, 1.5)
 
 
 class TestMemory:

@@ -321,7 +321,9 @@ def limit_chain_check(
     height, so the grid should reach a <= -3.  The indicatrix of a
     balanced model is the domain itself (see :func:`azukawa_indicatrix`),
     so ``space``, which must be over ``model.domain``, carries the whole-domain
-    kernel, the sweep and the indicatrix kernel.
+    kernel, the sweep and the indicatrix kernel.  A grid that ends at
+    a = 0 has the whole domain as its last row, and that row's K is the
+    whole-domain kernel; only a grid that stops short of 0 solves it apart.
     """
     _check_space(space, model)
     if model.kind != "balanced":
@@ -341,7 +343,8 @@ def limit_chain_check(
     else:
         stabilization = 0.0
 
-    lhs = diagonal(space, xi, model.pole, p).K
+    # at a = 0 the sublevel set is the whole domain, whose row is the lhs
+    lhs = table.rows[-1].K if table.rows[-1].a == 0 else diagonal(space, xi, model.pole, p).K
     rhs = higher_kernel_direct(space, H, model.pole, p).K
 
     slack = LIMIT_CHAIN_TOL * max(abs(lhs), abs(limit), abs(rhs))

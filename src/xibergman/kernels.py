@@ -187,10 +187,11 @@ def _constrained_kernel(
     ``seed``.  The minimizer's solve-basis coefficients are T u, and its
     centred ones U u are returned as ``coeffs``.  A ``start`` is such a
     centred vector from an earlier solve on the space, at any point and
-    for any functional; this function alone decides whether the descent
-    starts there (see :func:`_warm_start`).  The closed form and the
-    p < 1 multistart ignore it, so their values never depend on call
-    history.  Below p = 1 the diagnostics carry ``start_spread``,
+    for any functional.  For p >= 1 this function alone decides whether
+    the descent starts there, at u0 raised to the power 2/p (without
+    vanishing jets), or at u0 (see :func:`_warm_start`).  The closed form
+    and the p < 1 multistart read no start, so their values never depend
+    on call history.  Below p = 1 the diagnostics carry ``start_spread``,
     (max - min) / min of the seeded starts' final objectives; above p = 1
     the descent's ``K_upper`` and ``duality_gap`` = K_upper / K - 1, the
     Hoelder bracket of the constrained discrete problem (see
@@ -210,7 +211,7 @@ def _constrained_kernel(
         diagnostics = {"method": "exact-2", "iterations": 0,
                        "final_rel_step": 0.0, "flags": ()}
     else:
-        sol = solve_affine_lp(space.ring, U, c, p, start=_warm_start(space, U, c, p, start),
+        sol = solve_affine_lp(space.ring, U, c, p, start=_warm_start(space, U, c, p, low, start),
                               seed=seed)
         K = 1.0 / sol.objective
         m = sol.objective ** (1.0 / p)
@@ -234,26 +235,58 @@ def _constrained_kernel(
         degree=space.degree, coeffs=U @ u, diagnostics=diagnostics)
 
 
-def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float,
+def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float, low: int,
                 start: np.ndarray | None) -> np.ndarray | None:
-    """The feasible start the descent takes from a centred ``start``, or None for u0.
+    """The feasible start the descent takes, or None for u0, the p = 2 minimizer.
 
     Below p = 1 there is none: the multistart stays seeded from u0.  Else
-    the start's projection u = U^H G start onto the block (G the base Gram,
-    in which U is orthonormal) is rescaled to u / (c . u), which is
-    feasible; there is none when c . u is tiny against |c| |u|, or when
-    sum_q w_q |f(x_q)|^p is larger there than at u0: a start from far away
-    can cost many more steps than u0 does.
+    there are up to two centred candidates: the caller's ``start``, and
+    without vanishing jets (``low`` = 0) the power start of
+    :func:`_power_start`.  A candidate's projection u = U^H G x onto the
+    block (G the base Gram, in which U is orthonormal) is rescaled to
+    u / (c . u), which is feasible.  It is dropped when c . u is tiny
+    against |c| |u|, or when sum_q w_q |f(x_q)|^p is larger there than at
+    u0: a start from far away can cost many more steps than u0 does.  The
+    candidate with the lowest such sum is the start.
     """
-    if start is None or p < 1:
+    if not 1 <= p < np.inf:
+        # below p = 1, or an exponent the solver rejects
         return None
-    u = U.conj().T @ (space.ring.base_gram @ start)
-    scale = c @ u
-    if abs(scale) <= 1e-6 * np.linalg.norm(c) * np.linalg.norm(u):
+    f2 = U @ _minimal_norm(c)
+    power = _power_start(space, f2, p) if low == 0 else None
+    candidates = [x for x in (start, power) if x is not None]
+    if not candidates:
         return None
-    u = u / scale
-    u0 = _minimal_norm(c)
-    return u if _objective(space.ring, U @ u, p) <= _objective(space.ring, U @ u0, p) else None
+    best, lowest = None, _objective(space.ring, f2, p)
+    for x in candidates:
+        u = U.conj().T @ (space.ring.base_gram @ x)
+        scale = c @ u
+        if abs(scale) <= 1e-6 * np.linalg.norm(c) * np.linalg.norm(u):
+            continue
+        u = u / scale
+        objective = _objective(space.ring, U @ u, p)
+        if objective <= lowest:
+            best, lowest = u, objective
+    return best
+
+
+def _power_start(space: PolySpace, f2: np.ndarray, p: float) -> np.ndarray | None:
+    """Centred coefficients of the p = 2 minimizer raised to 2/p, or None.
+
+    ``f2`` holds the p = 2 minimizer's centred coefficients.  On the disk,
+    the ball and the polydisc (and on the Moebius sublevel disks of a
+    sweep) the delta_0 extremal at p is that of p = 2 raised to 2/p, up to
+    a constant, by the transformation rule of the p-Bergman kernel (Chen &
+    Zhang, Adv. Math. 405, 2022); the truncated Taylor series at the
+    center of (f2 / f2(center))^(2/p) is formed from the coefficients
+    alone (:meth:`~xibergman.pspace.PolySpace.normalized_power`).  There
+    is none on a Laurent basis, at p = 2, where it is u0 itself, or when
+    f2(center) is below 1e-12 of f2's largest coefficient (delta_1 at an
+    interior point of the disk, say), where the power has no series.
+    """
+    if space.laurent or p == 2 or abs(f2[0]) < 1e-12 * np.abs(f2).max():
+        return None
+    return space.normalized_power(f2, 2.0 / p)
 
 
 def kernel2_diagonal(

@@ -25,10 +25,10 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               G(omega) the weighted Gram sum_q omega_q conj(phi_a) phi_b
               and P(nu) its unconjugated twin sum_q nu_q phi_a phi_b.  The
               step d solves A d + conj(C d) = -b, as a real 2(m - 1)
-              system that a Cholesky factorization first tests for
-              definiteness, and is backtracked by Armijo on the
-              smoothed objective F it models, at the current iterate's
-              eps.  The Hessian is positive definite: at each node the
+              system with no definiteness test, and is backtracked by
+              Armijo on the smoothed objective F it models, at the
+              current iterate's eps.  The Hessian is positive definite
+              by construction: at each node the
               curvature of s^(p/2) is p rho across f and
               p rho ((p - 1) |f|^2 + eps^2) / s along it, so the Hessian
               dominates (p/2) M^H G(w rho min(1, ((p - 1) |f|^2 + eps^2)
@@ -36,13 +36,15 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               positive definite because eps > 0.  At p = 2, where C
               vanishes and A is (p/2) M^H G(w rho) M, and at an already
               stationary iterate, where the step is rounding, the step
-              solves with that reweighted Gram alone.
+              solves with that reweighted Gram alone, positive definite
+              for the positive weights w rho.
     p < 1     Newton where it is taken whole, else majorize-minimize.
               The Newton matrix is definite only near a strict local
               minimizer (the curvature along f, p rho ((p - 1) |f|^2 +
               eps^2) / s, is negative where |f| >> eps), so each step
               first tries the full Newton step and takes it when its step
-              matrix factors, it is a descent direction and it passes
+              matrix has a Cholesky factor, which is the definiteness
+              test, it is a descent direction and it passes
               Armijo on F at once (Nocedal & Wright, Numerical
               Optimization, 2nd ed., 3.4) and shrinks no node's
               s = |f|^2 + eps^2 by more than SHRINK_LIMIT (1e-2).  The
@@ -64,8 +66,8 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               the unsmoothed objective a little; each descent returns the
               lowest iterate it visited.
 
-    stall     every step that is taken passes one slope test: a step
-              matrix with no Cholesky factor, a step with slope
+    stall     every step that is taken passes one slope test: a
+              singular step matrix, a step with slope
               2 Re(b^H d) >= 0 or, for p >= 1, one that no halving makes a
               descent of F stops the descent, flagged line-search-stall.
               Below p = 1 this applies to the majorize-minimize step; a
@@ -426,9 +428,9 @@ def _descend(op, basis, row, M, x0, p, t0):
                                  with_pair=p >= 1 and newton)
             slope = np.nan if delta is None else p * float(np.vdot(pairing, delta).real)
             # both step matrices are positive definite (eps > 0), so only a
-            # broken operator fails to factor them or to give a descent
-            # direction; an exactly stationary iterate (zero pairing) takes
-            # its zero step
+            # broken operator makes them singular or fails to give a
+            # descent direction; an exactly stationary iterate (zero
+            # pairing) takes its zero step
             if not (slope < 0.0 or slope == 0.0 and grad_res == 0.0):
                 return result(it - 1, "line-search-stall")
             if p < 1:
@@ -469,7 +471,7 @@ def _descend(op, basis, row, M, x0, p, t0):
 
 
 def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
-    """Newton step d of the smoothed objective, or None when its step matrix does not factor.
+    """Newton step d of the smoothed objective, or None when its step matrix is refused.
 
     Scaled by 2/p, the Newton system A d + conj(C d) = -pairing has
     A = M^H G(wr + bw |g|^2) M and C = M^T P(bw conj(g)^2) M for
@@ -479,21 +481,23 @@ def _newton_step(op, M, wr, g, a2, inv_s, pairing, p, with_pair):
     (at p = 1, M^H G(wr eps^2 / s) M).  At p = 2, where C vanishes
     and A is the reweighted Gram M^H G(wr) M, and unless ``with_pair``,
     the step solves with that Gram alone.  Without the pair it is the
-    majorize-minimize step of reweighted least squares.  Below p = 1 the
-    Newton matrix is definite only near a strict local minimizer, so there
-    None is an expected outcome, and the descent then falls back to the
-    Gram alone; at every p the descent drops the pair at an already
-    stationary iterate, where the step is rounding and the pair product
-    would only cost time.
+    majorize-minimize step of reweighted least squares.  Those matrices
+    are positive definite by construction and solve with no test; only a
+    singular one is refused.  Below p = 1 the Newton matrix is definite
+    only near a strict local minimizer, so there its Cholesky
+    factorization tests it first, a refusal is an expected outcome, and the
+    descent then falls back to the Gram alone; at every p the descent
+    drops the pair at an already stationary iterate, where the step is
+    rounding and the pair product would only cost time.
     """
     try:
         if p == 2 or not with_pair:
-            return _cholesky_solve(M.conj().T @ (op.gram(wr) @ M), -pairing)
+            return np.linalg.solve(M.conj().T @ (op.gram(wr) @ M), -pairing)
         bw = (0.5 * p - 1.0) * wr * inv_s
         A = M.conj().T @ (op.gram(wr + bw * a2) @ M)
         C = M.T @ (op.pair(bw * np.conj(g) ** 2) @ M)
-        d = _cholesky_solve(_real_system(A, C),
-                            -np.concatenate([pairing.real, pairing.imag]))
+        solve = _cholesky_solve if p < 1 else np.linalg.solve
+        d = solve(_real_system(A, C), -np.concatenate([pairing.real, pairing.imag]))
     except np.linalg.LinAlgError:
         return None
     n = len(pairing)
@@ -518,9 +522,9 @@ def _real_system(A, C):
 def _cholesky_solve(A, rhs):
     """A^-1 rhs for a Hermitian positive definite A; LinAlgError when it is not one.
 
-    The Cholesky factorization is the definiteness test; the solve itself
-    is numpy's LU, which on these small systems keeps the descent on numpy
-    alone.
+    The Cholesky factorization is the definiteness test of the p < 1
+    Newton trial; the solve itself is numpy's LU, which on these small
+    systems keeps the descent on numpy alone.
     """
     np.linalg.cholesky(A)
     return np.linalg.solve(A, rhs)

@@ -249,6 +249,50 @@ class PolySpace:
             tables.append((binom, np.maximum(gap, 0)))
         return tables
 
+    def normalized_power(self, coeffs: np.ndarray, e: float) -> np.ndarray:
+        """Centred Taylor coefficients of (f / f(center))^e on the index set.
+
+        f has the centred coefficients ``coeffs`` and f(center) = coeffs[0]
+        must not vanish.  The index set is closed under lowering an
+        exponent, so the series h = (f / f(center))^e has its coefficients
+        there determined by f's there; with a = f / f(center), h_0 = 1 and
+        the Euler identity f t d/dt h(t w) = e h t d/dt f(t w) gives, degree
+        by degree (J. C. P. Miller's recurrence), for |gamma| = k >= 1
+
+            h_gamma = sum_{0 < alpha <= gamma} ((e + 1) |alpha| / k - 1) a_alpha h_(gamma - alpha).
+
+        No node is read.  Laurent bases have no Taylor series at the center.
+        """
+        if self.laurent:
+            raise AlgebraError("Laurent bases have no Taylor series at the center")
+        a = np.asarray(coeffs, dtype=complex) / coeffs[0]
+        h = np.zeros(self.size, dtype=complex)
+        h[0] = 1.0
+        for k, gamma, alpha, beta, size in self._series_pairs:
+            np.add.at(h, gamma, ((e + 1.0) / k * size - 1.0) * a[alpha] * h[beta])
+        return h
+
+    @cached_property
+    def _series_pairs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per total degree k >= 1: the positions gamma, alpha, beta of the
+        pairs alpha + beta = gamma in the index set with |gamma| = k and
+        alpha != 0, and |alpha|.  The zero index leads the graded order."""
+        E = self.exponents
+        extent = 2 * E.max(axis=0) + 1
+        code = np.ravel_multi_index(E.T, extent)
+        lookup = np.full(math.prod(extent), -1)
+        lookup[code] = np.arange(self.size)
+        # the box holds every sum of two exponents, so their codes add
+        gamma = lookup[code[:, None] + code[None, :]]
+        degree = E.sum(axis=1)
+        alpha, beta = np.nonzero((gamma >= 0) & (degree[:, None] > 0))
+        gamma = gamma[alpha, beta]
+        pairs = []
+        for k in range(1, int(degree.max(initial=0)) + 1):
+            at = degree[gamma] == k
+            pairs.append((k, gamma[at], alpha[at], beta[at], degree[alpha[at]].astype(float)))
+        return pairs
+
     def jet_map(self, z) -> np.ndarray:
         """Jets at z of the centred basis in the solve basis: J(z), or the
         identity for Laurent bases, which solve in their own basis."""

@@ -185,6 +185,29 @@ class TestLimitChain:
                                 list(np.linspace(-4.0, 0.0, 9)), xi=xi)
         assert res.passed
 
+    def test_whole_domain_row_is_the_lhs(self, monkeypatch):
+        # a grid that ends at a = 0 ends on the whole domain: the chain reads
+        # its lhs off that row and solves no diagonal of its own, which a
+        # grid short of 0 still does
+        solved = []
+
+        def recording(*args, **kwargs):
+            solved.append(args)
+            return diagonal(*args, **kwargs)
+
+        monkeypatch.setattr(green, "diagonal", recording)
+        model = GreenModel.balanced(Domain.disk())
+        H = HomogeneousPolynomial.from_string("z: 1")
+        xi = Functional.from_string("1: 1; 0: 0.5")
+        for p in (2.0, 1.5):
+            res = limit_chain_check(_disk(), model, H, p, default_a_grid(-3, 0, 7), xi=xi)
+            assert res.lhs == res.table.rows[-1].K
+            assert res.lhs == pytest.approx(diagonal(_disk(), xi, 0j, p).K, rel=1e-12)
+        assert solved == []
+        res = limit_chain_check(_disk(), model, H, 1.5, [-3.0, -2.0, -1.0], xi=xi)
+        assert len(solved) == 1
+        assert res.lhs == diagonal(_disk(), xi, 0j, 1.5).K
+
     def test_p_above_two_rejected(self):
         model = GreenModel.balanced(Domain.disk())
         H = HomogeneousPolynomial.constant(1.0)

@@ -408,22 +408,47 @@ class TestSolverContract:
                     assert not diagonal(disk16, Functional.delta((k,)), z, p).flags
 
     def test_line_search_stall_reports_accepted_steps(self, monkeypatch):
-        # a Gram scaled by 1j leaves the step matrix without a Cholesky
-        # factor, hence without a descent direction, so the loop stops
-        # before its first accepted step: the Newton step at p = 3 and the
-        # reweighted least-squares step of every p < 1 start alike
+        # a negated Gram makes the step an ascent direction, so the loop
+        # stops before its first accepted step: the Newton step at p = 3
+        # and the reweighted least-squares step of every p < 1 start alike
         space = PolySpace.build(Domain.disk(), degree=8, radial_order=12,
                                 angular_order=24)
         ring = space.ring
-        ring.factor  # cache the factor, which the orthonormal basis reads, unscaled
+        ring.factor  # cache the factor, which the orthonormal basis reads, unnegated
         gram = ring.gram
-        monkeypatch.setattr(ring, "gram", lambda omega: 1j * gram(omega))
+        monkeypatch.setattr(ring, "gram", lambda omega: -gram(omega))
         xi = Functional.from_string("0: 1; 1: 0.5", 1)
         for p, flags in ((3.0, ("line-search-stall",)),
                          (0.8, ("nonconvex-best-found", "line-search-stall"))):
             ev = kernelp_diagonal(space, xi, 0.3 + 0.1j, p)
             assert ev.diagnostics["iterations"] == 0, p
             assert ev.flags == flags, p
+
+    @pytest.mark.parametrize("broken", ["indefinite", "scaled-by-1j"])
+    def test_broken_gram_ends_flagged(self, monkeypatch, broken):
+        # the p >= 1 step matrices solve with no definiteness test, as they
+        # are positive definite by construction; with a Gram that is not,
+        # the slope test still stops every descent, flagged
+        space = PolySpace.build(Domain.disk(), degree=8, radial_order=12,
+                                angular_order=24)
+        ring = space.ring
+        ring.factor
+        gram = ring.gram
+
+        def bad(omega):
+            G = gram(omega)
+            if broken == "scaled-by-1j":
+                return 1j * G
+            # every other eigenvalue negated
+            values, vectors = np.linalg.eigh(G)
+            signs = np.where(np.arange(len(values)) % 2, 1.0, -1.0)
+            return (vectors * (signs * values)) @ vectors.conj().T
+
+        monkeypatch.setattr(ring, "gram", bad)
+        xi = Functional.from_string("0: 1; 1: 0.5", 1)
+        for p in (1.0, 1.5, 3.0):
+            ev = kernelp_diagonal(space, xi, 0.3 + 0.1j, p)
+            assert ev.flags == ("line-search-stall",), p
 
     def test_p_below_one_beats_the_stationary_start(self, disk16):
         # at the centre the start z^k of delta_k is stationary but not
@@ -576,11 +601,13 @@ class TestSolverContract:
                   (bidisc, mixed, (0.35 * np.exp(0.7j), 0.35 * np.exp(-1.9j)))]
         return cases
 
-    def test_newton_grid_converges(self):
-        # Newton steps for p >= 1: no flag and no solve at the cap on the
-        # disk up to |z| = 0.9 and on the bidisc, few steps at p = 1.5 and
-        # 1; every p > 1 value carries its Hoelder bracket, and a fresh
+    def test_newton_grid_converges(self, monkeypatch):
+        # Newton steps for p >= 1 from u0, the p = 2 minimizer (the power
+        # start patched off): no flag and no solve at the cap on the disk
+        # up to |z| = 0.9 and on the bidisc, few steps at p = 1.5 and 1;
+        # every p > 1 value carries its Hoelder bracket, and a fresh
         # descent from the returned coefficients does not move K
+        monkeypatch.setattr(kernels, "_power_start", lambda *args: None)
         steps = {}
         for p in (1.0, 1.2, 1.5, 3.0, 4.0):
             for space, xi, z in self._newton_grid():
@@ -605,6 +632,26 @@ class TestSolverContract:
         assert np.median(steps[1.0]) <= 16
         # the p = 1 counts of the relative-change stop, which p = 1 keeps
         assert steps[1.0] == [1, 5, 5, 15, 1, 26, 14, 11, 1, 20, 28, 27, 1, 17]
+
+    def test_power_start_saves_steps(self, monkeypatch):
+        # on the grid above, the power start against u0 alone: the same K
+        # to 1e-12 and no flag, fewer steps in all at every p, and at most
+        # one more at any single value
+        def run():
+            return {p: [kernelp_diagonal(space, xi, z, p) for space, xi, z in self._newton_grid()]
+                    for p in (1.0, 1.2, 1.5, 3.0, 4.0)}
+
+        power = run()
+        monkeypatch.setattr(kernels, "_power_start", lambda *args: None)
+        cold = run()
+        for p, evs in power.items():
+            steps = [ev.diagnostics["iterations"] for ev in evs]
+            old_steps = [ev.diagnostics["iterations"] for ev in cold[p]]
+            assert not any(ev.flags for ev in evs), p
+            assert np.allclose([ev.K for ev in evs], [ev.K for ev in cold[p]],
+                               rtol=1e-12, atol=0.0), p
+            assert sum(steps) < sum(old_steps), p
+            assert all(new <= old + 1 for new, old in zip(steps, old_steps)), p
 
     def test_certified_stop_saves_steps(self, monkeypatch):
         # on the grid above, the certified stop against the relative-change
@@ -648,6 +695,86 @@ class TestSolverContract:
             assert ev.diagnostics["iterations"] == 0
             assert ev.diagnostics["final_rel_step"] == 0.0
             assert ev.diagnostics["duality_gap"] <= lpsolve.GAP_TOL
+
+
+class TestPowerStart:
+    """The p = 2 minimizer raised to 2/p as the start of p >= 1 solves."""
+
+    CASES = [
+        (Domain.disk(), (0.35 * np.exp(2.1j),)),
+        (Domain.ball(dimension=2),
+         (0.35 / math.sqrt(2) * np.exp(0.4j), 0.35 / math.sqrt(2) * np.exp(-2.3j))),
+        (Domain.bidisc(), (0.35 * np.exp(0.9j), 0.35 * np.exp(-1.3j))),
+    ]
+
+    @pytest.mark.parametrize("domain,z", CASES, ids=["disk", "ball:2", "bidisc"])
+    def test_delta0_takes_few_steps(self, monkeypatch, domain, z):
+        # the delta_0 extremal at p is the p = 2 one raised to 2/p on these
+        # domains, so the start is exact up to truncation and the rule.
+        # Above p = 1 the certified stop ends the solve within two steps;
+        # p = 1 stops on the relative change alone, after 1, 3 and 4 steps
+        # here (5, 6 and 7 from u0)
+        space = PolySpace.build(domain)
+        xi = Functional.delta((0,) * domain.dimension)
+        evs = [kernelp_diagonal(space, xi, z, p) for p in (1.0, 1.5, 3.0)]
+        monkeypatch.setattr(kernels, "_power_start", lambda *args: None)
+        for ev in evs:
+            cold = kernelp_diagonal(space, xi, z, ev.p)
+            assert not ev.flags
+            assert ev.diagnostics["iterations"] <= (2 if ev.p > 1 else 4), ev.p
+            assert ev.diagnostics["iterations"] < cold.diagnostics["iterations"], ev.p
+            assert ev.K == pytest.approx(cold.K, rel=1e-12, abs=0.0)
+
+    def test_candidate_and_its_skips(self, disk16):
+        # delta_0 gets the power of the p = 2 minimizer, which at p = 2 is
+        # u0 itself; a zero constant term (delta_1 at an interior point of
+        # the disk, delta_(1,0) at the bidisc's centre) and a Laurent basis
+        # get none, and neither do vanishing jets
+        def f2(space, xi, z):
+            return kernel2_diagonal(space, xi, z).coeffs
+
+        z = 0.4 * np.exp(0.7j)
+        delta0 = f2(disk16, Functional.delta((0,)), z)
+        power = kernels._power_start(disk16, delta0, 1.5)
+        assert power[0] == 1.0
+        assert np.array_equal(power, disk16.normalized_power(delta0, 2.0 / 1.5))
+        assert kernels._power_start(disk16, delta0, 2.0) is None
+        assert kernels._power_start(disk16, f2(disk16, Functional.delta((1,)), z), 1.5) is None
+        bidisc = PolySpace.build(Domain.bidisc(), degree=4, radial_order=8, angular_order=16)
+        assert kernels._power_start(
+            bidisc, f2(bidisc, Functional.delta((1, 0)), (0j, 0j)), 1.5) is None
+        annulus = PolySpace.build(Domain.annulus(0.4, 1.0), degree=6)
+        assert kernels._power_start(
+            annulus, f2(annulus, Functional.delta((0,)), 0.7j), 1.5) is None
+        ob = orthonormal_basis(disk16, z)
+        c = ob.transform.T @ disk16.constraint_row(Functional.delta((1,)), ob.point)
+        assert kernels._warm_start(disk16, ob.coeffs[:, 1:], c[1:], 1.5, 1, None) is None
+        assert kernels._warm_start(disk16, ob.coeffs, c, 1.5, 0, None) is None
+
+    @pytest.mark.parametrize("p", ["2", "0.8"])
+    def test_closed_form_and_multistart_outputs_unchanged(self, monkeypatch, tmp_path, p):
+        # p = 2 and p < 1 never read a start: compute and sweep print the
+        # same bytes with the power start patched off
+        from xibergman.cli import main
+
+        runs = [
+            ["compute", "--domain", "bidisc", "--xi", "0,0: 1", "--z", "0.3+0.1j,-0.2j",
+             "--degree", "6", "--radial-order", "8", "--angular-order", "16"],
+            ["sweep", "--domain", "disk", "--xi", "0: 1", "--pole", "0.3+0.2j",
+             "--degree", "12", "--a-grid=-2:0:3", "--format", "json"],
+        ]
+
+        def outputs():
+            out = []
+            for k, argv in enumerate(runs):
+                path = tmp_path / f"{k}.json"
+                main(argv + ["--p", p, "--out", str(path)])
+                out.append(path.read_bytes())
+            return out
+
+        power = outputs()
+        monkeypatch.setattr(kernels, "_power_start", lambda *args: None)
+        assert outputs() == power
 
 
 def _duality_gap(space, xi, z, p):

@@ -22,6 +22,7 @@ from xibergman import (
     orthonormal_basis,
     sup_bound_constant,
 )
+from xibergman.algebra import AlgebraError
 from xibergman.pspace import RankLossError
 
 
@@ -423,6 +424,34 @@ class TestSpaceStructure:
             space = PolySpace.build(dom)
             for p in (2.0, 1.5):
                 assert diagonal(space, Functional.delta((0, 0)), z, p).K > 0
+
+    @pytest.mark.parametrize("domain,mode", [
+        (Domain.disk(0.8, 0.2 - 0.1j), "total"),
+        (Domain.bidisc(), "total"),
+        (Domain.bidisc(), "tensor"),
+        (Domain.ball(1.0, 3), "total"),
+    ], ids=["shifted disk", "bidisc", "tensor bidisc", "ball:3"])
+    def test_normalized_power_is_the_binomial_series(self, domain, mode):
+        # (3 prod_j (1 - a_j w_j)^-2)^e is prod_j (1 - a_j w_j)^(-2e) after
+        # the normalization, with coefficients prod_j C(n_j - 1 + s, n_j) a_j^n_j
+        space = PolySpace.build(domain, degree=6, radial_order=8, angular_order=16, mode=mode)
+        a = np.array([0.6 * np.exp(0.7j), -0.3j, 0.2 + 0.1j])[:domain.dimension]
+
+        def series(s):
+            rising = [math.prod(s + j for j in range(k)) / math.factorial(k) for k in range(13)]
+            return np.array([math.prod(rising[k] * c ** k for k, c in zip(idx.entries, a))
+                             for idx in space.indices])
+
+        f = 3.0 * series(2.0)
+        for e in (2.0 / 3.0, 4.0 / 3.0, -0.5, 1.0):
+            h = space.normalized_power(f, e)
+            assert np.allclose(h, series(2.0 * e), rtol=0, atol=1e-14), e
+
+    def test_normalized_power_needs_a_taylor_series(self):
+        space = PolySpace.build(Domain.annulus(0.5, 1.0), degree=3, radial_order=6,
+                                angular_order=12)
+        with pytest.raises(AlgebraError):
+            space.normalized_power(np.ones(space.size), 0.5)
 
     def test_annulus_is_laurent(self):
         space = PolySpace.build(Domain.annulus(0.5, 1.0), degree=6)

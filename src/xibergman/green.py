@@ -23,8 +23,10 @@ x_a = (pole - c_a) / s_a of the pole, and reports s_a^(-2n) times that
 value.  Every row after the first hands the constrained solve the previous
 row's minimizer in the space's centred basis (its ``coeffs``); the solve
 decides whether to start there, so the rows at p = 2 stay exact and the
-p < 1 rows keep their seeded multistart.  The sweep
-tabulates K, the rescaled column e^((2n + p k) a) K, and log K.  The
+p < 1 rows never read it: a delta_0 row descends from the power of its
+p = 2 minimizer and runs the seeded restarts only where that descent does
+not end stationary, and other p < 1 rows run them from the p = 2 point.
+The sweep tabulates K, the rescaled column e^((2n + p k) a) K, and log K.  The
 scaled column is the quantity whose monotonicity and limit behavior the
 verification battery checks; for balanced models with a functional
 supported in a single degree it is constant by exact discrete scaling.

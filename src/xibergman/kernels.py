@@ -187,12 +187,15 @@ def _constrained_kernel(
     ``seed``.  The minimizer's solve-basis coefficients are T u, and its
     centred ones U u are returned as ``coeffs``.  A ``start`` is such a
     centred vector from an earlier solve on the space, at any point and
-    for any functional.  For p >= 1 this function alone decides whether
-    the descent starts there, at u0 raised to the power 2/p (without
-    vanishing jets), or at u0 (see :func:`_warm_start`).  The closed form
-    and the p < 1 multistart read no start, so their values never depend
-    on call history.  Below p = 1 the diagnostics carry ``start_spread``,
-    (max - min) / min of the seeded starts' final objectives; above p = 1
+    for any functional.  This function alone decides whether the descent
+    starts there (p >= 1 only), at u0 raised to the power 2/p (without
+    vanishing jets; below p = 1 for a point evaluation only), or at u0
+    (see :func:`_warm_start`).  The closed form and the p < 1 solves read
+    no start, so their values never depend on call history.  Below p = 1
+    the descent from the power start is the result when it ends
+    stationary (method "power-start"); else the seeded restarts run and
+    the diagnostics carry ``start_spread``, (max - min) / min of the
+    descents' final objectives; above p = 1
     the descent's ``K_upper`` and ``duality_gap`` = K_upper / K - 1, the
     Hoelder bracket of the constrained discrete problem (see
     :func:`duality_bracket`), which the closed form, exact by
@@ -211,8 +214,9 @@ def _constrained_kernel(
         diagnostics = {"method": "exact-2", "iterations": 0,
                        "final_rel_step": 0.0, "flags": ()}
     else:
-        sol = solve_affine_lp(space.ring, U, c, p, start=_warm_start(space, U, c, p, low, start),
-                              seed=seed)
+        point = xi.support() == [MultiIndex.zero(xi.dimension)]
+        sol = solve_affine_lp(space.ring, U, c, p,
+                              start=_warm_start(space, U, c, p, low, start, point), seed=seed)
         K = 1.0 / sol.objective
         m = sol.objective ** (1.0 / p)
         u = sol.coeffs
@@ -236,25 +240,30 @@ def _constrained_kernel(
 
 
 def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float, low: int,
-                start: np.ndarray | None) -> np.ndarray | None:
+                start: np.ndarray | None, point: bool = False) -> np.ndarray | None:
     """The feasible start the descent takes, or None for u0, the p = 2 minimizer.
 
-    Below p = 1 there is none: the multistart stays seeded from u0.  Else
-    there are up to two centred candidates: the caller's ``start``, and
+    There are up to two centred candidates: the caller's ``start``, and
     without vanishing jets (``low`` = 0) the power start of
-    :func:`_power_start`.  A candidate's projection u = U^H G x onto the
-    block (G the base Gram, in which U is orthonormal) is rescaled to
-    u / (c . u), which is feasible.  It is dropped when c . u is tiny
-    against |c| |u|, or when sum_q w_q |f(x_q)|^p is larger there than at
-    u0: a start from far away can cost many more steps than u0 does.  The
-    candidate with the lowest such sum is the start.
+    :func:`_power_start`.  Below p = 1 the problem is nonconvex and the
+    solver runs its seeded restarts unless the descent from the start ends
+    stationary, so there the power start is the only candidate, and only
+    for a point evaluation (``point``, the functional's support is the
+    zero index), where it is exact up to truncation; the caller's
+    ``start`` is never read, so a p < 1 value does not depend on call
+    history.  A candidate's projection u = U^H G x onto the block (G the
+    base Gram, in which U is orthonormal) is rescaled to u / (c . u),
+    which is feasible.  It is dropped when c . u is tiny against |c| |u|,
+    or when sum_q w_q |f(x_q)|^p is larger there than at u0: a start from
+    far away can cost many more steps than u0 does.  The candidate with
+    the lowest such sum is the start.
     """
-    if not 1 <= p < np.inf:
-        # below p = 1, or an exponent the solver rejects
+    if not 0 < p < np.inf or p < 1 and not point:
+        # an exponent the solver rejects, or p < 1 away from delta_0
         return None
     f2 = U @ _minimal_norm(c)
     power = _power_start(space, f2, p) if low == 0 else None
-    candidates = [x for x in (start, power) if x is not None]
+    candidates = [x for x in (start if p >= 1 else None, power) if x is not None]
     if not candidates:
         return None
     best, lowest = None, _objective(space.ring, f2, p)
@@ -313,8 +322,10 @@ def kernelp_diagonal(
     """Kernel value for general p > 0 through the constrained descent solver.
 
     Convex and reliable for p >= 1.  For p in (0, 1) the objective is
-    nonconvex; a multistart heuristic seeded by ``seed`` runs and the
-    result carries the "nonconvex-best-found" flag.  At p = 2 it iterates
+    nonconvex and the result carries the "nonconvex-best-found" flag: a
+    point evaluation descends from the power of the p = 2 minimizer (see
+    :func:`_power_start`), and a multistart heuristic seeded by ``seed``
+    runs wherever that descent does not end stationary.  At p = 2 it iterates
     too, as the reference the closed form of :func:`kernel2_diagonal` is
     checked against.
     """

@@ -99,10 +99,13 @@ stays on it.  At p = 1 the smoothing scale is looser
 (EPS_FACTOR_P1, 1e-6).  For p <= 1 the residual is only meaningful down to
 the smoothing scale, so stationarity is accepted there once the objective
 has settled; results carry a documented 1e-3 relative accuracy contract.
-For p < 1 the problem is nonconvex; the descent also runs from RESTARTS (8)
-random feasible points drawn from ``seed``, the lowest of all starts is
-kept, and the result is flagged as such; ``start_spread`` reports how far
-apart the starts ended.
+For p < 1 the problem is nonconvex and every result is flagged as such.  A
+supplied start whose descent ends with no stop flag and a residual below
+GRAD_TOL is the result (method "power-start": the kernels supply only the
+power start of delta_0 below p = 1).  Otherwise the descent also runs from
+u0 and from RESTARTS (8) random feasible points drawn from ``seed``, the
+lowest of all descents is kept, the supplied start's included, and
+``start_spread`` reports how far apart they ended.
 
 These constants are the numerical policy behind the README accuracy
 contract; only the restart seed is an input.
@@ -145,7 +148,8 @@ class LpSolution:
     final_rel_step: float
     method: str
     flags: tuple[str, ...] = ()
-    # (max - min) / min of the starts' final objectives; p < 1 only
+    # (max - min) / min of the descents' final objectives; only where the p < 1
+    # restarts ran
     start_spread: float | None = None
     # Hoelder upper bound on 1 / objective at the returned u; p > 1 only
     K_upper: float | None = None
@@ -172,8 +176,11 @@ def solve_affine_lp(
         minimal-norm one, conj(row) / |row|^2, which is the p = 2 minimizer.
         A start far from the minimizer can cost many more steps and, at
         p >= 1, end flagged ``non-convergence``; whether to pass one is the
-        caller's decision.
-    seed : seed of the random restarts, drawn only for p < 1.
+        caller's decision.  Below p = 1 the start is descended from first,
+        and its descent is the result when it ends stationary; else the
+        seeded multistart from the minimal-norm point runs as without a
+        start, and the start's descent competes with it.
+    seed : seed of the random restarts, drawn only for p < 1 where they run.
 
     The returned coefficients are u, in the given basis.  Raises
     ValueError on any other p or row.
@@ -185,41 +192,54 @@ def solve_affine_lp(
         raise ValueError("constraint row must be finite and nonzero")
     if basis.shape[1] != row.shape[0]:
         raise ValueError("constraint row and basis sizes differ")
-    u0 = _minimal_norm(row)
+    u0 = base = _minimal_norm(row)
     if start is not None:
-        u0 = np.asarray(start, dtype=complex)
-        if abs(row @ u0 - 1.0) > 1e-8:
+        base = np.asarray(start, dtype=complex)
+        if abs(row @ base - 1.0) > 1e-8:
             raise SolverError("supplied start violates the constraint")
-    x0 = basis @ u0
     # the basis is weighted-orthonormal, so the free directions M along the
     # orthonormal null space of the row are too: the normal equations stay
     # well conditioned, and the stationarity residual scales like the
     # orthogonality pairings it is meant to control
     Z = _null_space(row)
     if Z.shape[1] == 0:
+        x = basis @ base
         return LpSolution(
-            coeffs=u0, objective=_objective(op, x0, p), iterations=0, grad_residual=0.0,
+            coeffs=base, objective=_objective(op, x, p), iterations=0, grad_residual=0.0,
             final_rel_step=0.0, method="determined",
-            K_upper=_hoelder_upper(op, basis, row, p, *_dual(op, x0, p)) if p > 1 else None,
+            K_upper=_hoelder_upper(op, basis, row, p, *_dual(op, x, p)) if p > 1 else None,
         )
     M = basis @ Z
 
-    # the start u0 (t = 0), and below p = 1, where the problem is nonconvex,
-    # seeded random feasible points too; the lowest descent wins
-    starts = [np.zeros(Z.shape[1], dtype=complex)]
-    if p < 1:
+    def descend(origin, t0):
+        # the descent from origin + Z t0, with its end point's coefficients u
+        t, *rest = _descend(op, basis, row, M, basis @ origin, p, t0)
+        return (origin + Z @ t, *rest)
+
+    # one descent from the start, u0 unless one is supplied.  Below p = 1,
+    # where the problem is nonconvex, a supplied start whose descent ends
+    # stationary is the result; otherwise the descent from u0 and the
+    # seeded restarts run too, and the lowest descent wins
+    zero = np.zeros(Z.shape[1], dtype=complex)
+    descents = [descend(base, zero)]
+    _, _, _, stop, grad_res, _, _ = descents[0]
+    restarts = p < 1 and (start is None or stop is not None or grad_res >= GRAD_TOL)
+    if restarts:
+        if start is not None:
+            descents.append(descend(u0, zero))
         rng = np.random.default_rng(seed)
         scale = max(1.0, float(np.linalg.norm(u0)))
-        starts += [scale * (rng.standard_normal(Z.shape[1]) + 1j * rng.standard_normal(Z.shape[1]))
-                   for _ in range(RESTARTS)]
-    descents = [_descend(op, basis, row, M, x0, p, t0) for t0 in starts]
-    t, obj, iters, stop, grad_res, last_step, upper = min(descents, key=lambda sol: sol[1])
+        descents += [descend(u0, scale * (rng.standard_normal(Z.shape[1])
+                                         + 1j * rng.standard_normal(Z.shape[1])))
+                     for _ in range(RESTARTS)]
+    u, obj, iters, stop, grad_res, last_step, upper = min(descents, key=lambda sol: sol[1])
     flags = (("nonconvex-best-found",) if p < 1 else ()) + ((stop,) if stop else ())
     return LpSolution(
-        coeffs=u0 + Z @ t, objective=obj, iterations=iters,
+        coeffs=u, objective=obj, iterations=iters,
         grad_residual=grad_res, final_rel_step=last_step,
-        method="multistart" if p < 1 else "newton", flags=flags,
-        start_spread=(max(sol[1] for sol in descents) - obj) / obj if p < 1 else None,
+        method="newton" if p >= 1 else "multistart" if restarts else "power-start",
+        flags=flags,
+        start_spread=(max(sol[1] for sol in descents) - obj) / obj if restarts else None,
         K_upper=upper,
     )
 

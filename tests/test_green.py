@@ -341,11 +341,24 @@ class TestSweepWork:
         assert all(s is not None for s in starts[1:])
 
     @pytest.mark.parametrize("p", [2.0, 0.8])
-    def test_exact_and_multistart_rows_start_cold(self, starts, p):
-        sweep(_disk(8), MOEBIUS, Functional.delta((0,)), p, default_a_grid(-3, 0, 3))
-        assert all(s is None for s in starts)
-        # the p = 2 rows are exact and never call the solver
-        assert len(starts) == (0 if p == 2 else 3)
+    def test_exact_and_multistart_rows_start_cold(self, monkeypatch, starts, p):
+        # the p = 2 rows are exact and never call the solver; below p = 1 the
+        # handed start never reaches the solve, so the starts the solver gets
+        # (the power start of delta_0) and K are the same without it
+        def rows():
+            table = sweep(_disk(8), MOEBIUS, Functional.delta((0,)), p,
+                          default_a_grid(-3, 0, 3))
+            return [row.K for row in table.rows]
+
+        warm = rows()
+        solved = list(starts)
+        starts.clear()
+        raw = green._constrained_kernel
+        monkeypatch.setattr(green, "_constrained_kernel",
+                            lambda *args, start=None, **kwargs: raw(*args, **kwargs))
+        assert rows() == warm
+        assert len(starts) == len(solved) == (0 if p == 2 else 3)
+        assert all(np.array_equal(a, b) for a, b in zip(starts, solved))
 
 
 def _rescaled(xi, t):

@@ -6,9 +6,9 @@ space subject to the normalization (xi . f)(z) = 1, together with
     K(z)        = m(z)^(-p)
     K(., z)     = minimizer * K(z)      (off-diagonal kernel, p >= 1)
 
-For p = 2 the value comes from an orthonormal-basis pairing in closed form;
-for general p the constrained solver in lpsolve runs on the space's ring
-operator.
+For p = 2 the value is the closed form |c|^2 of an orthonormal-basis
+pairing, with no iteration; for every other p the constrained solver in
+lpsolve runs on the space's ring operator.
 Both engines sit behind one constrained set-up, which also takes the
 vanishing jets of the higher-order kernels: all orders below some k, the
 leading block of the graded basis.
@@ -168,7 +168,6 @@ def _constrained_kernel(
     low: int = 0,
     seed: int = 42,
     start: np.ndarray | None = None,
-    descend: bool = False,
 ) -> KernelEvaluation:
     """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at the first ``low`` orders.
 
@@ -180,8 +179,8 @@ def _constrained_kernel(
     graded order; T and U are that block's transform to the solve basis
     and its centred coefficients.  There the functional is the single row
     c = T^T L, K = |c|^2 at p = 2, and u0 = conj(c) / |c|^2 is the p = 2
-    minimizer.  At p = 2 the solve stops at u0 unless ``descend``; otherwise
-    the descent solver of :mod:`xibergman.lpsolve` (Newton steps; for
+    minimizer.  At p = 2 the solve stops at u0; at every other p the
+    descent solver of :mod:`xibergman.lpsolve` (Newton steps; for
     p < 1, reweighted least squares where a full Newton step is refused)
     runs on the space's ring operator, drawing its p < 1 restarts from
     ``seed``.  The minimizer's solve-basis coefficients are T u, and its
@@ -208,7 +207,7 @@ def _constrained_kernel(
     K = float(np.vdot(c, c).real)
     if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
         raise ZeroPairingError(_ZERO_PAIRING)
-    if p == 2 and not descend:
+    if p == 2:
         u = _minimal_norm(c)
         m = K ** -0.5
         diagnostics = {"method": "exact-2", "iterations": 0,
@@ -256,7 +255,9 @@ def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float, low: i
     which is feasible.  It is dropped when c . u is tiny against |c| |u|,
     or when sum_q w_q |f(x_q)|^p is larger there than at u0: a start from
     far away can cost many more steps than u0 does.  The candidate with
-    the lowest such sum is the start.
+    the lowest such sum is the start; a tie within the 1e-15 relative
+    slack of the solver's Armijo test goes to the candidate, since at a
+    centre of symmetry the power start is u0 itself, rounded differently.
     """
     if not 0 < p < np.inf or p < 1 and not point:
         # an exponent the solver rejects, or p < 1 away from delta_0
@@ -274,7 +275,7 @@ def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float, low: i
             continue
         u = u / scale
         objective = _objective(space.ring, U @ u, p)
-        if objective <= lowest:
+        if objective <= lowest * (1.0 + 1e-15):
             best, lowest = u, objective
     return best
 
@@ -289,11 +290,12 @@ def _power_start(space: PolySpace, f2: np.ndarray, p: float) -> np.ndarray | Non
     Zhang, Adv. Math. 405, 2022); the truncated Taylor series at the
     center of (f2 / f2(center))^(2/p) is formed from the coefficients
     alone (:meth:`~xibergman.pspace.PolySpace.normalized_power`).  There
-    is none on a Laurent basis, at p = 2, where it is u0 itself, or when
-    f2(center) is below 1e-12 of f2's largest coefficient (delta_1 at an
-    interior point of the disk, say), where the power has no series.
+    is none on a Laurent basis, or when f2(center) is below 1e-12 of f2's
+    largest coefficient (delta_1 at an interior point of the disk, say),
+    where the power has no series.  p = 2 never asks: its value is the
+    closed form.
     """
-    if space.laurent or p == 2 or abs(f2[0]) < 1e-12 * np.abs(f2).max():
+    if space.laurent or abs(f2[0]) < 1e-12 * np.abs(f2).max():
         return None
     return space.normalized_power(f2, 2.0 / p)
 
@@ -312,31 +314,20 @@ def kernel2_diagonal(
     return _constrained_kernel(space, xi, z, 2.0)
 
 
-def kernelp_diagonal(
-    space: PolySpace,
-    xi: Functional,
-    z,
-    p: float,
-    seed: int = 42,
-) -> KernelEvaluation:
-    """Kernel value for general p > 0 through the constrained descent solver.
+def diagonal(space, xi, z, p, seed: int = 42) -> KernelEvaluation:
+    """Kernel value for any p > 0: the closed form at p = 2, the descent solver otherwise.
 
     Convex and reliable for p >= 1.  For p in (0, 1) the objective is
     nonconvex and the result carries the "nonconvex-best-found" flag: a
     point evaluation descends from the power of the p = 2 minimizer (see
     :func:`_power_start`), and a multistart heuristic seeded by ``seed``
-    runs wherever that descent does not end stationary.  At p = 2 it iterates
-    too, as the reference the closed form of :func:`kernel2_diagonal` is
-    checked against.
+    runs wherever that descent does not end stationary.
     """
-    return _constrained_kernel(space, xi, z, p, seed=seed, descend=True)
+    return _constrained_kernel(space, xi, z, p, seed=seed)
 
 
-def diagonal(space, xi, z, p, seed: int = 42) -> KernelEvaluation:
-    """Route to the exact path at p = 2, the solver otherwise."""
-    if p == 2:
-        return kernel2_diagonal(space, xi, z)
-    return kernelp_diagonal(space, xi, z, p, seed)
+# the name the README and the bench use for the general-p entry point
+kernelp_diagonal = diagonal
 
 
 def off_diagonal(

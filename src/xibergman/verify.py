@@ -52,7 +52,6 @@ from .kernels import (
     extremal_pairing,
     h_quantity,
     kernel2_diagonal,
-    kernelp_diagonal,
     off_diagonal,
     reproducing_residual,
 )
@@ -199,6 +198,33 @@ def _random_functional(rng, dimension: int, max_degree: int) -> Functional:
     return Functional(dimension, terms)
 
 
+def _monomial_norm_sq(domain: Domain, alpha: MultiIndex) -> float:
+    """||(w - center)^alpha||_2^2 over the domain, in closed form."""
+    if domain.shape == "ball":
+        return ball_monomial_lp_integral(domain.radius, domain.dimension, alpha, 2.0)
+    if domain.shape == "annulus":
+        (k,), r1, r2 = alpha.entries, domain.r_inner, domain.r_outer
+        if k == -1:
+            return 2 * math.pi * math.log(r2 / r1)
+        return math.pi * (r2 ** (2 * k + 2) - r1 ** (2 * k + 2)) / (k + 1)
+    # disk and polydisc: the product of the one-variable disk norms
+    radii = domain.radii or (domain.radius,)
+    return math.prod(math.pi * r ** (2 * a + 2) / (a + 1)
+                     for r, a in zip(radii, alpha.entries))
+
+
+def _series_kernel(space: PolySpace, xi: Functional, z) -> float:
+    """Truncated Bergman series sum_alpha |(xi . phi_alpha)(z)|^2 / ||phi_alpha||^2.
+
+    The monomials phi_alpha = (w - center)^alpha of the space are
+    orthogonal on every model domain, so this is the exact p = 2 kernel
+    of the truncated space, from :func:`functional_apply` and closed-form
+    norms alone: it reads no rule, Gram matrix, Cholesky factor or QR.
+    """
+    return sum(abs(functional_apply(xi, PolyCoeffs.monomial(alpha, space.center), z)) ** 2
+               / _monomial_norm_sq(space.domain, alpha) for alpha in space.indices)
+
+
 def _random_element(rng, space: PolySpace, scale: float = 1.0) -> PolyCoeffs:
     coeffs = scale * (rng.uniform(-1, 1, space.size)
                       + 1j * rng.uniform(-1, 1, space.size))
@@ -212,6 +238,7 @@ def _random_element(rng, space: PolySpace, scale: float = 1.0) -> PolyCoeffs:
 
 @_check("algebra/order-properties", "algebra")
 def _chk_order(ctx):
+    """Law: antisymmetry, transitivity and degree first, against the enumeration."""
     for n in (1, 2, 3):
         idxs = enumerate_upto_degree(n, 4)
         for a, b in zip(idxs, idxs[1:]):
@@ -234,6 +261,7 @@ def _chk_order(ctx):
 
 @_check("algebra/shift-roundtrip", "algebra")
 def _chk_shift(ctx):
+    """Law: re-centring there and back returns the input coefficients."""
     rng = ctx.rng("algebra/shift-roundtrip")
     worst = 0.0
     for n, deg in ((1, 8), (1, 20), (2, 6)):
@@ -256,6 +284,7 @@ def _chk_shift(ctx):
 
 @_check("algebra/witness-normalization", "algebra")
 def _chk_witness(ctx):
+    """Closed form: the monomial witness of the lowest order pairs to exactly 1."""
     rng = ctx.rng("algebra/witness-normalization")
     worst = 0.0
     for n in (1, 2):
@@ -271,6 +300,7 @@ def _chk_witness(ctx):
 
 @_check("algebra/functional-linearity", "algebra")
 def _chk_linearity(ctx):
+    """Law: a functional is linear in the polynomial it pairs with."""
     rng = ctx.rng("algebra/functional-linearity")
     worst = 0.0
     for n in (1, 2):
@@ -298,6 +328,7 @@ def _chk_linearity(ctx):
 
 @_check("quadrature/volumes", "quadrature")
 def _chk_volumes(ctx):
+    """Closed form: the volume formulas of :meth:`Domain.volume`."""
     cases = [
         (Domain.disk(), 32, 64),
         (Domain.disk(0.8, 0.3 + 0.2j), 32, 64),
@@ -316,6 +347,7 @@ def _chk_volumes(ctx):
 
 @_check("quadrature/disk-moments", "quadrature")
 def _chk_disk_moments(ctx):
+    """Closed form: int z^a conj(z)^b over the unit disk is pi / (a + 1) if a = b, else 0."""
     quad = build_quadrature(Domain.disk(), 32, 64)
     z = quad.nodes[:, 0]
     worst = 0.0
@@ -330,6 +362,7 @@ def _chk_disk_moments(ctx):
 
 @_check("quadrature/ball-moments", "quadrature")
 def _chk_ball_moments(ctx):
+    """Closed form: the Gamma-function moments of :func:`ball_monomial_lp_integral`."""
     quad = build_quadrature(Domain.ball(1.0, 2), 16, 32)
     z1, z2 = quad.nodes[:, 0], quad.nodes[:, 1]
     worst = 0.0
@@ -344,6 +377,7 @@ def _chk_ball_moments(ctx):
 
 @_check("quadrature/annulus-norms", "quadrature")
 def _chk_annulus_norms(ctx):
+    """Closed form: pi (r2^(2k+2) - r1^(2k+2)) / (k + 1), and 2 pi log(r2 / r1) at k = -1."""
     r1, r2 = 0.5, 1.0
     quad = build_quadrature(Domain.annulus(r1, r2), 32, 64)
     z = quad.nodes[:, 0]
@@ -360,6 +394,7 @@ def _chk_annulus_norms(ctx):
 
 @_check("quadrature/node-containment", "quadrature")
 def _chk_nodes(ctx):
+    """Second route: :func:`contains` tests nodes against the domain's defining inequality."""
     for dom, nr, na in ((Domain.disk(), 16, 32), (Domain.annulus(0.5, 1), 16, 32),
                         (Domain.bidisc(), 6, 12), (Domain.ball(1.0, 2), 8, 16)):
         quad = build_quadrature(dom, nr, na)
@@ -378,6 +413,7 @@ def _chk_nodes(ctx):
 
 @_check("kernels/disk-closed-family", "kernels")
 def _chk_disk_family(ctx):
+    """Closed form: K(0; delta_k) = (p k + 2) / (2 pi) on the unit disk."""
     space = ctx.disk_space()
     worst = 0.0
     slow = 0.0
@@ -401,28 +437,29 @@ def _chk_disk_family(ctx):
 
 @_check("kernels/dual-route", "kernels")
 def _chk_dual_route(ctx):
+    """Second route: the truncated Bergman series of :func:`_series_kernel`."""
     rng = ctx.rng("kernels/dual-route")
     worst = 0.0
     disk = ctx.disk_space()
     for _ in range(10):
         xi = _random_functional(rng, 1, 3)
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        exact = kernel2_diagonal(disk, xi, z).K
-        iterated = kernelp_diagonal(disk, xi, z, 2.0).K
-        worst = max(worst, _rel(exact, iterated))
+        series = _series_kernel(disk, xi, z)
+        worst = max(worst, _rel(kernel2_diagonal(disk, xi, z).K, series))
     bidisc = ctx.space(Domain.bidisc(), degree=10, radial_order=12, angular_order=24)
     for _ in range(10):
         xi = _random_functional(rng, 2, 2)
         z = (complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
              complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
-        exact = kernel2_diagonal(bidisc, xi, z).K
-        iterated = kernelp_diagonal(bidisc, xi, z, 2.0).K
-        worst = max(worst, _rel(exact, iterated))
-    return worst <= 1e-9, f"20 cases, max exact/iterated split {worst:.3e} (tol 1e-9)", worst
+        series = _series_kernel(bidisc, xi, z)
+        worst = max(worst, _rel(kernel2_diagonal(bidisc, xi, z).K, series))
+    return worst <= 1e-9, (f"20 cases, max closed-form/series split {worst:.3e} "
+                           f"(tol 1e-9)"), worst
 
 
 @_check("kernels/product-formula", "kernels")
 def _chk_product(ctx):
+    """Law: m factorizes over the tensor bidisc; the factors are solved on the disk alone."""
     d1 = ctx.space(Domain.disk(), degree=10, radial_order=12, angular_order=24)
     tensor = ctx.space(Domain.bidisc(), degree=10, radial_order=12,
                        angular_order=24, mode="tensor")
@@ -449,6 +486,7 @@ def _chk_product(ctx):
 
 @_check("kernels/off-diagonal-identity", "kernels")
 def _chk_off_diagonal(ctx):
+    """Closed form: K(., 0) is 1/pi for delta_0 and (2/pi) z for delta_1 on the disk."""
     space = ctx.disk_space()
     k0 = off_diagonal(space, Functional.delta(MultiIndex((0,))), 0j, 2.0)
     dev0 = abs(k0.values(0.37 + 0.21j) - 1 / math.pi)
@@ -468,6 +506,7 @@ def _chk_off_diagonal(ctx):
 
 @_check("kernels/reproducing", "kernels")
 def _chk_reproducing(ctx):
+    """Law: (xi . f)(w) = K <f, m>_p for random f, the left side from the jets of f alone."""
     rng = ctx.rng("kernels/reproducing")
     disk = ctx.disk_space()
     ann = ctx.space(Domain.annulus(0.5, 1.0), degree=10)
@@ -505,6 +544,7 @@ def _chk_reproducing(ctx):
 
 @_check("kernels/h-inequality", "kernels")
 def _chk_h_inequality(ctx):
+    """Law: the integral inequality the paper proves for the symmetrized difference H."""
     rng = ctx.rng("kernels/h-inequality")
     space = ctx.disk_space()
     xi = Functional.delta(MultiIndex((0,)))
@@ -524,6 +564,7 @@ def _chk_h_inequality(ctx):
 
 @_check("kernels/bounds", "kernels")
 def _chk_bounds(ctx):
+    """Closed form: the monomial-witness lower bound and the Cauchy-estimate upper bound."""
     disk = ctx.disk_space()
     res = bounds_check(disk, Functional.delta(MultiIndex((0,))), 2.0, 0j)
     ref_lower = 1.0 / (4 * math.pi)  # |1|^2 / vol(disk of radius 2)
@@ -543,6 +584,7 @@ def _chk_bounds(ctx):
 
 @_check("kernels/domain-monotonicity", "kernels")
 def _chk_monotonic(ctx):
+    """Closed form: K(0; delta_0) = 1 / (pi r^2) on the disk of radius r."""
     p = 1.5
     xi = Functional.delta(MultiIndex((0,)))
     radii = (0.5, 0.7, 0.9, 0.99, 0.999, 1.0)
@@ -564,6 +606,7 @@ def _chk_monotonic(ctx):
 
 @_check("kernels/psh", "kernels")
 def _chk_psh(ctx):
+    """Law: log K is subharmonic, so it lies below its circle means."""
     rng = ctx.rng("kernels/psh")
     space = ctx.disk_space()
     xi = Functional.delta(MultiIndex((0,)))
@@ -587,6 +630,7 @@ def _chk_psh(ctx):
 
 @_check("kernels/boundary-blowup", "kernels")
 def _chk_blowup(ctx):
+    """Law: K grows at least like the boundary distance to the power -p."""
     p = 1.5
     space = ctx.disk_space(degree=24)
     xi = Functional.delta(MultiIndex((0,)))
@@ -600,6 +644,7 @@ def _chk_blowup(ctx):
 
 @_check("kernels/uniqueness", "kernels")
 def _chk_uniqueness(ctx):
+    """Law: strict convexity makes the minimizer unique, so descents from random starts meet."""
     rng = ctx.rng("kernels/uniqueness")
     space = ctx.disk_space()
     xi = Functional(1, {MultiIndex((0,)): 1.0, MultiIndex((1,)): 0.3})
@@ -629,6 +674,7 @@ def _chk_uniqueness(ctx):
 
 @_check("kernels/lipschitz-smoke", "kernels")
 def _chk_lipschitz(ctx):
+    """Law: K is locally Lipschitz, so its difference quotients stay bounded."""
     space = ctx.disk_space()
     xi = Functional.delta(MultiIndex((0,)))
     p = 1.5
@@ -646,6 +692,7 @@ def _chk_lipschitz(ctx):
 
 @_check("kernels/duality-bracket", "kernels")
 def _chk_duality_bracket(ctx):
+    """Law: Hoelder's inequality bounds K from above by an exact L^q representer."""
     # Hoelder bracket K_lower <= K <= K_upper of the discrete problem around
     # each value: |gap| <= 1e-9 for p > 1, and at p = 1, where the
     # representer carries the solver's smoothing, -1e-12 <= gap <= 1e-4
@@ -680,6 +727,7 @@ def _chk_duality_bracket(ctx):
 
 @_check("higher/pairing-examples", "higher")
 def _chk_pairing(ctx):
+    """Closed form: derivatives of monomials at the point."""
     H2 = HomogeneousPolynomial.from_string("z^2: 1")
     f3 = PolyCoeffs.monomial(MultiIndex((3,)), 0j)
     f2 = PolyCoeffs.monomial(MultiIndex((2,)), 0j)
@@ -699,6 +747,7 @@ def _chk_pairing(ctx):
 
 @_check("higher/closed-forms", "higher")
 def _chk_higher_closed(ctx):
+    """Closed form: K_H(0; z^k) = k!^p (p k + 2) / (2 pi) on the unit disk."""
     space = ctx.disk_space()
     worst = 0.0
     for k in (1, 2):
@@ -714,12 +763,28 @@ def _chk_higher_closed(ctx):
     return True, f"monomial pairings k=1,2 vs closed form, max err {worst:.3e}", worst
 
 
+def _dense_higher_p2(space: PolySpace, H: HomogeneousPolynomial, z) -> float:
+    """K_H at p = 2 from dense normal equations on the z-shifted monomials.
+
+    Over f = sum u_alpha (w - z)^alpha with deg alpha >= deg H, whose jets
+    below deg H vanish at z, min u^H G u subject to L u = 1 is
+    1 / (L G^-1 L^H), with G the node Gram of those monomials and L the
+    row of H's top functional; no orthonormal basis is read.
+    """
+    keep = [j for j, alpha in enumerate(space.indices) if alpha.degree >= H.degree]
+    V = space.shifted_node_matrix(z)[:, keep]
+    G = V.conj().T @ (space.quadrature.weights[:, None] * V)
+    L = space.constraint_row(H.top_functional(), z)[keep]
+    return float(np.real(L @ np.linalg.solve(G, np.conj(L))))
+
+
 @_check("higher/three-way", "higher")
 def _chk_three_way(ctx):
+    """Second route: dense normal equations on the z-shifted monomials at p = 2."""
     # the direct K_H, the plain K solved here from scratch at the infimum
-    # route's closed-form member and, at p = 2, the exact member of
-    # minimizing_xi_p2; then small seeded steps off the closed-form member
-    # must not lower K
+    # route's closed-form member, at p = 2 the exact member of
+    # minimizing_xi_p2 and the dense normal equations; then small seeded
+    # steps off the closed-form member must not lower K
     t0 = time.perf_counter()
     rng = ctx.rng("higher/three-way")
     space = ctx.disk_space()
@@ -736,7 +801,8 @@ def _chk_three_way(ctx):
             plain2 = diagonal(space, inf2.xi_star, z, 2.0).K
             xistar = minimizing_xi_p2(space, H, z)
             viaxi = kernel2_diagonal(space, xistar, z).K
-            for a, b in ((direct2, plain2), (direct2, viaxi), (plain2, viaxi)):
+            dense2 = _dense_higher_p2(space, H, z)
+            for a, b in itertools.combinations((direct2, plain2, viaxi, dense2), 2):
                 worst2 = max(worst2, _rel(a, b))
             direct15 = higher_kernel_direct(space, H, z, 1.5).K
             inf15 = higher_kernel_via_inf(space, H, z, 1.5)
@@ -751,7 +817,7 @@ def _chk_three_way(ctx):
                     rise = min(rise, (moved - plain) / plain)
     elapsed = time.perf_counter() - t0
     ok = worst2 <= 1e-7 and worst15 <= 1e-4 and rise >= -1e-12 and elapsed < 120
-    detail = (f"p=2 three-route max split {worst2:.3e} (tol 1e-7), "
+    detail = (f"p=2 four-route max split {worst2:.3e} (tol 1e-7), "
               f"p=1.5 two-route {worst15:.3e} (tol 1e-4), "
               f"route's duality gap at xi* p=2 {gaps[2.0]:.3e}, p=1.5 {gaps[1.5]:.3e}, "
               f"K 24 steps off xi* rises by >= {rise:.3e} relative (tol -1e-12)")
@@ -762,6 +828,7 @@ def _chk_three_way(ctx):
 
 @_check("higher/sandwich", "higher")
 def _chk_sandwich(ctx):
+    """Law: every member of H's functional family has K >= K_H."""
     rng = ctx.rng("higher/sandwich")
     space = ctx.disk_space()
     H = HomogeneousPolynomial.from_string("z^2: 1")
@@ -783,6 +850,7 @@ def _chk_sandwich(ctx):
 
 @_check("higher/minimizing-xi-examples", "higher")
 def _chk_min_xi(ctx):
+    """Closed form: xi* at the origin is 2! delta_2 with no free part; degree 0 evaluates."""
     space = ctx.disk_space()
     H2 = HomogeneousPolynomial.from_string("z^2: 1")
     xi0 = minimizing_xi_p2(space, H2, 0j)
@@ -806,6 +874,7 @@ def _chk_min_xi(ctx):
 
 @_check("higher/nontrivial", "higher")
 def _chk_nontrivial(ctx):
+    """Law: every higher-order kernel value is positive."""
     space = ctx.disk_space()
     vals = []
     for j in range(5):
@@ -825,6 +894,7 @@ def _chk_nontrivial(ctx):
 
 @_check("green/sublevel-geometry", "green")
 def _chk_sublevel(ctx):
+    """Closed form: the pseudohyperbolic and scaled disks of the sublevel sets."""
     mob = GreenModel.moebius_disk(0.5)
     whole = sublevel_domain(mob, 0.0)
     if abs(whole.radius - 1) > 1e-15 or abs(whole.center[0]) > 1e-15:
@@ -844,6 +914,7 @@ def _chk_sublevel(ctx):
 
 @_check("green/azukawa", "green")
 def _chk_azukawa(ctx):
+    """Closed form: the indicatrix of a balanced domain is the domain itself."""
     for dom in (Domain.disk(), Domain.bidisc(), Domain.ball(1.0, 2)):
         model = GreenModel.balanced(dom)
         ind = azukawa_indicatrix(model)
@@ -862,6 +933,7 @@ def _small_bidisc(ctx):
 
 @_check("green/balanced-constant", "green")
 def _chk_balanced_constant(ctx):
+    """Closed form: the scaled level (p k + 2) / (2 pi), constant over the balanced sweep."""
     model = GreenModel.balanced(Domain.disk())
     grid = default_a_grid(-3.0, 0.0, 13)
     worst = 0.0
@@ -888,6 +960,7 @@ def _chk_balanced_constant(ctx):
 
 @_check("green/moebius-monotone", "green")
 def _chk_moebius(ctx):
+    """Law: the scaled sweep is monotone and log-convex in the level, below its cap."""
     model = GreenModel.moebius_disk(0.5)
     grid = default_a_grid(-3.0, 0.0, 31)
     worst_mono = math.inf
@@ -913,6 +986,7 @@ def _chk_moebius(ctx):
 
 @_check("green/limit-chain", "green")
 def _chk_limit_chain(ctx):
+    """Law: the scaled sublevel kernels bracket the shifted kernel and stabilize."""
     results = []
     grid1 = default_a_grid(-3.0, 0.0, 13)
     disk_model = GreenModel.balanced(Domain.disk())
@@ -939,6 +1013,7 @@ def _chk_limit_chain(ctx):
 
 @_check("green/scaling-law", "green")
 def _chk_scaling(ctx):
+    """Symmetry law: dilation covariance; Moebius rows against spaces on their own disks."""
     worst = 0.0
     for k in (0, 1):
         xi = Functional.delta(MultiIndex((k,)))

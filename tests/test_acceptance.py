@@ -38,8 +38,9 @@ def test_disk_point_derivative_closed_forms(ctx):
     _passes(ctx, "kernels/disk-closed-family")
 
 
-def test_exact_and_iterated_routes_agree_at_p2(ctx):
-    # 20 random functional/point pairs on disk and bidisc, split <= 1e-9
+def test_closed_form_is_the_truncated_series_at_p2(ctx):
+    # 20 random functional/point pairs on disk and bidisc: the p = 2 closed
+    # form against the truncated Bergman series, split <= 1e-9
     _passes(ctx, "kernels/dual-route")
 
 
@@ -49,8 +50,9 @@ def test_bidisc_minimum_norm_factorizes(ctx):
 
 
 def test_higher_order_three_route_agreement(ctx):
-    # direct vs infimum vs minimizing-functional routes, H in {z, z^2},
-    # z in {0, 0.3}; 1e-7 at p = 2, 1e-4 at p = 1.5, under 2 minutes
+    # direct vs infimum vs minimizing-functional routes, and at p = 2 the
+    # dense normal equations too, H in {z, z^2}, z in {0, 0.3}; 1e-7 at
+    # p = 2, 1e-4 at p = 1.5, under 2 minutes
     _passes(ctx, "higher/three-way")
 
 

@@ -101,7 +101,7 @@ class TestFunctional:
         c2=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
         s=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     def test_action_is_linear(self, c1, c2, s):
         xi = Functional.delta((0,), coeff=c1).plus(Functional.delta((2,), coeff=c2))
         f = PolyCoeffs.monomial(MultiIndex((2,)), 0j).plus(
@@ -153,7 +153,7 @@ def polynomials(draw, max_degree=8):
 class TestShift:
     @given(f=polynomials(), w=st.complex_numbers(max_magnitude=1,
                                                  allow_nan=False, allow_infinity=False))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_roundtrip(self, f, w):
         g = taylor_shift(taylor_shift(f, w), f.center[0])
         pts = np.array([0.3 + 0.2j, -0.5 + 0j, 0.1 - 0.7j])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xibergman import kernels, lpsolve
+from xibergman import kernels, lpsolve, verify
 from xibergman import (
     Domain,
     Functional,
@@ -17,7 +17,6 @@ from xibergman import (
     PolyCoeffs,
     PolySpace,
     ZeroPairingError,
-    ball_monomial_lp_integral,
     bounds_check,
     diagonal,
     duality_bracket,
@@ -47,6 +46,19 @@ def closed_form_origin(p, k):
     return (p * k + 2) / (2 * math.pi)
 
 
+def _iterated_p2(space, xi, z):
+    """The descent solver's p = 2 value from a feasible start off the closed
+    form's minimizer u0, along the null space of the constraint row."""
+    ob = orthonormal_basis(space, z)
+    c = ob.transform.T @ space.constraint_row(xi, ob.point)
+    Z = lpsolve._null_space(c)
+    t = np.random.default_rng(4).standard_normal((2, Z.shape[1]))
+    start = lpsolve._minimal_norm(c) + 0.3 * Z @ (t[0] + 1j * t[1])
+    sol = solve_affine_lp(space.ring, ob.coeffs, c, 2.0, start=start)
+    assert sol.iterations > 0 and not sol.flags
+    return 1.0 / sol.objective
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("p,k", [(1.0, 0), (1.5, 1), (3.0, 2), (2.0, 1)])
     def test_origin_family(self, disk16, p, k):
@@ -59,8 +71,27 @@ class TestClosedForms:
         xi = Functional.from_string("0: 1; 1: 0.5; 2: -0.25j")
         z = 0.3 - 0.2j
         exact = kernel2_diagonal(disk16, xi, z)
-        iterated = kernelp_diagonal(disk16, xi, z, 2.0)
-        assert iterated.K == pytest.approx(exact.K, rel=1e-9)
+        assert _iterated_p2(disk16, xi, z) == pytest.approx(exact.K, rel=1e-9)
+
+    def test_p2_never_reaches_the_solver(self, monkeypatch, disk16):
+        # p = 2 has one route, the closed form: the three diagonal names are
+        # one computation, and no p = 2 entry point calls the descent solver
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver ran at p = 2")
+
+        monkeypatch.setattr(kernels, "solve_affine_lp", refuse)
+        assert kernelp_diagonal is diagonal
+        xi = Functional.from_string("0: 1; 1: 0.5; 2: -0.25j")
+        z = 0.3 - 0.2j
+        evs = [diagonal(disk16, xi, z, 2.0), kernelp_diagonal(disk16, xi, z, 2.0),
+               kernel2_diagonal(disk16, xi, z)]
+        for ev in evs:
+            assert ev.diagnostics["method"] == "exact-2"
+            assert ev.K == evs[0].K
+            assert np.array_equal(ev.coeffs, evs[0].coeffs)
+        higher_kernel_direct(disk16, HomogeneousPolynomial.from_string("z^2: 1"), z, 2.0)
+        for model in (GreenModel.balanced(Domain.disk()), GreenModel.moebius_disk(0.5)):
+            sweep(disk16, model, Functional.delta((0,)), 2.0, [-2.0, -1.0, 0.0])
 
     def test_scaled_functional_covariance(self, disk16):
         # K is |c|^p homogeneous in the functional scale
@@ -71,82 +102,37 @@ class TestClosedForms:
         assert scaled == pytest.approx(2.0**p * base, rel=1e-9)
 
 
-def _jet_binom(k: int, b: int) -> float:
-    # C(k, b) for any integer k (Laurent exponents included), b >= 0
-    out = 1.0
-    for i in range(b):
-        out *= (k - i) / (i + 1)
-    return out
-
-
-def _series_kernel(space, xi, z, norm_sq) -> float:
-    """Truncated Bergman series sum_alpha |(xi . phi_alpha)(z)|^2 / ||phi_alpha||^2.
-
-    phi_alpha = (w - center)^alpha are orthogonal on these rules, so this is
-    the exact p = 2 kernel of the truncated space, with no Gram or QR.
-    """
-    total = 0.0
-    for alpha in space.indices:
-        pairing = 0j
-        for beta, c in xi.terms.items():
-            term = c
-            for a, b, zj, cj in zip(alpha.entries, beta.entries, z, space.center):
-                if b > a >= 0:
-                    term = 0.0
-                    break
-                term *= _jet_binom(a, b) * (zj - cj) ** (a - b)
-            pairing += term
-        total += abs(pairing) ** 2 / norm_sq(alpha.entries)
-    return total
-
-
-def _disk_norm_sq(radius):
-    return lambda e: math.pi * radius ** (2 * e[0] + 2) / (e[0] + 1)
-
-
-def _annulus_norm_sq(r1, r2):
-    def norm_sq(e):
-        k = e[0]
-        if k == -1:
-            return 2 * math.pi * math.log(r2 / r1)
-        return math.pi * (r2 ** (2 * k + 2) - r1 ** (2 * k + 2)) / (k + 1)
-    return norm_sq
-
-
 class TestSeriesOracle:
     """The exact p = 2 kernel against its truncated series (closed-form norms)."""
 
     CASES = {
-        "disk": (Domain.disk(), 16, 0.35 + 0.2j, _disk_norm_sq(1.0)),
-        "off-centre disk": (Domain.disk(0.6, 0.2 - 0.1j), 16, 0.45 + 0.05j, _disk_norm_sq(0.6)),
-        "annulus": (Domain.annulus(0.5, 1.0), 8, 0.6 + 0.4j, _annulus_norm_sq(0.5, 1.0)),
-        "bidisc": (Domain.bidisc(), 10, (0.3 + 0.1j, -0.2 + 0.25j),
-                   lambda e: math.pi ** 2 / ((e[0] + 1) * (e[1] + 1))),
-        "ball:2": (Domain.ball(1.0, 2), 10, (0.3 - 0.2j, 0.1 + 0.35j),
-                   lambda e: ball_monomial_lp_integral(1.0, 2, MultiIndex(e), 2.0)),
+        "disk": (Domain.disk(), 16, 0.35 + 0.2j),
+        "off-centre disk": (Domain.disk(0.6, 0.2 - 0.1j), 16, 0.45 + 0.05j),
+        "annulus": (Domain.annulus(0.5, 1.0), 8, 0.6 + 0.4j),
+        "bidisc": (Domain.bidisc(), 10, (0.3 + 0.1j, -0.2 + 0.25j)),
+        "ball:2": (Domain.ball(1.0, 2), 10, (0.3 - 0.2j, 0.1 + 0.35j)),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_exact_kernel_is_the_series(self, name):
-        domain, degree, z, norm_sq = self.CASES[name]
+        domain, degree, z = self.CASES[name]
         space = PolySpace.build(domain, degree=degree)
         rng = np.random.default_rng(11)
         xi = Functional(domain.dimension, {
             alpha: complex(*rng.uniform(-1.0, 1.0, 2))
             for alpha in enumerate_upto_degree(domain.dimension, 2)})
-        zt = z if isinstance(z, tuple) else (z,)
-        expect = _series_kernel(space, xi, zt, norm_sq)
+        expect = verify._series_kernel(space, xi, z)
         assert kernel2_diagonal(space, xi, z).K == pytest.approx(expect, rel=1e-11)
 
     @pytest.mark.parametrize("z", [0.95j, 0.9 + 0j])
     def test_iterated_kernel_is_the_series_near_the_boundary(self, z):
         # the descent solver at p = 2 works in the same orthonormal
-        # coordinates as the exact engine, so it keeps the series' digits
-        # near the boundary
+        # coordinates as the closed form, so from a start off the closed
+        # form's minimizer it keeps the series' digits near the boundary
         space = PolySpace.build(Domain.disk(), degree=24)
         xi = Functional.from_string("0: 1; 1: 0.5; 2: -0.25j")
-        expect = _series_kernel(space, xi, (z,), _disk_norm_sq(1.0))
-        assert kernelp_diagonal(space, xi, z, 2.0).K == pytest.approx(expect, rel=1e-12)
+        expect = verify._series_kernel(space, xi, z)
+        assert _iterated_p2(space, xi, z) == pytest.approx(expect, rel=1e-12)
 
 
 class TestMinimizer:
@@ -728,10 +714,10 @@ class TestPowerStart:
             assert ev.K == pytest.approx(cold.K, rel=1e-12, abs=0.0)
 
     def test_candidate_and_its_skips(self, disk16):
-        # delta_0 gets the power of the p = 2 minimizer, which at p = 2 is
-        # u0 itself; a zero constant term (delta_1 at an interior point of
-        # the disk, delta_(1,0) at the bidisc's centre) and a Laurent basis
-        # get none, and neither do vanishing jets
+        # delta_0 gets the power of the p = 2 minimizer; a zero constant
+        # term (delta_1 at an interior point of the disk, delta_(1,0) at the
+        # bidisc's centre) and a Laurent basis get none, and neither do
+        # vanishing jets
         def f2(space, xi, z):
             return kernel2_diagonal(space, xi, z).coeffs
 
@@ -740,7 +726,6 @@ class TestPowerStart:
         power = kernels._power_start(disk16, delta0, 1.5)
         assert power[0] == 1.0
         assert np.array_equal(power, disk16.normalized_power(delta0, 2.0 / 1.5))
-        assert kernels._power_start(disk16, delta0, 2.0) is None
         assert kernels._power_start(disk16, f2(disk16, Functional.delta((1,)), z), 1.5) is None
         bidisc = PolySpace.build(Domain.bidisc(), degree=4, radial_order=8, angular_order=16)
         assert kernels._power_start(
@@ -872,14 +857,20 @@ class TestPowerStartBelowOne:
     @pytest.mark.parametrize("domain,volume", [
         (Domain.bidisc(), math.pi ** 2),
         (Domain.ball(dimension=2), math.pi ** 2 / 2),
-    ], ids=["bidisc", "ball:2"])
+        (Domain.disk(), math.pi),
+    ], ids=["bidisc", "ball:2", "disk"])
     def test_centre_is_one_over_the_volume(self, domain, volume, p):
         # the constant is the delta_0 extremal at the centre for every p (the
         # sub-mean-value property of |f|^p); the seeded multistart alone
         # returned a quadrature artefact 6.5e-3 above 1 / vol on the bidisc
-        # at p = 0.5, and 2.9e-4 above it on ball:2
-        ev = kernelp_diagonal(PolySpace.build(domain), Functional.delta((0, 0)), (0j, 0j), p)
+        # at p = 0.5, and 2.9e-4 above it on ball:2.  At the disk and bidisc
+        # centres the power start is u0 rounded one ulp higher; it wins
+        # that tie, so no restart runs at p = 0.8 either
+        n = domain.dimension
+        ev = kernelp_diagonal(PolySpace.build(domain), Functional.delta((0,) * n), (0j,) * n, p)
         assert "nonconvex-best-found" in ev.flags
+        assert ev.diagnostics["method"] == "power-start"
+        assert "start_spread" not in ev.diagnostics
         assert ev.K == pytest.approx(1.0 / volume, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [0.5, 0.8])

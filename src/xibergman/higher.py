@@ -8,9 +8,10 @@ functions with vanishing (k-1)-jet at z normalized by (P f)(z) = 1.
 Three independent routes compute it:
 
   * direct constrained minimization: the vanishing jets are all orders below
-    k, the leading block of the graded basis, so the solve runs on the
-    trailing block of the jet-adapted orthonormal basis at z and the
-    normalization becomes one affine row;
+    k, the leading block of the graded basis, so the solve runs on an
+    orthonormal basis of the functions with those jets vanishing (for
+    p != 2 the trailing block of the jet-adapted orthonormal basis at z)
+    and the normalization becomes one affine row;
   * the minimum of the plain kernel over the affine family of functionals
     sharing the top coefficients a_alpha * alpha!: the direct minimizer's
     Euler-Lagrange pairing names the minimizing member xi* in closed form,
@@ -282,8 +283,9 @@ def higher_kernel_direct(
 
     The minimal-norm element with vanishing jets at all orders below
     deg H and (P f)(z) = 1.  Those orders are the leading block of the
-    graded order, so the solve runs on the trailing block of the basis
-    orthonormalized at z.  Exact at p = 2, Newton steps otherwise.
+    graded order, so away from p = 2 Newton steps run on the trailing
+    block of the basis orthonormalized at z; at p = 2 the value is exact,
+    on the null space of those jets in the space's own orthonormal basis.
     """
     top, low = _jet_constraint(space, H, p)
     return _constrained_kernel(space, top, z, p, low)

@@ -7,8 +7,10 @@ space subject to the normalization (xi . f)(z) = 1, together with
     K(., z)     = minimizer * K(z)      (off-diagonal kernel, p >= 1)
 
 For p = 2 the value is the closed form |c|^2 of an orthonormal-basis
-pairing, with no iteration; for every other p the constrained solver in
-lpsolve runs on the space's ring operator.
+pairing, with no iteration, in the space's own orthonormal basis (the
+columns of C^-1, whose jets at z are B(z) = J(z) C^-1); for every other p
+the constrained solver in lpsolve runs on the space's ring operator, in the
+basis orthonormalized at z.
 Both engines sit behind one constrained set-up, which also takes the
 vanishing jets of the higher-order kernels: all orders below some k, the
 leading block of the graded basis.
@@ -28,7 +30,7 @@ import numpy as np
 from .algebra import Functional, MultiIndex, PolyCoeffs, _as_point, functional_apply
 from .domains import boundary_distance, contains
 from .lpsolve import _dual, _hoelder_upper, _minimal_norm, _objective, solve_affine_lp
-from .pspace import PolySpace, orthonormal_basis, sup_bound_constant
+from .pspace import PolySpace, _orthonormal_jets, orthonormal_basis, sup_bound_constant
 
 __all__ = [
     "KernelEvaluation",
@@ -172,19 +174,25 @@ def _constrained_kernel(
     """min ||f||_p subject to (xi . f)(z) = 1 and zero jets at the first ``low`` orders.
 
     The one constrained solve behind every kernel in the package.  Both
-    engines work in the point-adapted orthonormal basis at z (of the
-    z-shifted monomials, or of the Laurent monomials).  It is built from
-    the top, so its trailing block from position ``low`` on spans the
-    functions whose jets vanish at the ``low`` leading orders of the
-    graded order; T and U are that block's transform to the solve basis
-    and its centred coefficients.  There the functional is the single row
-    c = T^T L, K = |c|^2 at p = 2, and u0 = conj(c) / |c|^2 is the p = 2
-    minimizer.  At p = 2 the solve stops at u0; at every other p the
-    descent solver of :mod:`xibergman.lpsolve` (Newton steps; for
+    engines work in an orthonormal basis of the functions whose jets
+    vanish at the ``low`` leading orders of the graded order; T and U are
+    its transform to the solve basis (the z-shifted monomials, or the
+    Laurent monomials) and its centred coefficients.  There the
+    functional is the single row c = T^T L, K = |c|^2, and u0 = conj(c) /
+    |c|^2 is the p = 2 minimizer, whatever the basis.  At p = 2 the basis
+    is the space's own, the columns of C^-1, with T = B(z) = J(z) C^-1
+    (:func:`~xibergman.pspace._orthonormal_jets`); with vanishing jets,
+    both are first restricted to the orthonormal null space of B(z)'s
+    ``low`` leading rows, from a Householder QR of that N x low matrix.
+    The solve stops at u0, and no per-point QR is formed.  At every other
+    p the basis is the trailing block from position ``low`` of the
+    point-adapted basis at z (:func:`~xibergman.pspace.orthonormal_basis`),
+    and the descent solver of :mod:`xibergman.lpsolve` (Newton steps; for
     p < 1, reweighted least squares where a full Newton step is refused)
     runs on the space's ring operator, drawing its p < 1 restarts from
-    ``seed``.  The minimizer's solve-basis coefficients are T u, and its
-    centred ones U u are returned as ``coeffs``.  A ``start`` is such a
+    ``seed``.  The minimizer's solve-basis coefficients are T u, its jets
+    below ``low`` exactly 0, and its centred ones U u are returned as
+    ``coeffs``.  A ``start`` is such a
     centred vector from an earlier solve on the space, at any point and
     for any functional.  This function alone decides whether the descent
     starts there (p >= 1 only), at u0 raised to the power 2/p (without
@@ -201,8 +209,17 @@ def _constrained_kernel(
     construction, does not carry.
     """
     zt = _check_inputs(space, xi, z)
-    ob = orthonormal_basis(space, zt)
-    T, U = ob.transform[low:, low:], ob.coeffs[:, low:]
+    if p == 2:
+        # any orthonormal basis will do: the columns of C^-1, with jets B(z)
+        B = _orthonormal_jets(space, zt)
+        T, U = B[low:], space.ring.inverse_factor
+        if low:
+            # the orthonormal null space of the jets below low
+            V = np.linalg.qr(B[:low].conj().T, mode="complete")[0][:, low:]
+            T, U = T @ V, U @ V
+    else:
+        ob = orthonormal_basis(space, zt)
+        T, U = ob.transform[low:, low:], ob.coeffs[:, low:]
     c = T.T @ space.constraint_row(xi, zt)[low:]
     K = float(np.vdot(c, c).real)
     if K <= (1e-14 * max(1.0, xi.max_abs_coeff())) ** 2:
@@ -308,8 +325,9 @@ def kernel2_diagonal(
     """Exact kernel value at p = 2 through the orthonormal-basis pairing.
 
     K = sum |c_a|^2 for the pairing coefficients c of the functional against
-    the basis orthonormalized at z; the minimizer is the coefficient-conjugate
-    combination rescaled by 1/K.  Pure linear algebra, no iteration.
+    the space's orthonormal basis, the columns of C^-1, at z; the minimizer
+    is the coefficient-conjugate combination rescaled by 1/K.  Pure linear
+    algebra, no iteration.
     """
     return _constrained_kernel(space, xi, z, 2.0)
 

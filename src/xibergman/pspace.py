@@ -13,14 +13,18 @@ tables restricted to the bins the space reaches; no Q x N array of node
 values is kept, and no FFT library is loaded.  The exact Taylor jets
 :meth:`PolySpace.jet_matrix` tie the centred monomials to a point z.
 
-:func:`orthonormal_basis` produces a basis adapted to a point: sigma_alpha
-has vanishing Taylor jet at the point for every order below alpha (in the
-graded order) and a nonvanishing jet exactly at alpha.  So the functions
-whose jets vanish at all orders below k are spanned by a trailing block of
-the basis: the orders below k lead the graded order.  That triangular
-structure is what the degree-constrained functional solvers rely on.  The
-space keeps the basis of the last point it was asked for, so the routes that
-solve at one point share one orthonormalization.
+The space owns one orthonormal basis, the columns of C^-1 for the ring
+factor C (G = C^H C); :func:`_orthonormal_jets` gives their Taylor jets
+B(z) = J(z) C^-1 at a point, which is all the p = 2 closed form reads.
+:func:`orthonormal_basis` produces a basis adapted to a point from B(z) by
+one N x N QR: sigma_alpha has vanishing Taylor jet at the point for every
+order below alpha (in the graded order) and a nonvanishing jet exactly at
+alpha.  So the functions whose jets vanish at all orders below k are
+spanned by a trailing block of the basis: the orders below k lead the
+graded order.  That triangular structure is what the descent solver's
+jet-constrained solves rely on.  The space keeps B(z) of the last point it
+was asked for, and that point's adapted basis once one is asked for, so the
+routes that solve at one point share one B(z) and one QR.
 """
 
 from __future__ import annotations
@@ -90,8 +94,8 @@ class PolySpace:
     domain: Domain
     quadrature: Quadrature
     indices: list[MultiIndex]
-    # the basis of the last orthonormal_basis request, arrays read-only
-    _basis_memo: OrthonormalBasis | None = field(default=None, init=False, repr=False)
+    # B(z) of the last point asked for and, once built, its adapted basis
+    _point_memo: _PointMemo | None = field(default=None, init=False, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -591,7 +595,9 @@ class RingOperator:
 
     @cached_property
     def inverse_factor(self) -> np.ndarray:
-        """C^-1 for the ring factor C, which every point's orthonormal basis reads."""
+        """C^-1 for the ring factor C: its columns are the space's orthonormal
+        basis, whose jets at a point every p = 2 value and every point-adapted
+        basis read."""
         return np.linalg.inv(self.factor)
 
 
@@ -619,6 +625,40 @@ class OrthonormalBasis:
     coeffs: np.ndarray
 
 
+@dataclass(eq=False)
+class _PointMemo:
+    """A space's one-entry memo: B(z) at ``point``, read-only, and the
+    point-adapted basis, built from it only when asked for."""
+
+    point: tuple[complex, ...]
+    jets: np.ndarray
+    basis: OrthonormalBasis | None = None
+
+
+def _memo_at(space: PolySpace, point: tuple[complex, ...]) -> _PointMemo:
+    """The space's memo at ``point``; another point replaces the entry."""
+    memo = space._point_memo
+    if memo is None or memo.point != point:
+        jets = space.jet_map(point) @ space.ring.inverse_factor
+        jets.flags.writeable = False
+        memo = space._point_memo = _PointMemo(point, jets)
+    return memo
+
+
+def _orthonormal_jets(space: PolySpace, z) -> np.ndarray:
+    """B(z) = J(z) C^-1, the solve-basis coefficients of the columns of C^-1.
+
+    Column j holds the Taylor jets at z of the function whose centred
+    coefficients are column j of C^-1 (Laurent bases: the column itself,
+    J = I).  Those functions are orthonormal in the weighted product,
+    since G = C^H C, and the same for every point; only their jets depend
+    on z.  Raises RankLossError on a rule the space is rank deficient on
+    (see :attr:`RingOperator.factor`).  The array is the space's memo and
+    read-only.
+    """
+    return _memo_at(space, _as_point(z, space.dimension)).jets
+
+
 def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     """Orthonormalize the space against the quadrature product, adapted to z.
 
@@ -633,16 +673,17 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     adaptation; expansion identities that only need orthonormality remain
     valid there.
 
-    The space keeps the last point's basis, with read-only arrays, and
-    returns it again for the same point; another point replaces it.
+    The space keeps the last point's basis, with read-only arrays, next to
+    that point's B(z) (:func:`_orthonormal_jets`), and returns it again for
+    the same point; another point replaces both.
     """
     point = _as_point(z, space.dimension)
-    ob = space._basis_memo
-    if ob is None or ob.point != point:
+    memo = _memo_at(space, point)
+    if memo.basis is None:
         T, U = _orthonormal_transform(space, point)
         T.flags.writeable = U.flags.writeable = False
-        ob = space._basis_memo = OrthonormalBasis(point, T, U)
-    return ob
+        memo.basis = OrthonormalBasis(point, T, U)
+    return memo.basis
 
 
 def _orthonormal_transform(space: PolySpace, point) -> tuple[np.ndarray, np.ndarray]:
@@ -650,9 +691,9 @@ def _orthonormal_transform(space: PolySpace, point) -> tuple[np.ndarray, np.ndar
 
     Column a of T only involves solve-basis columns b >= a, and its
     leading coefficient T[a, a] is real and positive; processing from the
-    last column to the first keeps the jet flag structure.  With J =
-    jet_map and the ring factor C, the columns of X = C^-H J^H represent
-    the jet functionals at the point in the weighted product, and carry no
+    last column to the first keeps the jet flag structure.  The columns
+    of X = B(z)^H, B(z) = J(z) C^-1 from the space's memo, represent the
+    jet functionals at the point in the weighted product, and carry no
     cancellation.  An N x N QR, X = Q R, gives both factors: U = C^-1 Q
     is orthonormal, its jets at the point are T = R^H, and for every a
     its columns from a on span the functions whose jets below a vanish.
@@ -661,8 +702,7 @@ def _orthonormal_transform(space: PolySpace, point) -> tuple[np.ndarray, np.ndar
     as a QR of the node values would, 1 / (T[a, a] ||psi_a||), where
     ||psi_a|| is the norm of column a of T^-1.
     """
-    C_inv = space.ring.inverse_factor
-    X = (space.jet_map(point) @ C_inv).conj().T
+    X = _memo_at(space, point).jets.conj().T
     # equilibrate columns first so monomial scale spread (radius^|alpha| on
     # small domains) does not masquerade as rank loss
     colnorm = np.linalg.norm(X, axis=0)
@@ -678,7 +718,7 @@ def _orthonormal_transform(space: PolySpace, point) -> tuple[np.ndarray, np.ndar
     scaled = 1.0 / (np.abs(np.diagonal(R)) * np.linalg.norm(np.linalg.inv(R), axis=1))
     if not np.all(np.isfinite(scaled)) or scaled.max() / scaled.min() > math.sqrt(CONDITION_LIMIT):
         raise RankLossError("basis numerically rank deficient at this point")
-    return R.conj().T, C_inv @ (Q * phase[None, :])
+    return R.conj().T, space.ring.inverse_factor @ (Q * phase[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -201,9 +201,9 @@ class TestViaInf:
         assert res.inner_calls == 1
 
     def test_p2_factorizes_once(self, monkeypatch):
-        # the jet-constrained columns are the trailing block of the basis
-        # orthonormalized at z, which the space keeps: every route at one
-        # point, and the infimum route's solve and bracket, work in it
+        # the basis orthonormalized at z, which the space keeps, is built
+        # once: the p = 1.5 solves, the infimum route's brackets and
+        # minimizing_xi_p2 work in it, and p = 2 values read only B(z)
         from xibergman import pspace
         space = PolySpace.build(Domain.disk(), degree=6, radial_order=12, angular_order=24)
         calls = []

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xibergman import kernels, lpsolve, verify
+from xibergman import kernels, lpsolve, pspace, verify
 from xibergman import (
     Domain,
     Functional,
@@ -73,13 +73,17 @@ class TestClosedForms:
         exact = kernel2_diagonal(disk16, xi, z)
         assert _iterated_p2(disk16, xi, z) == pytest.approx(exact.K, rel=1e-9)
 
-    def test_p2_never_reaches_the_solver(self, monkeypatch, disk16):
+    def test_p2_never_reaches_the_solver(self, monkeypatch, tmp_path, disk16):
         # p = 2 has one route, the closed form: the three diagonal names are
         # one computation, and no p = 2 entry point calls the descent solver
+        # or builds the point-adapted QR, which the descent works in
+        from xibergman.cli import main
+
         def refuse(*args, **kwargs):
-            raise AssertionError("the solver ran at p = 2")
+            raise AssertionError("the solver or the adapted QR ran at p = 2")
 
         monkeypatch.setattr(kernels, "solve_affine_lp", refuse)
+        monkeypatch.setattr(pspace, "_orthonormal_transform", refuse)
         assert kernelp_diagonal is diagonal
         xi = Functional.from_string("0: 1; 1: 0.5; 2: -0.25j")
         z = 0.3 - 0.2j
@@ -92,6 +96,38 @@ class TestClosedForms:
         higher_kernel_direct(disk16, HomogeneousPolynomial.from_string("z^2: 1"), z, 2.0)
         for model in (GreenModel.balanced(Domain.disk()), GreenModel.moebius_disk(0.5)):
             sweep(disk16, model, Functional.delta((0,)), 2.0, [-2.0, -1.0, 0.0])
+        out = tmp_path / "k.json"
+        assert main(["compute", "--domain", "bidisc", "--xi", "0,0: 1; 1,0: 0.5",
+                     "--p", "2", "--z", "0.2+0.1j,-0.3j", "--degree", "6",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("shape,degree,z", [
+        ("disk", 16, (0.3 - 0.2j,)),
+        ("annulus", 8, (0.7 + 0.1j,)),
+        ("bidisc", 6, (0.2 + 0.1j, -0.3j)),
+        ("ball2", 6, (0.2 + 0.1j, -0.3j)),
+        ("ball3", 4, (0.2, 0.1j, -0.2)),
+    ])
+    def test_closed_form_matches_the_adapted_basis(self, shape, degree, z):
+        # the closed form pairs the functional with the jets of the space's
+        # own orthonormal basis; the point-adapted basis of the descent is
+        # the reference: the same K, and the element's jets below low are 0
+        domain = {"disk": Domain.disk(), "annulus": Domain.annulus(0.5, 1.0),
+                  "bidisc": Domain.bidisc(), "ball2": Domain.ball(dimension=2),
+                  "ball3": Domain.ball(dimension=3)}[shape]
+        space = PolySpace.build(domain, degree=degree)
+        coeffs = (1.0, 0.5, -0.25j, 0.4 + 0.3j, -0.6)
+        taylor = [idx for idx in space.indices if idx.is_taylor]
+        xi = Functional(space.dimension, dict(zip(taylor, coeffs)))
+        ob = orthonormal_basis(space, z)
+        L = space.constraint_row(xi, ob.point)
+        for low in (0,) if space.laurent else (0, 1, 2):
+            ev = kernels._constrained_kernel(space, xi, z, 2.0, low)
+            c = ob.transform[low:, low:].T @ L[low:]
+            assert ev.K == pytest.approx(np.vdot(c, c).real, rel=1e-12)
+            assert all(ev.minimizer.coefficient(idx) == 0 for idx in space.indices[:low])
+            assert ev.diagnostics["constraint_residual"] < 1e-12
 
     def test_scaled_functional_covariance(self, disk16):
         # K is |c|^p homogeneous in the functional scale
@@ -529,16 +565,17 @@ class TestSolverContract:
         assert np.array_equal(warm.coeffs, cold.coeffs)
 
     def test_closed_form_is_the_descent_start(self, disk16):
-        # the p = 2 minimizer is the solver's default start u0, bit for bit,
-        # and its value |c|^2 the divisor of u0
+        # the p = 2 minimizer is the minimal-norm point u0 of the solver's
+        # default start, bit for bit, in the space's own orthonormal basis,
+        # the columns of C^-1: c pairs the functional with their jets B(z),
+        # and its value |c|^2 is the divisor of u0
         xi = Functional.from_string("0: 1; 1: 0.5; 2: -0.25j")
         z = 0.3 - 0.2j
-        ob = orthonormal_basis(disk16, z)
-        c = ob.transform.T @ disk16.constraint_row(xi, ob.point)
+        c = pspace._orthonormal_jets(disk16, z).T @ disk16.constraint_row(xi, z)
         u0 = lpsolve._minimal_norm(c)
         exact = kernel2_diagonal(disk16, xi, z)
         assert exact.K == np.vdot(c, c).real
-        assert np.array_equal(exact.coeffs, ob.coeffs @ u0)
+        assert np.array_equal(exact.coeffs, disk16.ring.inverse_factor @ u0)
         assert abs(c @ u0 - 1.0) < 1e-15
 
     def test_null_space_is_orthonormal(self):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xibergman import lpsolve
+from xibergman import lpsolve, pspace
 from xibergman import (
     Domain,
     Functional,
@@ -91,7 +91,6 @@ class TestOrthonormalBasis:
 class TestBasisMemo:
     @pytest.fixture
     def transforms(self, monkeypatch):
-        from xibergman import pspace
         calls = []
         original = pspace._orthonormal_transform
 
@@ -100,6 +99,19 @@ class TestBasisMemo:
             return original(space, point)
 
         monkeypatch.setattr(pspace, "_orthonormal_transform", spy)
+        return calls
+
+    @pytest.fixture
+    def jet_forms(self, monkeypatch):
+        # every B(z) = J(z) C^-1 the space forms reads jet_map once
+        calls = []
+        original = PolySpace.jet_map
+
+        def spy(space, z):
+            calls.append(z)
+            return original(space, z)
+
+        monkeypatch.setattr(PolySpace, "jet_map", spy)
         return calls
 
     @staticmethod
@@ -117,9 +129,21 @@ class TestBasisMemo:
         space = self._space()
         orthonormal_basis(space, 0.3 + 0.1j)
         ob = orthonormal_basis(space, -0.2j)
-        assert space._basis_memo.point == ob.point == (-0.2j,)
+        assert space._point_memo.point == ob.point == (-0.2j,)
         orthonormal_basis(space, 0.3 + 0.1j)
         assert transforms == [(0.3 + 0.1j,), (-0.2j,), (0.3 + 0.1j,)]
+
+    def test_p2_forms_the_jets_once_per_point(self, transforms, jet_forms):
+        # repeated p = 2 values at one point share one B(z) and build no QR
+        space = self._space()
+        z = 0.3 + 0.1j
+        for xs in ("0: 1", "0: 1; 1: 0.5", "2: 1j"):
+            kernel2_diagonal(space, Functional.from_string(xs), z)
+            diagonal(space, Functional.from_string(xs), (z,), 2.0)
+        assert jet_forms == [(z,)] and transforms == []
+        assert not pspace._orthonormal_jets(space, z).flags.writeable
+        kernel2_diagonal(space, Functional.from_string("0: 1"), -0.2j)
+        assert jet_forms == [(z,), (-0.2j,)]
 
     def test_cached_arrays_reject_writes(self):
         ob = orthonormal_basis(self._space(), 0.3 + 0.1j)
@@ -129,14 +153,17 @@ class TestBasisMemo:
             ob.coeffs[0, 0] = 0
 
     @pytest.mark.parametrize("p", [2.0, 1.5])
-    def test_hit_matches_a_fresh_space(self, transforms, p):
+    def test_hit_matches_a_fresh_space(self, transforms, jet_forms, p):
+        # p = 2 reads only B(z), one form per space; the descent also
+        # reads the adapted basis, one QR per space
         xi = Functional.from_string("0: 1; 1: 0.5")
         z = 0.25 - 0.3j
         cached = self._space()
         orthonormal_basis(cached, z)
         hit = kernelp_diagonal(cached, xi, z, p)
         fresh = kernelp_diagonal(self._space(), xi, z, p)
-        assert len(transforms) == 2
+        assert len(jet_forms) == 2
+        assert len(transforms) == (1 if p == 2 else 2)
         assert hit.K == fresh.K
         assert hit.minimizer.coeffs == fresh.minimizer.coeffs
 

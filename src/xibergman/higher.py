@@ -286,6 +286,9 @@ def higher_kernel_direct(
     graded order, so away from p = 2 Newton steps run on the trailing
     block of the basis orthonormalized at z; at p = 2 the value is exact,
     on the null space of those jets in the space's own orthonormal basis.
+    Above p = 1 and off the domain's center the descent may start at the
+    jet start of :func:`~xibergman.kernels._warm_start`, which on the disk
+    is the extremal for H = z^k up to a constant and truncation.
     """
     top, low = _jet_constraint(space, H, p)
     return _constrained_kernel(space, top, z, p, low)

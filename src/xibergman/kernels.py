@@ -196,8 +196,10 @@ def _constrained_kernel(
     centred vector from an earlier solve on the space, at any point and
     for any functional.  This function alone decides whether the descent
     starts there (p >= 1 only), at u0 raised to the power 2/p (without
-    vanishing jets; below p = 1 for a point evaluation only), or at u0
-    (see :func:`_warm_start`).  The closed form and the p < 1 solves read
+    vanishing jets; below p = 1 for a point evaluation only), with
+    vanishing jets above p = 1 off the center at the jet start, the p = 2
+    minimizer times a power of the delta_0 one at z, or at u0 (see
+    :func:`_warm_start`).  The closed form and the p < 1 solves read
     no start, so their values never depend on call history.  Below p = 1
     the descent from the power start is the result when it ends
     stationary (method "power-start"); else the seeded restarts run and
@@ -232,7 +234,8 @@ def _constrained_kernel(
     else:
         point = xi.support() == [MultiIndex.zero(xi.dimension)]
         sol = solve_affine_lp(space.ring, U, c, p,
-                              start=_warm_start(space, U, c, p, low, start, point), seed=seed)
+                              start=_warm_start(space, zt, U, c, p, low, start, point),
+                              seed=seed)
         K = 1.0 / sol.objective
         m = sol.objective ** (1.0 / p)
         u = sol.coeffs
@@ -255,32 +258,56 @@ def _constrained_kernel(
         degree=space.degree, coeffs=U @ u, diagnostics=diagnostics)
 
 
-def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float, low: int,
-                start: np.ndarray | None, point: bool = False) -> np.ndarray | None:
-    """The feasible start the descent takes, or None for u0, the p = 2 minimizer.
+def _warm_start(space: PolySpace, z: tuple[complex, ...], U: np.ndarray, c: np.ndarray,
+                p: float, low: int, start: np.ndarray | None,
+                point: bool = False) -> np.ndarray | None:
+    """The feasible start the descent takes at ``z``, or None for u0, the p = 2 minimizer.
 
-    There are up to two centred candidates: the caller's ``start``, and
-    without vanishing jets (``low`` = 0) the power start of
-    :func:`_power_start`.  Below p = 1 the problem is nonconvex and the
-    solver runs its seeded restarts unless the descent from the start ends
-    stationary, so there the power start is the only candidate, and only
-    for a point evaluation (``point``, the functional's support is the
-    zero index), where it is exact up to truncation; the caller's
-    ``start`` is never read, so a p < 1 value does not depend on call
-    history.  A candidate's projection u = U^H G x onto the block (G the
-    base Gram, in which U is orthonormal) is rescaled to u / (c . u),
-    which is feasible.  It is dropped when c . u is tiny against |c| |u|,
-    or when sum_q w_q |f(x_q)|^p is larger there than at u0: a start from
-    far away can cost many more steps than u0 does.  The candidate with
-    the lowest such sum is the start; a tie within the 1e-15 relative
-    slack of the solver's Armijo test goes to the candidate, since at a
-    centre of symmetry the power start is u0 itself, rounded differently.
+    There are up to two centred candidates: the caller's ``start``, and a
+    power (:func:`_power_start`) of f2, the p = 2 minimizer with the same
+    constraint.  Without vanishing jets (``low`` = 0) that is the power
+    start f2^(2/p), up to a constant.  With vanishing jets, above p = 1
+    and away from the space's center, it is the jet start
+
+        f2 (d / d(center))^(2/p - 1)
+
+    truncated to the index set, with d = C^-1 u0 the delta_0 p = 2
+    minimizer at z, u0 from the row B(z)[0] of the point's memo, so no
+    node is read.  On the disk the H = z^k extremal at z is a constant
+    times phi_z^k (phi_z')^(2/p), phi_z(w) = (w - z) / (1 - conj(z) w), by
+    the transformation rule of the p-Bergman kernel; there f2 is a
+    constant times (w - z)^k (1 - conj(z) w)^(-k-2) and d one times
+    (1 - conj(z) w)^-2, so the jet start is that extremal up to a
+    constant and truncation.  Elsewhere it is a heuristic.  At the center
+    it is f2 times a constant, and p = 1, with no certified stop, keeps u0.
+    Below p = 1 the problem is nonconvex and the solver runs its seeded
+    restarts unless the descent from the start ends stationary, so there
+    the power start is the only candidate, and only for a point
+    evaluation (``point``, the functional's support is the zero index),
+    where it is exact up to truncation; the caller's ``start`` is never
+    read, so a p < 1 value does not depend on call history.  A
+    candidate's projection u = U^H G x onto the block (G the base Gram, in
+    which U is orthonormal) is rescaled to u / (c . u), which is feasible.
+    It is dropped when c . u is tiny against |c| |u|, or when
+    sum_q w_q |f(x_q)|^p is larger there than at u0: a start from far away
+    can cost many more steps than u0 does.  The candidate with the lowest
+    such sum is the start; a tie within the 1e-15 relative slack of the
+    solver's Armijo test goes to the candidate, since at a centre of
+    symmetry the power start is u0 itself, rounded differently.
     """
     if not 0 < p < np.inf or p < 1 and not point:
         # an exponent the solver rejects, or p < 1 away from delta_0
         return None
     f2 = U @ _minimal_norm(c)
-    power = _power_start(space, f2, p) if low == 0 else None
+    power = None
+    if low == 0:
+        power = _power_start(space, f2, 2.0 / p)
+    elif p > 1 and z != space.center:
+        # the jet start, with d the delta_0 p = 2 minimizer at z
+        d = space.ring.inverse_factor @ _minimal_norm(_orthonormal_jets(space, z)[0])
+        power = _power_start(space, d, 2.0 / p - 1.0)
+        if power is not None:
+            power = space.series_product(f2, power)
     candidates = [x for x in (start if p >= 1 else None, power) if x is not None]
     if not candidates:
         return None
@@ -297,24 +324,23 @@ def _warm_start(space: PolySpace, U: np.ndarray, c: np.ndarray, p: float, low: i
     return best
 
 
-def _power_start(space: PolySpace, f2: np.ndarray, p: float) -> np.ndarray | None:
-    """Centred coefficients of the p = 2 minimizer raised to 2/p, or None.
+def _power_start(space: PolySpace, f: np.ndarray, e: float) -> np.ndarray | None:
+    """Centred coefficients of (f / f(center))^e, or None.
 
-    ``f2`` holds the p = 2 minimizer's centred coefficients.  On the disk,
-    the ball and the polydisc (and on the Moebius sublevel disks of a
-    sweep) the delta_0 extremal at p is that of p = 2 raised to 2/p, up to
-    a constant, by the transformation rule of the p-Bergman kernel (Chen &
+    ``f`` holds a p = 2 minimizer's centred coefficients.  On the disk, the
+    ball and the polydisc (and on the Moebius sublevel disks of a sweep)
+    the delta_0 extremal at p is that of p = 2 raised to e = 2/p, up to a
+    constant, by the transformation rule of the p-Bergman kernel (Chen &
     Zhang, Adv. Math. 405, 2022); the truncated Taylor series at the
-    center of (f2 / f2(center))^(2/p) is formed from the coefficients
-    alone (:meth:`~xibergman.pspace.PolySpace.normalized_power`).  There
-    is none on a Laurent basis, or when f2(center) is below 1e-12 of f2's
-    largest coefficient (delta_1 at an interior point of the disk, say),
-    where the power has no series.  p = 2 never asks: its value is the
-    closed form.
+    center of the power is formed from the coefficients alone
+    (:meth:`~xibergman.pspace.PolySpace.normalized_power`).  There is none
+    on a Laurent basis, or when f(center) is below 1e-12 of f's largest
+    coefficient (delta_1 at an interior point of the disk, say), where the
+    power has no series.  p = 2 never asks: its value is the closed form.
     """
-    if space.laurent or abs(f2[0]) < 1e-12 * np.abs(f2).max():
+    if space.laurent or abs(f[0]) < 1e-12 * np.abs(f).max():
         return None
-    return space.normalized_power(f2, 2.0 / p)
+    return space.normalized_power(f, e)
 
 
 def kernel2_diagonal(

@@ -276,6 +276,28 @@ class PolySpace:
             np.add.at(h, gamma, ((e + 1.0) / k * size - 1.0) * a[alpha] * h[beta])
         return h
 
+    def series_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Centred coefficients of f g on the index set, for f and g with
+        centred coefficients ``a`` and ``b``.
+
+        The Cauchy product sum_{alpha + beta = gamma} a_alpha b_beta: the
+        index set is closed under lowering an exponent, so every pair it
+        needs lies in it, and the terms of degree above the set's are
+        dropped.  No node is read.  Laurent bases have no Taylor series at
+        the center.
+        """
+        if self.laurent:
+            raise AlgebraError("Laurent bases have no Taylor series at the center")
+        # alpha = 0 with beta = gamma, then the pairs with alpha != 0
+        every = np.arange(self.size)
+        pairs = self._series_pairs
+        gamma = np.concatenate([every] + [g for _, g, _, _, _ in pairs])
+        alpha = np.concatenate([np.zeros_like(every)] + [x for _, _, x, _, _ in pairs])
+        beta = np.concatenate([every] + [y for _, _, _, y, _ in pairs])
+        h = np.zeros(self.size, dtype=complex)
+        np.add.at(h, gamma, np.asarray(a, dtype=complex)[alpha] * np.asarray(b, dtype=complex)[beta])
+        return h
+
     @cached_property
     def _series_pairs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per total degree k >= 1: the positions gamma, alpha, beta of the

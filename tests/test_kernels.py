@@ -668,8 +668,13 @@ class TestSolverContract:
 
         power = run()
         monkeypatch.setattr(kernels, "_power_start", lambda *args: None)
-        cold = run()
-        for p, evs in power.items():
+        self._assert_start_saves_steps(power, run())
+
+    @staticmethod
+    def _assert_start_saves_steps(started, cold):
+        """Per p: no flag, the same K to 1e-12, fewer steps in all, and at
+        most one more at any single value."""
+        for p, evs in started.items():
             steps = [ev.diagnostics["iterations"] for ev in evs]
             old_steps = [ev.diagnostics["iterations"] for ev in cold[p]]
             assert not any(ev.flags for ev in evs), p
@@ -677,6 +682,27 @@ class TestSolverContract:
                                rtol=1e-12, atol=0.0), p
             assert sum(steps) < sum(old_steps), p
             assert all(new <= old + 1 for new, old in zip(steps, old_steps)), p
+
+    def test_jet_start_saves_steps(self, monkeypatch, disk16):
+        # the vanishing-jet twin of test_power_start_saves_steps: H = z^k on
+        # the disk and H = z1 on the default bidisc and ball:2, from the jet
+        # start against u0 alone
+        bidisc, ball = PolySpace.build(Domain.bidisc()), PolySpace.build(Domain.ball(1.0, 2))
+        cases = [(disk16, HomogeneousPolynomial.from_string(f"z^{k}: 1"), r * np.exp(0.7j))
+                 for k in (1, 2, 3) for r in (0.0, 0.3, 0.6)]
+        z1 = HomogeneousPolynomial.from_string("z1: 1", 2)
+        cases += [(bidisc, z1, (0.3 * np.exp(0.7j), 0.2 * np.exp(-1.1j))),
+                  (bidisc, z1, (0.5 * np.exp(0.7j), 0.5 * np.exp(2j))),
+                  (ball, z1, (0.3 * np.exp(0.7j), 0.2 * np.exp(-1.1j))),
+                  (ball, z1, (0.4 * np.exp(0.7j), 0.3 * np.exp(2j)))]
+
+        def run():
+            return {p: [higher_kernel_direct(space, H, z, p) for space, H, z in cases]
+                    for p in (1.5, 3.0)}
+
+        jet = run()
+        monkeypatch.setattr(kernels, "_power_start", lambda *args: None)
+        self._assert_start_saves_steps(jet, run())
 
     def test_certified_stop_saves_steps(self, monkeypatch):
         # on the grid above, the certified stop against the relative-change
@@ -753,27 +779,57 @@ class TestPowerStart:
     def test_candidate_and_its_skips(self, disk16):
         # delta_0 gets the power of the p = 2 minimizer; a zero constant
         # term (delta_1 at an interior point of the disk, delta_(1,0) at the
-        # bidisc's centre) and a Laurent basis get none, and neither do
-        # vanishing jets
+        # bidisc's centre) and a Laurent basis get none.  Vanishing jets get
+        # the jet start above p = 1 off the centre, and none at the centre
+        # or at p = 1
         def f2(space, xi, z):
             return kernel2_diagonal(space, xi, z).coeffs
 
         z = 0.4 * np.exp(0.7j)
         delta0 = f2(disk16, Functional.delta((0,)), z)
-        power = kernels._power_start(disk16, delta0, 1.5)
+        power = kernels._power_start(disk16, delta0, 2.0 / 1.5)
         assert power[0] == 1.0
         assert np.array_equal(power, disk16.normalized_power(delta0, 2.0 / 1.5))
-        assert kernels._power_start(disk16, f2(disk16, Functional.delta((1,)), z), 1.5) is None
+        assert kernels._power_start(
+            disk16, f2(disk16, Functional.delta((1,)), z), 2.0 / 1.5) is None
         bidisc = PolySpace.build(Domain.bidisc(), degree=4, radial_order=8, angular_order=16)
         assert kernels._power_start(
-            bidisc, f2(bidisc, Functional.delta((1, 0)), (0j, 0j)), 1.5) is None
+            bidisc, f2(bidisc, Functional.delta((1, 0)), (0j, 0j)), 2.0 / 1.5) is None
         annulus = PolySpace.build(Domain.annulus(0.4, 1.0), degree=6)
         assert kernels._power_start(
-            annulus, f2(annulus, Functional.delta((0,)), 0.7j), 1.5) is None
-        ob = orthonormal_basis(disk16, z)
-        c = ob.transform.T @ disk16.constraint_row(Functional.delta((1,)), ob.point)
-        assert kernels._warm_start(disk16, ob.coeffs[:, 1:], c[1:], 1.5, 1, None) is None
-        assert kernels._warm_start(disk16, ob.coeffs, c, 1.5, 0, None) is None
+            annulus, f2(annulus, Functional.delta((0,)), 0.7j), 2.0 / 1.5) is None
+
+        def start(z, p, low):
+            ob = orthonormal_basis(disk16, z)
+            c = ob.transform.T @ disk16.constraint_row(Functional.delta((1,)), ob.point)
+            return kernels._warm_start(disk16, ob.point, ob.coeffs[:, low:], c[low:], p, low, None)
+
+        assert start(z, 1.5, 1) is not None
+        assert start(0j, 1.5, 1) is None
+        assert start(z, 1.0, 1) is None
+        assert start(z, 1.5, 0) is None
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_jet_start_is_the_disk_extremal(self, k, p):
+        # on the disk the H = z^k extremal at z is a constant times
+        # phi_z^k (phi_z')^(2/p), that is (w - z)^k (1 - conj(z) w)^(-k-4/p);
+        # its Taylor coefficients come from the binomial series and a
+        # convolution, and the jet start matches them up to a constant
+        disk = PolySpace.build(Domain.disk(), degree=24)
+        z = 0.3 * np.exp(0.7j)
+        ob = orthonormal_basis(disk, z)
+        c = ob.transform.T @ disk.constraint_row(Functional.delta((k,)), ob.point)
+        U = ob.coeffs[:, k:]
+        x = U @ kernels._warm_start(disk, ob.point, U, c[k:], p, k, None)
+        e = -k - 4.0 / p
+        series = [1.0 + 0j]
+        for n in range(1, disk.size):
+            series.append(series[-1] * (e - n + 1) / n * -np.conj(z))
+        head = [math.comb(k, j) * (-z) ** (k - j) for j in range(k + 1)]
+        exact = np.convolve(head, series)[:disk.size]
+        exact *= np.vdot(exact, x) / np.vdot(exact, exact)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("p", ["2", "0.8"])
     def test_closed_form_and_multistart_outputs_unchanged(self, monkeypatch, tmp_path, p):

@@ -480,6 +480,34 @@ class TestSpaceStructure:
         with pytest.raises(AlgebraError):
             space.normalized_power(np.ones(space.size), 0.5)
 
+    def test_series_product_is_the_truncated_convolution(self):
+        rng = np.random.default_rng(11)
+        space = PolySpace.build(Domain.disk(), degree=16)
+        a, b = rng.standard_normal((2, space.size)) + 1j * rng.standard_normal((2, space.size))
+        full = np.convolve(a, b)[:space.size]
+        assert _rel(space.series_product(a, b), full) <= 1e-14
+        annulus = PolySpace.build(Domain.annulus(0.5, 1.0), degree=3, radial_order=6,
+                                  angular_order=12)
+        with pytest.raises(AlgebraError):
+            annulus.series_product(np.ones(annulus.size), np.ones(annulus.size))
+
+    @pytest.mark.parametrize("shape", ["bidisc", "ball:3"])
+    def test_series_product_matches_a_double_loop(self, shape):
+        # every pair of indices whose sum lies in the index set, by hand, on
+        # the default bidisc and a degree-6 ball:3
+        space = (PolySpace.build(Domain.bidisc()) if shape == "bidisc" else
+                 PolySpace.build(Domain.ball(1.0, 3), degree=6, radial_order=8, angular_order=16))
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((2, space.size)) + 1j * rng.standard_normal((2, space.size))
+        pos = space.index_position()
+        full = np.zeros(space.size, dtype=complex)
+        for i, alpha in enumerate(space.indices):
+            for j, beta in enumerate(space.indices):
+                k = pos.get(MultiIndex(tuple(x + y for x, y in zip(alpha.entries, beta.entries))))
+                if k is not None:
+                    full[k] += a[i] * b[j]
+        assert _rel(space.series_product(a, b), full) <= 1e-14
+
     def test_annulus_is_laurent(self):
         space = PolySpace.build(Domain.annulus(0.5, 1.0), degree=6)
         assert space.laurent

@@ -19,8 +19,8 @@ Three independent routes compute it:
     that it attains K with no second solve: the direct minimizer is
     feasible for xi*, so K_H <= K_xi*, and an exact L^q representer of xi*
     bounds K_xi* from above;
-  * at p = 2, a triangular linear system through the jet-adapted orthonormal
-    basis yields the exact minimizing functional in closed form.
+  * at p = 2, least squares on the jets B(z) = J(z) C^-1 of the space's own
+    orthonormal basis yields the exact minimizing functional in closed form.
 
 Cross-agreement of the three is part of the verification battery.
 """
@@ -46,17 +46,18 @@ from .kernels import (
     KernelEvaluation,
     _bracket,
     _constrained_kernel,
+    _low_jets_qr,
     diagonal,  # noqa: F401
     kernel2_diagonal,  # noqa: F401
 )
-# diagonal, kernel2_diagonal and solve_affine_lp are not called here since
-# the solves moved to kernels; they stay importable because bench/spans.py
-# wraps these lookups
+# diagonal, kernel2_diagonal, solve_affine_lp and orthonormal_basis are not
+# called here; they stay importable because bench/spans.py wraps these lookups
 from .lpsolve import (
     _dual,
     solve_affine_lp,  # noqa: F401
 )
-from .pspace import PolySpace, orthonormal_basis
+from .pspace import PolySpace, _orthonormal_jets
+from .pspace import orthonormal_basis  # noqa: F401
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -301,28 +302,26 @@ def minimizing_xi_p2(
 ) -> Functional:
     """Exact minimizing functional of the family at p = 2.
 
-    In the jet-adapted orthonormal basis the kernel is the squared norm of
-    the pairing-coefficient vector; killing every coefficient below order k
-    is an upper-triangular system in the free coefficients (the diagonal
-    holds the nonvanishing leading jets), solved directly.
+    A member with free coefficients x pairs with the columns of C^-1 as
+    c + B_low^T x, c = B(z)^T L for H's top functional L and B_low the jets
+    B(z) = J(z) C^-1 below order k, and its kernel is that vector's squared
+    norm.  Least squares on Q R = B_low^H (:func:`~xibergman.kernels._low_jets_qr`)
+    gives x = -conj(R_1^-1 Q_1^H conj(c)), R_1 the leading rows of R; its
+    residual is the vanishing-jet closed form.  A zero diagonal entry of
+    R_1 raises KernelError.
     """
     fixed, low = _jet_constraint(space, H, 2.0)
     family = FunctionalFamily(H)
     if not low:
         return family.fixed_member()
-    top_idx = [j for j, idx in enumerate(space.indices) if idx.degree == H.degree]
-
-    T = orthonormal_basis(space, z).transform
-    # pairing coefficient of basis element alpha: c_alpha = sum_beta xi_beta T[beta, alpha]
-    M = T[:low, :low].T
-    fixed_vec = np.array([fixed[space.indices[j]] for j in top_idx], dtype=complex)
-    rhs = -(T[top_idx, :low].T @ fixed_vec)
-    dmin = float(np.min(np.abs(np.diag(M))))
-    if dmin == 0.0:
+    B = _orthonormal_jets(space, z)
+    Q, R = _low_jets_qr(B, low)
+    R = R[:low]
+    if not np.diag(R).all():
         raise KernelError("degenerate leading jet in the orthonormal basis")
-    # M is upper triangular with a nonzero diagonal, so the partial pivoting
-    # of a general solve swaps no rows
-    x = np.linalg.solve(M, rhs)
+    c = B.T @ space.constraint_row(fixed, z)
+    # R is upper triangular, so the partial pivoting of a general solve swaps no rows
+    x = -np.linalg.solve(R, Q[:, :low].conj().T @ c.conj()).conj()
     return family.member(x)
 
 

@@ -182,8 +182,8 @@ def _constrained_kernel(
     |c|^2 is the p = 2 minimizer, whatever the basis.  At p = 2 the basis
     is the space's own, the columns of C^-1, with T = B(z) = J(z) C^-1
     (:func:`~xibergman.pspace._orthonormal_jets`); with vanishing jets,
-    both are first restricted to the orthonormal null space of B(z)'s
-    ``low`` leading rows, from a Householder QR of that N x low matrix.
+    both are first restricted to the null space of B(z)'s ``low`` leading
+    rows (:func:`_low_jets_qr`).
     The solve stops at u0, and no per-point QR is formed.  At every other
     p the basis is the trailing block from position ``low`` of the
     point-adapted basis at z (:func:`~xibergman.pspace.orthonormal_basis`),
@@ -217,7 +217,7 @@ def _constrained_kernel(
         T, U = B[low:], space.ring.inverse_factor
         if low:
             # the orthonormal null space of the jets below low
-            V = np.linalg.qr(B[:low].conj().T, mode="complete")[0][:, low:]
+            V = _low_jets_qr(B, low)[0][:, low:]
             T, U = T @ V, U @ V
     else:
         ob = orthonormal_basis(space, zt)
@@ -256,6 +256,12 @@ def _constrained_kernel(
     return KernelEvaluation(
         p=float(p), z=zt, m=m, K=K, minimizer=minimizer, xi=xi,
         degree=space.degree, coeffs=U @ u, diagnostics=diagnostics)
+
+
+def _low_jets_qr(B: np.ndarray, low: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complete Householder QR, Q R = B[:low]^H, of B(z)'s jets below ``low``; the
+    trailing columns of Q span the functions whose jets below ``low`` vanish."""
+    return np.linalg.qr(B[:low].conj().T, mode="complete")
 
 
 def _warm_start(space: PolySpace, z: tuple[complex, ...], U: np.ndarray, c: np.ndarray,
@@ -422,12 +428,12 @@ def duality_bracket(
     in the space gives K <= ||g||_q^p, q = p / (p - 1), or the largest
     |g_q| at p = 1, which is K_upper.  g is the solver's smoothed
     representer rho conj(f) / sum_q w_q rho_q |f_q|^2 plus the L^2
-    representer sum_a r_a conj(sigma_a) of its pairing residual r on the
-    orthonormal basis at z, which makes it exact; the solver's certified
-    stop forms the same bound.  Both ends bound the discrete (quadrature)
-    problem, not the truncation error, and at p = 1 the gap carries the
-    solver's smoothing.  Below p = 1 Hoelder's inequality fails and there
-    is no bracket.
+    representer sum_a r_a conj(sigma_a) of its pairing residual r on any
+    orthonormal basis sigma, here the columns of C^-1, which makes it exact;
+    the solver's certified stop forms the same bound.  Both ends bound the
+    discrete (quadrature) problem, not the truncation error, and at p = 1
+    the gap carries the solver's smoothing.  Below p = 1 Hoelder's
+    inequality fails and there is no bracket.
     """
     if evaluation.p < 1:
         raise ValueError("the duality bracket requires p >= 1")
@@ -440,9 +446,8 @@ def _bracket(space: PolySpace, xi: Functional, evaluation: KernelEvaluation,
     :func:`~xibergman.lpsolve._dual` at the evaluation's minimizer; ``xi``
     need not be the evaluation's functional, only one the minimizer is
     feasible for."""
-    ob = orthonormal_basis(space, evaluation.z)
-    c = ob.transform.T @ space.constraint_row(xi, ob.point)
-    upper = _hoelder_upper(space.ring, ob.coeffs, c, evaluation.p, *dual)
+    c = _orthonormal_jets(space, evaluation.z).T @ space.constraint_row(xi, evaluation.z)
+    upper = _hoelder_upper(space.ring, space.ring.inverse_factor, c, evaluation.p, *dual)
     return DualityBracket(K_lower=evaluation.K, K_upper=upper,
                           gap=upper / evaluation.K - 1.0)
 

@@ -15,14 +15,14 @@ values is kept, and no FFT library is loaded.  The exact Taylor jets
 
 The space owns one orthonormal basis, the columns of C^-1 for the ring
 factor C (G = C^H C); :func:`_orthonormal_jets` gives their Taylor jets
-B(z) = J(z) C^-1 at a point, which is all the p = 2 closed form reads.
-:func:`orthonormal_basis` produces a basis adapted to a point from B(z) by
-one N x N QR: sigma_alpha has vanishing Taylor jet at the point for every
-order below alpha (in the graded order) and a nonvanishing jet exactly at
-alpha.  So the functions whose jets vanish at all orders below k are
-spanned by a trailing block of the basis: the orders below k lead the
-graded order.  That triangular structure is what the descent solver's
-jet-constrained solves rely on.  The space keeps B(z) of the last point it
+B(z) = J(z) C^-1 at a point, which is all the p = 2 closed form, the
+duality bracket and the p = 2 minimizing functional read.  Only the
+descent at p != 2 works in a basis adapted to the point, which
+:func:`orthonormal_basis` rotates out of B(z) by one N x N QR:
+sigma_alpha has vanishing Taylor jet at the point for every order below
+alpha (in the graded order) and a nonvanishing jet exactly at alpha, so
+the functions whose jets vanish at all orders below k are spanned by a
+trailing block of the basis.  The space keeps B(z) of the last point it
 was asked for, and that point's adapted basis once one is asked for, so the
 routes that solve at one point share one B(z) and one QR.
 """
@@ -618,8 +618,8 @@ class RingOperator:
     @cached_property
     def inverse_factor(self) -> np.ndarray:
         """C^-1 for the ring factor C: its columns are the space's orthonormal
-        basis, whose jets at a point every p = 2 value and every point-adapted
-        basis read."""
+        basis, whose jets at a point every p = 2 value, the duality bracket
+        and the descent's point-adapted basis read."""
         return np.linalg.inv(self.factor)
 
 
@@ -642,7 +642,6 @@ class OrthonormalBasis:
     read-only.
     """
 
-    point: tuple[complex, ...]
     transform: np.ndarray
     coeffs: np.ndarray
 
@@ -704,7 +703,7 @@ def orthonormal_basis(space: PolySpace, z) -> OrthonormalBasis:
     if memo.basis is None:
         T, U = _orthonormal_transform(space, point)
         T.flags.writeable = U.flags.writeable = False
-        memo.basis = OrthonormalBasis(point, T, U)
+        memo.basis = OrthonormalBasis(T, U)
     return memo.basis
 
 

@@ -202,8 +202,8 @@ class TestViaInf:
 
     def test_p2_factorizes_once(self, monkeypatch):
         # the basis orthonormalized at z, which the space keeps, is built
-        # once: the p = 1.5 solves, the infimum route's brackets and
-        # minimizing_xi_p2 work in it, and p = 2 values read only B(z)
+        # once, for the p = 1.5 descent; the infimum route's brackets,
+        # minimizing_xi_p2 and the p = 2 values read only C^-1 and B(z)
         from xibergman import pspace
         space = PolySpace.build(Domain.disk(), degree=6, radial_order=12, angular_order=24)
         calls = []
@@ -223,6 +223,42 @@ class TestViaInf:
             xi = minimizing_xi_p2(space, H, z)
             kernel2_diagonal(space, xi, z)
         assert len(calls) == 1
+
+    def test_only_the_descent_reads_the_adapted_basis(self, monkeypatch):
+        # away from the p != 2 descent every route pairs with the space's
+        # own basis C^-1 and its jets B(z): the infimum route at p = 2,
+        # minimizing_xi_p2, the bracket of a p = 2 value and verify's
+        # uniqueness check build no point-adapted QR
+        from xibergman import pspace, verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the point-adapted QR ran")
+
+        monkeypatch.setattr(pspace, "_orthonormal_transform", refuse)
+        space = PolySpace.build(Domain.disk(), degree=8, radial_order=12, angular_order=24)
+        H = HomogeneousPolynomial.from_string("z^2: 1")
+        z = 0.3 + 0.1j
+        res = higher_kernel_via_inf(space, H, z, 2.0)
+        xi = minimizing_xi_p2(space, H, z)
+        bracket = duality_bracket(space, xi, kernel2_diagonal(space, xi, z))
+        assert not res.flags and abs(bracket.gap) <= 1e-12
+        check = verify.run_check("kernels/uniqueness")
+        assert check.passed, check.detail
+
+    def test_zero_leading_jet_is_refused(self, disk16, monkeypatch):
+        # a zero diagonal entry of R_1 leaves the least squares of
+        # minimizing_xi_p2 without a solution: a KernelError, not LinAlgError
+        original = higher._low_jets_qr
+
+        def degenerate(*args):
+            Q, R = original(*args)
+            R = R.copy()
+            R[0, 0] = 0.0
+            return Q, R
+
+        monkeypatch.setattr(higher, "_low_jets_qr", degenerate)
+        with pytest.raises(KernelError):
+            minimizing_xi_p2(disk16, HomogeneousPolynomial.from_string("z^2: 1"), 0.3j)
 
     def test_matches_direct_p15(self, disk16):
         H = HomogeneousPolynomial.from_string("z: 1")
@@ -295,10 +331,13 @@ class TestViaInf:
         (Domain.disk(), "z^3: 1", 0.3 + 0.2j),
         (Domain.bidisc(), "z1 z2: 1, z1^2: 0.5",
          (0.3 * np.exp(0.7j), 0.2 * np.exp(-1.1j))),
+        (Domain.ball(dimension=2), "z1 z2: 1, z1^2: 0.5",
+         (0.3 * np.exp(0.7j), 0.2 * np.exp(-1.1j))),
     ])
     def test_closed_form_is_the_p2_minimizer(self, domain, text, z):
-        # at p = 2 the pairing formula and the triangular system of
-        # minimizing_xi_p2 are independent routes to one member
+        # at p = 2 the pairing formula and the least squares on the jets of
+        # minimizing_xi_p2 are independent routes to one member, and its
+        # plain kernel is K_H, the residual of that least squares
         space = PolySpace.build(domain, degree=16 if domain.dimension == 1 else 6,
                                 radial_order=None if domain.dimension == 1 else 8,
                                 angular_order=None if domain.dimension == 1 else 16)
@@ -307,6 +346,7 @@ class TestViaInf:
         xi2 = minimizing_xi_p2(space, H, z)
         free = FunctionalFamily(H).free_indices
         assert max(abs(res.xi_star[idx] - xi2[idx]) for idx in free) <= 1e-12
+        assert abs(kernel2_diagonal(space, xi2, z).K - res.K) <= 1e-12 * res.K
         assert not res.flags
 
     def test_perturbed_member_is_flagged(self, disk16, monkeypatch):

@@ -4,12 +4,14 @@ Solves  min ||f||_p  over  f = sum_j u_j sigma_j  subject to  row . u = 1,
 where the norm is a weighted node sum and the functions sigma_j are given
 by their coefficients in a space's centred monomial basis (the columns of
 ``basis``) and are orthonormal in the weighted product: the kernels pass
-the point-adapted orthonormal basis of :mod:`xibergman.pspace`.  The one
-complex constraint is eliminated through its minimal-norm solution
-u0 = conj(row) / |row|^2 plus the orthonormal null space Z of the row (the
-trailing columns of one Householder reflection), so the free directions
-M = basis Z are orthonormal too, and one descent loop runs on their
-coordinates t.  With f = Phi (x0 + M t), x0 = basis u0, it minimizes the
+the point-adapted orthonormal basis of :mod:`xibergman.pspace`.  The steps
+and every stop test are the same in any other orthonormal basis, up to
+rounding; only the p < 1 random restarts are drawn in the descent's
+coordinates.  The one complex constraint is eliminated through its
+minimal-norm solution u0 = conj(row) / |row|^2 plus the orthonormal null
+space Z of the row (the trailing columns of one Householder reflection),
+so the free directions M = basis Z are orthonormal too, and one descent
+loop runs on their coordinates t.  With f = Phi (x0 + M t), x0 = basis u0, it minimizes the
 smoothed objective
 
     F(t)      sum_q w_q s_q^(p/2),  s_q = |f(x_q)|^2 + eps^2,
@@ -64,7 +66,11 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               That step majorizes the smoothed objective at the iterate's
               eps, and eps follows the iterate, so single steps can raise
               the unsmoothed objective a little; each descent returns the
-              lowest iterate it visited.
+              lowest iterate it visited, a later iterate replacing an
+              earlier one whose objective it matches within the 1e-15
+              relative slack of the Armijo test, so that an iterate
+              rounded one ulp higher does not keep a start that is less
+              stationary.
 
     stall     every step that is taken passes one slope test: a
               singular step matrix, a step with slope
@@ -72,9 +78,15 @@ weights rho = s^((p-2)/2).  Only the curvature of a step depends on p:
               descent of F stops the descent, flagged line-search-stall.
               Below p = 1 this applies to the majorize-minimize step; a
               refused Newton step only hands over to it.
-    stop      for p > 1, at an iterate whose stationarity residual
-              |M^H Phi^H(w rho f)|_max / F^((p-1)/p) is below GRAD_TOL
-              (1e-10), the Hoelder bracket of the discrete problem (see
+    stop      the stationarity residual of an iterate is
+              ||M^H Phi^H(w rho f)||_2 / F^((p-1)/p).  M is
+              weighted-orthonormal, so the 2-norm of the pairing is the
+              weighted L^2 norm of the gradient's projection on the
+              feasible directions, the same in every orthonormal basis of
+              them.  A max-norm of the pairing would move with the basis,
+              and in every basis it is at most the 2-norm.  For p > 1, at
+              an iterate whose residual is below GRAD_TOL (1e-10), the
+              Hoelder bracket of the discrete problem (see
               _hoelder_upper) is formed from the same adjoint plus one
               correction node evaluation, and the descent stops there
               when its gap K_upper / K_lower - 1 is at most GAP_TOL
@@ -317,7 +329,9 @@ def _hoelder_upper(op, basis, row, p, g, rho, adjoint):
         return top
     q = p / (p - 1.0)
     h /= top
-    return (top * float(w @ h ** q) ** (1.0 / q)) ** p
+    # (top ||h / top||_q)^p, with p / q = p - 1 applied to the node sum
+    # directly so that no intermediate rounding is raised to the power p
+    return top ** p * float(w @ h ** q) ** (p - 1.0)
 
 
 def _dual(op, x, p):
@@ -363,7 +377,7 @@ def _descend(op, basis, row, M, x0, p, t0):
         sp, rho, inv_s, eps2 = _smoothed(a2, p)
         adjoint = op.adjoint(w * rho * g)
         pairing = M.conj().T @ adjoint
-        grad_res = float(np.abs(pairing).max()) / max(obj ** ((p - 1.0) / p), tiny)
+        grad_res = float(np.linalg.norm(pairing)) / max(obj ** ((p - 1.0) / p), tiny)
         return float(np.sum(w * sp)), rho, inv_s, eps2, adjoint, pairing, grad_res
 
     def certified():
@@ -468,7 +482,7 @@ def _descend(op, basis, row, M, x0, p, t0):
         rel_step = abs(obj - obj_trial) / max(obj_trial, tiny)
         t, g, a2, obj = t_trial, g_trial, a2_trial, obj_trial
         F, rho, inv_s, eps2, adjoint, pairing, grad_res = stationarity(g, a2, obj)
-        if obj <= best[1]:
+        if obj <= best[1] * (1.0 + 1e-15):
             best = (t, obj, grad_res)
 
         upper, done = certified()

@@ -119,15 +119,21 @@ class TestDirect:
 
     def test_p2_routes_share_the_rank_guard(self):
         # four coincident nodes: every non-constant monomial vanishes on the
-        # rule, so both exact p = 2 routes must refuse the same way
+        # rule, so both exact p = 2 routes and the descent at p = 1.5 and
+        # 0.8 must refuse the same way, through the Cholesky factor of the
+        # space's Gram
         dom = Domain.disk()
         quad = Quadrature(dom, np.zeros((4, 1), dtype=complex), np.full(4, 0.25), 1, 0)
         space = PolySpace(dom, quad, enumerate_upto_degree(1, 3))
         with pytest.raises(RankLossError):
             kernel2_diagonal(space, Functional.delta((1,)), 0j)
-        with pytest.raises(RankLossError):
-            higher_kernel_direct(space, HomogeneousPolynomial.from_string("z: 1"),
-                                 0j, 2.0)
+        for p in (2.0, 1.5, 0.8):
+            with pytest.raises(RankLossError, match="on this rule"):
+                diagonal(space, Functional.delta((1,)), 0j, p)
+        for p in (2.0, 1.5):
+            with pytest.raises(RankLossError, match="on this rule"):
+                higher_kernel_direct(space, HomogeneousPolynomial.from_string("z: 1"),
+                                     0j, p)
 
     def test_jet_constraint_is_shared(self, disk6):
         # every jet-constrained entry point refuses a Laurent basis and

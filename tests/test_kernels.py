@@ -111,8 +111,10 @@ class TestClosedForms:
     ])
     def test_closed_form_matches_the_adapted_basis(self, shape, degree, z):
         # the closed form pairs the functional with the jets of the space's
-        # own orthonormal basis; the point-adapted basis of the descent is
-        # the reference: the same K, and the element's jets below low are 0
+        # own orthonormal basis; the reference orthonormalizes the dense
+        # node values of the solve basis from position low on, the functions
+        # whose jets below low vanish: the same K, and the element's jets
+        # below low are 0
         domain = {"disk": Domain.disk(), "annulus": Domain.annulus(0.5, 1.0),
                   "bidisc": Domain.bidisc(), "ball2": Domain.ball(dimension=2),
                   "ball3": Domain.ball(dimension=3)}[shape]
@@ -120,11 +122,18 @@ class TestClosedForms:
         coeffs = (1.0, 0.5, -0.25j, 0.4 + 0.3j, -0.6)
         taylor = [idx for idx in space.indices if idx.is_taylor]
         xi = Functional(space.dimension, dict(zip(taylor, coeffs)))
-        ob = orthonormal_basis(space, z)
+        if space.laurent:
+            # the solve basis is the Laurent monomials themselves
+            V = np.prod(space.quadrature.nodes[:, None, :] ** space.exponents[None], axis=2)
+        else:
+            V = space.shifted_node_matrix(z)
+        root_w = np.sqrt(space.quadrature.weights)[:, None]
         L = space.constraint_row(xi, z)
         for low in (0,) if space.laurent else (0, 1, 2):
             ev = kernels._constrained_kernel(space, xi, z, 2.0, low)
-            c = ob.transform[low:, low:].T @ L[low:]
+            # sigma = V[:, low:] R^-1 is orthonormal, so c = R^-T L
+            R = np.linalg.qr(root_w * V[:, low:], mode="r")
+            c = np.linalg.solve(R.T, L[low:])
             assert ev.K == pytest.approx(np.vdot(c, c).real, rel=1e-12)
             assert all(ev.minimizer.coefficient(idx) == 0 for idx in space.indices[:low])
             assert ev.diagnostics["constraint_residual"] < 1e-12
@@ -591,6 +600,39 @@ class TestSolverContract:
             assert np.abs(row @ Z).max(initial=0.0) <= 1e-14
             assert np.abs(Z.conj().T @ Z - np.eye(len(row) - 1)).max(initial=0.0) <= 1e-14
 
+    @pytest.mark.parametrize("p", [0.8, 1.0, 1.5, 3.0])
+    def test_stop_is_basis_invariant(self, monkeypatch, disk16, p):
+        # the kernel does not depend on the orthonormal basis, and neither
+        # does the stop: in C^-1 W for a seeded random unitary W, with the
+        # row W^T c, the solver takes the same steps to the same value.
+        # The start is the p = 2 point, the same function in both bases, so
+        # that below p = 1 the descent from it is the result when it ends
+        # stationary, and no restart is drawn in either basis's coordinates
+        z = 0.3 - 0.4j
+        U = disk16.ring.inverse_factor
+        c = pspace._orthonormal_jets(disk16, z).T @ disk16.constraint_row(
+            Functional.from_string("0: 1; 1: 0.5", 1), z)
+        rng = np.random.default_rng(38)
+        W = np.linalg.qr(rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape))[0]
+
+        def both():
+            return [solve_affine_lp(disk16.ring, V, row, p, start=lpsolve._minimal_norm(row))
+                    for V, row in ((U, c), (U @ W, W.T @ c))]
+
+        sol, rotated = both()
+        assert sol.start_spread is None and rotated.start_spread is None
+        assert rotated.iterations == sol.iterations
+        assert 1.0 / rotated.objective == pytest.approx(1.0 / sol.objective, rel=1e-12)
+        # the final residuals are at rounding level, where the two bases
+        # round differently, so they are compared by the stop they decide;
+        # the residual itself is compared at the start, a solve capped at
+        # no step, where it is of order one (a max-norm moved it 8-28% here)
+        assert (rotated.grad_residual < lpsolve.GRAD_TOL) == (sol.grad_residual < lpsolve.GRAD_TOL)
+        monkeypatch.setattr(lpsolve, "MAX_ITER", 0)
+        sol, rotated = both()
+        assert sol.grad_residual > 0.1
+        assert rotated.grad_residual == pytest.approx(sol.grad_residual, rel=1e-12, abs=0.0)
+
     def test_p1_backtracks_on_the_smoothed_objective(self):
         # the Moebius delta_1 sweep row at a = -0.6: Armijo on the unsmoothed
         # objective rejects the Newton steps near the minimizer's zero and
@@ -930,7 +972,7 @@ def _mm_multistart(space, xi, z, p, seed=42):
             wr = w * (a2 + (lpsolve.EPS_FACTOR ** 2) * a2.max()) ** (0.5 * p - 1.0)
             pairing = V.conj().T @ (wr * f)
             if previous is not None and abs(previous - obj) < lpsolve.OBJ_TOL * obj:
-                residual = np.abs(pairing).max() / obj ** ((p - 1.0) / p)
+                residual = np.linalg.norm(pairing) / obj ** ((p - 1.0) / p)
                 if residual < lpsolve.GRAD_TOL:
                     break
                 settled = settled + 1 if residual < lpsolve.EPS_FACTOR else 0
